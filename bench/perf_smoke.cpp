@@ -35,7 +35,6 @@
 #include "obs/progress.hpp"
 #include "outer/outer_factory.hpp"
 #include "platform/platform.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -127,46 +126,6 @@ double request_ns(bool outer, const std::string& name) {
     elapsed += now_sec() - start;
   }
   if (sink == 0) std::cerr << "";  // keep the accumulator observable
-  return elapsed * 1e9 / static_cast<double>(requests);
-}
-
-/// Master-side ns/request for the pure data-aware strategies with an
-/// intra-rep lane team. Measured under a forced 16-slot parallelism
-/// budget so the requested lanes are actually granted on any runner;
-/// lanes=1 is the zero-cost control the CI gate compares against the
-/// plain request_ns numbers.
-double lane_request_ns(bool outer, const std::string& name,
-                       std::uint32_t lanes) {
-  const std::uint32_t workers = 16;
-  std::uint64_t requests = 0;
-  double elapsed = 0.0;
-  std::uint64_t seed = 0;
-  std::uint64_t sink = 0;
-  while (elapsed < 0.3) {
-    std::unique_ptr<Strategy> strategy;
-    if (outer) {
-      OuterStrategyOptions options;
-      options.lanes = lanes;
-      strategy =
-          make_outer_strategy(name, OuterConfig{100}, workers, ++seed, options);
-    } else {
-      MatmulStrategyOptions options;
-      options.lanes = lanes;
-      strategy =
-          make_matmul_strategy(name, MatmulConfig{40}, workers, ++seed, options);
-    }
-    strategy->prepare_lanes();
-    std::uint32_t next_worker = 0;
-    Assignment scratch;
-    const double start = now_sec();
-    while (strategy->on_request(next_worker, scratch)) {
-      sink += scratch.task_count();  // scalars + run-encoded grants
-      ++requests;
-      next_worker = (next_worker + 1) % workers;
-    }
-    elapsed += now_sec() - start;
-  }
-  if (sink == 0) std::cerr << "";
   return elapsed * 1e9 / static_cast<double>(requests);
 }
 
@@ -267,34 +226,6 @@ int main(int argc, char** argv) {
   reps_of("fig10_mm_n100", Kernel::kMatmul, "RandomMatrix", 100);
   reps_of("fig10_mm_n100", Kernel::kMatmul, "DynamicMatrix2Phases", 100);
 
-  // Lane-team scaling on the request drain (forced budget so lanes
-  // grant everywhere; restored right after). lanes=1 doubles as the
-  // zero-cost control: CI pins it against the plain request numbers.
-  // On a 1-hardware-thread host the lanes>1 rows would only measure
-  // contention that no real deployment pays, so they are emitted as
-  // explicit "skipped" markers instead of misleading numbers; the CI
-  // gate compares only keys present in both baseline and run.
-  const unsigned hw_threads = std::thread::hardware_concurrency();
-  std::vector<std::pair<std::string, double>> lane_request;
-  std::vector<std::string> lane_skipped;
-  set_parallel_budget_capacity(16);
-  for (const bool outer : {true, false}) {
-    const std::string name = outer ? "DynamicOuter" : "DynamicMatrix";
-    for (const std::uint32_t lanes : {1u, 2u, 4u}) {
-      const std::string row = name + ".lanes" + std::to_string(lanes);
-      if (lanes > 1 && hw_threads <= 1) {
-        lane_skipped.push_back(row);
-        std::cerr << "# lane request " << row
-                  << ": skipped (1 hardware thread)\n";
-        continue;
-      }
-      lane_request.emplace_back(row, lane_request_ns(outer, name, lanes));
-      std::cerr << "# lane request " << lane_request.back().first << ": "
-                << lane_request.back().second << " ns\n";
-    }
-  }
-  set_parallel_budget_capacity(0);
-
   const ProfiledWorkload profiled = profiled_fig10_workload(2);
   std::cerr << "# reps/sec fig10_mm_n100.DynamicMatrix2Phases (profiled): "
             << profiled.reps_per_sec << "\n";
@@ -308,7 +239,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, double>> large_norm;
   std::vector<std::pair<std::string, double>> large_wall;
   if (args.get_bool("large", false)) {
-    const auto run_large = [&](const char* name, std::uint32_t lanes) {
+    const auto run_large = [&](const char* name) {
       ExperimentConfig config;
       config.kernel = Kernel::kMatmul;
       config.strategy = name;
@@ -316,31 +247,19 @@ int main(int argc, char** argv) {
       config.p = 100;
       config.reps = 1;
       config.parallelism = 1;
-      config.lanes = lanes;
       config.seed = 42;
-      if (lanes > 1) set_parallel_budget_capacity(16);
       const double start = now_sec();
       const ExperimentResult result = run_experiment(config);
       const double wall = now_sec() - start;
-      if (lanes > 1) set_parallel_budget_capacity(0);
-      const std::string label =
-          lanes > 1 ? std::string(name) + ".lanes" + std::to_string(lanes)
-                    : std::string(name);
-      large_norm.emplace_back(label, result.normalized.mean);
-      large_wall.emplace_back(label, wall);
-      std::cerr << "# large mm_n1000 " << label
+      large_norm.emplace_back(name, result.normalized.mean);
+      large_wall.emplace_back(name, wall);
+      std::cerr << "# large mm_n1000 " << name
                 << ": normalized=" << result.normalized.mean
                 << " wall=" << wall << " s, peak rss " << peak_rss_mb()
                 << " MB\n";
     };
-    // --large-random=0 skips the slowest row (~11 min; its code path
-    // has no lane dependence) when only the laned rows are needed.
-    if (args.get_bool("large-random", true)) run_large("RandomMatrix", 1);
-    run_large("DynamicMatrix2Phases", 1);
-    // The lanes=4 rerun must report the identical normalized volume —
-    // the whole point of the deterministic lane team — with lower wall
-    // time wherever the host actually has the cores.
-    run_large("DynamicMatrix2Phases", 4);
+    run_large("RandomMatrix");
+    run_large("DynamicMatrix2Phases");
   }
 
   std::ofstream out(out_path);
@@ -351,7 +270,8 @@ int main(int argc, char** argv) {
   JsonWriter json(out);
   json.begin_object();
   json.field("schema", "hetsched-perf-smoke/1");
-  json.field("hardware_concurrency", static_cast<std::uint64_t>(hw_threads));
+  json.field("hardware_concurrency",
+             static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   json.field("heap_ns_per_op", heap);
   json.field("flat_engine_ns_per_event", engine);
   json.key("request_ns");
@@ -362,11 +282,6 @@ int main(int argc, char** argv) {
   json.begin_object();
   for (const auto& [name, r] : reps) json.field(name, r);
   json.end_object();
-  json.key("lane_request_ns");
-  json.begin_object();
-  for (const auto& [name, ns] : lane_request) json.field(name, ns);
-  for (const auto& name : lane_skipped) json.field(name, "skipped");
-  json.end_object();
   // Host-independent ratios for the CI gate: ns metrics over the heap
   // baseline; throughput as heap-ops-per-rep (lower = faster).
   json.key("ratios_vs_heap");
@@ -375,9 +290,6 @@ int main(int argc, char** argv) {
   for (const auto& [name, ns] : request) json.field("request." + name, ns / heap);
   for (const auto& [name, r] : reps) {
     json.field("rep_cost." + name, 1e9 / (r * heap));
-  }
-  for (const auto& [name, ns] : lane_request) {
-    json.field("lane.request_ns." + name, ns / heap);
   }
   // Telemetry-on rep cost: gated against the plain fig10 number above,
   // so profiler + progress can never silently grow past the noise

@@ -14,7 +14,6 @@
 // extra compare on the access paths.
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstddef>
@@ -145,83 +144,20 @@ class DynamicBitset {
     }
   }
 
-  // -- Lane-shared access ---------------------------------------------
-  // The intra-rep lane team (common/lane_team.hpp) lets several threads
-  // scan and OR into one bitset concurrently. The generation-stamp trick
-  // is not atomically maintainable (stamp + zero + OR is three stores),
-  // so lane phases first materialize the set — every word made current —
-  // and then touch words only through the relaxed atomic accessors
-  // below. OR is commutative and the strategies' lane partitions never
-  // write a bit another lane selects, so the final word values (and the
-  // per-lane outputs) are independent of thread interleaving.
+  // -- Materialized access -------------------------------------------
+  // The dynamic strategies' request loop re-reads the same shared
+  // bitsets constantly, so it materializes them once per rep — every
+  // word made current — and then skips the generation resolution: one
+  // array index per word instead of a stamp load and branch per access.
+  // In the request hot loop the stamp arrays are pure cache pressure:
+  // dropping them halves the lines the frontier scan touches. Point
+  // writers (set, insert/remove) keep materialized words current, so
+  // the precondition survives until the next clear()/resize().
 
   /// Applies pending clears so every word is generation-current; after
-  /// this, the relaxed accessors are valid until the next clear() or
+  /// this, the _m accessors are valid until the next clear() or
   /// resize(). O(word_count), idempotent.
   void materialize_all() noexcept { materialize(); }
-
-  /// Relaxed atomic read of word `w`, or zero past the last word.
-  /// Requires materialize_all() since the last clear()/resize(); other
-  /// threads may concurrently or_word_relaxed/set_relaxed into any word.
-  std::uint64_t word_or_zero_relaxed(std::size_t w) const noexcept {
-    if (w >= words_.size()) return 0;
-    assert(gen_[w] == gen_id_ && "relaxed access to unmaterialized word");
-    // const_cast: atomic_ref<const T> support is patchy; the load does
-    // not mutate the word.
-    return std::atomic_ref<std::uint64_t>(const_cast<std::uint64_t&>(words_[w]))
-        .load(std::memory_order_relaxed);
-  }
-
-  /// Relaxed atomic OR of `bits` into word `w`. Same materialization
-  /// precondition as word_or_zero_relaxed.
-  void or_word_relaxed(std::size_t w, std::uint64_t bits) noexcept {
-    assert(gen_[w] == gen_id_ && "relaxed access to unmaterialized word");
-    std::atomic_ref<std::uint64_t>(words_[w])
-        .fetch_or(bits, std::memory_order_relaxed);
-  }
-
-  /// Relaxed atomic set(pos).
-  void set_relaxed(std::size_t pos) noexcept {
-    or_word_relaxed(pos >> 6, 1ULL << (pos & 63));
-  }
-
-  /// Relaxed atomic or_shifted(base, bits): same window semantics, each
-  /// of the (at most two) touched words updated with one fetch_or.
-  void or_shifted_relaxed(std::size_t base, std::uint64_t bits) noexcept {
-    if (bits == 0) return;
-    or_word_relaxed(base >> 6, bits << (base & 63));
-    if ((base & 63) != 0) {
-      const std::uint64_t high = bits >> (64 - (base & 63));
-      if (high != 0) or_word_relaxed((base >> 6) + 1, high);
-    }
-  }
-
-  /// Relaxed atomic set_run(base, bits, stride): same semantics, every
-  /// touched word updated with a fetch_or. Same materialization
-  /// precondition as the other relaxed writers.
-  void set_run_relaxed(std::size_t base, std::uint64_t bits,
-                       std::size_t stride) noexcept {
-    if (stride == 1) {
-      or_shifted_relaxed(base, bits);
-      return;
-    }
-    std::uint64_t rest = bits;
-    while (rest != 0) {
-      set_relaxed(base +
-                  static_cast<std::size_t>(std::countr_zero(rest)) * stride);
-      rest &= rest - 1;
-    }
-  }
-
-  // -- Materialized serial access -------------------------------------
-  // The dynamic strategies' serial request loop shares the lane path's
-  // precondition (materialize_all() once per rep) but not its threads,
-  // so it can also skip the generation resolution — one array index per
-  // word instead of a stamp load and branch per access. In the request
-  // hot loop the stamp arrays are pure cache pressure: dropping them
-  // halves the lines the frontier scan touches. Point writers (set,
-  // insert/remove) keep materialized words current, so the precondition
-  // survives until the next clear()/resize().
 
   /// word(w) without generation resolution. Requires materialize_all()
   /// since the last clear()/resize().
@@ -415,50 +351,6 @@ inline void or_mask_into_range(DynamicBitset& dst, const DynamicBitset& mask,
   const std::size_t words = mask.word_count();
   for (std::size_t w = 0; w < words; ++w) {
     dst.or_shifted(base + (w << 6), mask.word(w));
-  }
-}
-
-/// Lane-shared variant of for_each_masked_present_word restricted to
-/// mask words [w_begin, w_end): the absent-side window is gathered with
-/// relaxed atomic loads (absent must be materialized; see
-/// DynamicBitset::materialize_all), the mask side with plain reads (the
-/// mask must not be mutated while lanes run). fn(word, hits) may OR the
-/// reported bits back into `absent` through the relaxed writers.
-///
-/// Determinism: concurrent lane writes into `absent` may or may not be
-/// visible to this gather, but the strategies partition work so that no
-/// lane ever writes a bit that is another lane's mask-selected
-/// candidate — every extra bit the gather observes is ANDed away by the
-/// mask, so `hits` equals the serial scan's value for any interleaving.
-template <typename Fn>
-void for_each_masked_present_word_relaxed(const DynamicBitset& mask,
-                                          const DynamicBitset& absent,
-                                          std::size_t base, std::size_t w_begin,
-                                          std::size_t w_end, Fn&& fn) {
-  const std::size_t shift = base & 63;
-  const std::size_t q0 = base >> 6;
-  if (w_end > mask.word_count()) w_end = mask.word_count();
-  for (std::size_t w = w_begin; w < w_end; ++w) {
-    const std::uint64_t m = mask.word(w);
-    if (m == 0) continue;
-    std::uint64_t gone = absent.word_or_zero_relaxed(q0 + w) >> shift;
-    if (shift != 0) {
-      gone |= absent.word_or_zero_relaxed(q0 + w + 1) << (64 - shift);
-    }
-    const std::uint64_t hits = m & ~gone;
-    if (hits != 0) fn(w, hits);
-  }
-}
-
-/// Lane-shared or_mask_into_range: relaxed atomic ORs into a
-/// materialized dst, for splitting an owned-set rebuild across lanes.
-inline void or_mask_into_range_relaxed(DynamicBitset& dst,
-                                       const DynamicBitset& mask,
-                                       std::size_t base) {
-  const std::size_t words = mask.word_count();
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t m = mask.word(w);
-    if (m != 0) dst.or_shifted_relaxed(base + (w << 6), m);
   }
 }
 

@@ -101,23 +101,8 @@ class CompactTaskPool {
   /// eagerly). Valid until the next non-const call.
   const DynamicBitset& removed_view() const noexcept { return removed_; }
 
-  // -- Lane-phase removal (see TaskPool counterparts) -----------------
-
+  /// See TaskPool::materialize_presence.
   void materialize_presence() noexcept { removed_.materialize_all(); }
-
-  void remove_present_bits_relaxed(std::uint64_t base,
-                                   std::uint64_t bits) noexcept {
-    removed_.or_shifted_relaxed(base, bits);
-    // Stale tail entries are pruned lazily by pop_random, exactly as
-    // after remove(); size_ is settled by commit_lane_removals.
-  }
-
-  void remove_present_run_relaxed(std::uint64_t first, std::uint64_t bits,
-                                  std::uint64_t stride) noexcept {
-    removed_.set_run_relaxed(first, bits, stride);
-  }
-
-  void commit_lane_removals(std::uint64_t count) noexcept { size_ -= count; }
 
   /// Refills with ids 0..capacity-1 in O(1) (generation bump in the
   /// bitset; the tail keeps its heap block).
@@ -374,63 +359,15 @@ class TaskPool {
     }
   }
 
-  // -- Lane-phase removal ---------------------------------------------
-  // The intra-rep lane team retires tasks from several threads at once.
-  // Only the bitset-first layouts support that (their removal is a pure
-  // OR): lanes call remove_present_bits_relaxed concurrently after the
-  // owner materialized the presence bitset, and the owner settles the
-  // live counter once, after the barrier, with the summed popcounts —
-  // in lane order, so the count commit is deterministic too.
-
-  /// True for the layouts whose removal is a single bitset OR (lazy
-  /// dense and compact). The eager dense index cannot be updated
-  /// concurrently; callers must keep such pools off the lane path.
-  bool supports_lane_removals() const noexcept { return compact_ || lazy_; }
-
-  /// Makes removed_view() safe for relaxed atomic access (see
-  /// DynamicBitset::materialize_all). Requires supports_lane_removals().
+  /// Makes every word of removed_view() generation-current, so the
+  /// data-aware strategies' request loop can read and write it through
+  /// the unstamped _m accessors (see DynamicBitset::materialize_all).
   /// Idempotent; must be re-run after reset().
   void materialize_presence() noexcept {
     if (compact_) {
       large_.materialize_presence();
     } else {
       dense_removed_.materialize_all();
-    }
-  }
-
-  /// Lane-shared remove_present_bits: the bitset OR only, no counter
-  /// update (threads would race on it). Precondition: materialized
-  /// presence, supports_lane_removals(), and every set bit names a
-  /// present id no other lane also removes.
-  void remove_present_bits_relaxed(std::uint64_t base,
-                                   std::uint64_t bits) noexcept {
-    if (compact_) {
-      large_.remove_present_bits_relaxed(base, bits);
-    } else {
-      dense_removed_.or_shifted_relaxed(base, bits);
-    }
-  }
-
-  /// Lane-shared remove_present_run: bitset writes only, no counter
-  /// update (see remove_present_bits_relaxed for the contract).
-  void remove_present_run_relaxed(std::uint64_t first, std::uint64_t bits,
-                                  std::uint64_t stride) noexcept {
-    if (compact_) {
-      large_.remove_present_run_relaxed(first, bits, stride);
-    } else {
-      dense_removed_.set_run_relaxed(first, bits, stride);
-    }
-  }
-
-  /// Owner-side counter settlement after a lane barrier: `count` is the
-  /// total popcount the lanes removed via remove_present_bits_relaxed.
-  void commit_lane_removals(std::uint64_t count) noexcept {
-    if (count == 0) return;
-    if (compact_) {
-      large_.commit_lane_removals(count);
-    } else {
-      lazy_live_ -= count;
-      dense_stale_ = true;
     }
   }
 

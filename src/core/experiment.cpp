@@ -41,13 +41,11 @@ std::unique_ptr<Strategy> build_strategy(const ExperimentConfig& config,
   if (config.kernel == Kernel::kOuter) {
     OuterStrategyOptions options;
     options.phase2_fraction = phase2_fraction;
-    options.lanes = config.lanes;
     return make_outer_strategy(config.strategy, OuterConfig{config.n},
                                config.p, rep_seed, options);
   }
   MatmulStrategyOptions options;
   options.phase2_fraction = phase2_fraction;
-  options.lanes = config.lanes;
   return make_matmul_strategy(config.strategy, MatmulConfig{config.n},
                               config.p, rep_seed, options);
 }
@@ -105,14 +103,6 @@ RepOutcome run_single(const ExperimentConfig& config, std::uint64_t rep_seed,
     ProfScope scope(prof, ProfSite::kStrategyBuild);
     owned = build_strategy(config, rep_seed, phase2_fraction);
     strategy = owned.get();
-  }
-  {
-    // Per-rep lane-team warm-up under its own site, so presence
-    // materialization is attributed to lane.prep rather than folded
-    // into engine.run. A no-op (two clock reads when profiling) for
-    // strategies without a lane team.
-    ProfScope scope(prof, ProfSite::kLanePrep);
-    strategy->prepare_lanes();
   }
 
   TraceSink* trace = nullptr;
@@ -222,11 +212,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   std::optional<ParallelLease> lease;
   if (config.parallelism > 0) {
     threads = std::min(config.parallelism, shard_count);
-    // Exact lease: the explicit thread count is honored as documented,
-    // but recorded against the budget so nested parallel regions (the
-    // strategies' intra-rep lane teams) see the occupancy and cannot
-    // oversubscribe on top of it.
-    if (threads > 1) lease.emplace(threads, /*exact=*/true);
   } else if (shard_count > 1) {
     lease.emplace(shard_count);
     threads = std::max(1u, lease->granted());

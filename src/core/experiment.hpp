@@ -61,15 +61,7 @@ struct ExperimentConfig {
   /// the budget. A nonzero value is honored exactly (capped at the
   /// shard count). Results are bit-identical for every setting.
   std::uint32_t parallelism = 0;
-  /// Intra-rep lane team size for the data-aware strategies (CLI
-  /// --lanes). 1 (or 0) = serial requests, the default. Larger values
-  /// let DynamicOuter/DynamicMatrix parallelize the per-request
-  /// frontier scans, batch retirement and output fill across a
-  /// strategy-owned lane team (common/lane_team.hpp). The extra
-  /// threads come out of the process-wide parallelism budget, so rep
-  /// parallelism takes precedence when both want the machine. Results
-  /// are bit-identical for every setting (pinned by
-  /// tests/integration/lane_identity_test.cpp).
+  /// Ignored; kept only because bench/e2e/workload.cpp assigns it.
   std::uint32_t lanes = 1;
   /// Wall-clock self-profiling (obs/profiler.hpp). Adds O(1) clock
   /// reads per rep; totals land in ExperimentResult::profile. Never

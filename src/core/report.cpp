@@ -36,9 +36,6 @@ void write_experiment_json(std::ostream& out, const ExperimentConfig& config,
   }
   // Engine extras appear only when they deviate from the default flat
   // run, so existing outputs stay byte-identical.
-  if (config.lanes > 1) {
-    json.field("lanes", static_cast<std::uint64_t>(config.lanes));
-  }
   if (config.timed) {
     json.field("timed", true);
     json.field("comm_bandwidth", config.comm.bandwidth);

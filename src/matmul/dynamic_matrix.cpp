@@ -23,23 +23,17 @@ void refill_alive(std::vector<std::uint64_t>& rows, std::uint32_t n) {
 DynamicMatrixStrategy::DynamicMatrixStrategy(MatmulConfig config,
                                              std::uint32_t workers,
                                              std::uint64_t seed,
-                                             std::uint64_t phase2_tasks,
-                                             std::uint32_t lanes)
+                                             std::uint64_t phase2_tasks)
     : config_(config),
       n_workers_(workers),
       phase2_tasks_(phase2_tasks),
       pool_(config.total_tasks(), /*presence_view=*/true, /*lazy_dense=*/true),
       mir_stride_(((config.n + 63) >> 6) << 6),
       removed_t_(static_cast<std::uint64_t>(config.n) * config.n * mir_stride_),
-      rng_(derive_stream(seed, "matmul.dynamic")),
-      lanes_requested_(lanes > 0 ? lanes : 1) {
+      rng_(derive_stream(seed, "matmul.dynamic")) {
   validate(config_);
   if (workers == 0) {
     throw std::invalid_argument("DynamicMatrixStrategy: need at least 1 worker");
-  }
-  if (lanes_requested_ > 1) {
-    team_ = std::make_unique<LaneTeam>(lanes_requested_);
-    lane_out_.resize(team_->lanes());
   }
   state_.reserve(workers);
   for (std::uint32_t w = 0; w < workers; ++w) {
@@ -126,44 +120,25 @@ bool DynamicMatrixStrategy::reset(std::uint64_t seed) {
   fallback_served_ = 0;
   phase_switch_notified_ = false;
   fallback_notified_ = false;
-  lane_ready_ = false;  // the O(1) clears above staled the bitsets
-  parallel_requests_ = 0;
-  serial_requests_ = 0;
+  materialized_ = false;  // the O(1) clears above staled the bitsets
   return true;
 }
 
-void DynamicMatrixStrategy::ensure_lane_ready() {
-  if (lane_ready_) return;
-  // The relaxed lane phase ORs into these concurrently; generation
-  // stamps cannot be maintained atomically, so make every word current
-  // once per rep. Point writes elsewhere (requeue, random pops) keep
-  // materialized words current, so this survives until the next
-  // reset().
+void DynamicMatrixStrategy::ensure_materialized() {
+  if (materialized_) return;
+  // Point writes elsewhere (requeue, random pops) keep materialized
+  // words current, so this survives until the next reset().
   pool_.materialize_presence();
   removed_t_.materialize_all();
-  lane_ready_ = true;
-}
-
-void DynamicMatrixStrategy::prepare_lanes() {
-  if (team_ != nullptr && team_->lanes() > 1) ensure_lane_ready();
-}
-
-LaneUtilization DynamicMatrixStrategy::lane_utilization() const {
-  LaneUtilization u;
-  u.lanes_requested = lanes_requested_;
-  u.lanes_granted = team_ != nullptr ? team_->lanes() : 1;
-  u.team_dispatches = team_ != nullptr ? team_->dispatches() : 0;
-  u.parallel_requests = parallel_requests_;
-  u.serial_requests = serial_requests_;
-  return u;
+  materialized_ = true;
 }
 
 bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
                                             Assignment& out) {
-  // Both the lane phase and the serial _m fast path below need every
-  // word of the shared bitsets generation-current; one O(words) pass
-  // per rep buys stamp-free access for the whole drain.
-  ensure_lane_ready();
+  // The _m scans below need every word of the shared bitsets
+  // generation-current; one O(words) pass per rep buys stamp-free
+  // access for the whole drain.
+  ensure_materialized();
   WorkerState& w = state_[worker];
   if (w.unknown_i.empty() || w.unknown_j.empty() || w.unknown_k.empty()) {
     // Knowledge covers a full dimension: the structured extension is
@@ -257,18 +232,9 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
   // enumeration order documented in the header is what the goldens
   // pin.
   w.mask_k.set_m(k);  // runs scan K + k (set_m: masks stay materialized)
-  if (team_ != nullptr && team_->lanes() > 1 &&
-      w.known_j.size() + 2 * w.known_i.size() >= 1) {
-    // Lane-parallel scan/retire/fill. Bit-identical to the serial
-    // branch below for any lane count (the unit partition reproduces
-    // the serial enumeration order; see parallel_take), so the gate may
-    // depend on runtime state without affecting outputs.
-    parallel_take(w, i, j, k, out);
-    ++parallel_requests_;
-  } else if (std::uint64_t* rem = w.mask_k.word_count() <= kMaxFlatWords
-                                      ? pool_.raw_removed_words_m()
-                                      : nullptr) {
-    if (team_ != nullptr) ++serial_requests_;
+  if (std::uint64_t* rem = w.mask_k.word_count() <= kMaxFlatWords
+                               ? pool_.raw_removed_words_m()
+                               : nullptr) {
     // Flattened twin of the _m branch below: raw word pointers hoisted
     // out of the loops, one branchless two-word gather and write-back
     // per (unit, mask word), and the pool bookkeeping settled once per
@@ -416,13 +382,11 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
     out.task_runs.insert(out.task_runs.end(), rp, rp + rn);
     pool_.commit_serial_removals(taken);
   } else {
-    if (team_ != nullptr) ++serial_requests_;
-    // Serial scan through the unstamped _m accessors: the layouts
-    // without a raw-word fast path (compact / non-lazy pools) land
-    // here; ensure_lane_ready above established the same materialized
-    // invariant the lane phase needs, and the request loop re-reads
-    // these bitsets constantly — skipping the stamp arrays halves the
-    // cache lines per window.
+    // Scan through the unstamped _m accessors: the layouts without a
+    // raw-word fast path (compact / non-lazy pools, n > 1024) land
+    // here, on the invariant ensure_materialized above established.
+    // The request loop re-reads these bitsets constantly — skipping the
+    // stamp arrays halves the cache lines per window.
     const DynamicBitset& removed = pool_.removed_view();
     auto take_run = [&](std::uint32_t ti, std::uint32_t tj) {
       const std::uint64_t base = matmul_task_id(n, ti, tj, 0);
@@ -470,107 +434,6 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
   return true;
 }
 
-// One contiguous (ti, tj, ·) run: the lane-shared twin of take_run in
-// dynamic_request. All shared-bitset traffic goes through the relaxed
-// atomic accessors; the hits are interleaving-independent because no
-// unit's writes ever land on another unit's mask-selected candidate
-// bits (the extension's runs are disjoint id ranges, and the mirror
-// bits the runs scatter carry a k2- or tj-coordinate the face scans
-// mask away).
-void DynamicMatrixStrategy::lane_take_run(const WorkerState& w,
-                                          std::uint32_t ti, std::uint32_t tj,
-                                          LaneSeg& seg) {
-  const std::uint32_t n = config_.n;
-  const std::uint64_t base = matmul_task_id(n, ti, tj, 0);
-  const std::uint64_t mirror_base =
-      static_cast<std::uint64_t>(ti) * n * mir_stride_ + tj;
-  for_each_masked_present_word_relaxed(
-      w.mask_k, pool_.removed_view(), base, 0, w.mask_k.word_count(),
-      [&](std::size_t wd, std::uint64_t hits) {
-        pool_.remove_present_bits_relaxed(base + (wd << 6), hits);
-        removed_t_.set_run_relaxed(mirror_base + (wd << 6) * mir_stride_, hits,
-                                   mir_stride_);
-        seg.task_runs.push_back(
-            TaskRun{base + (wd << 6), hits, 1,
-                    static_cast<std::uint32_t>(std::popcount(hits))});
-      });
-}
-
-/// One k-face probe row (i2, ·, k): lane-shared twin of the face scan.
-void DynamicMatrixStrategy::lane_take_face(const WorkerState& w,
-                                           std::uint32_t i2, std::uint32_t k,
-                                           LaneSeg& seg) {
-  const std::uint32_t n = config_.n;
-  const std::uint64_t face_base =
-      (static_cast<std::uint64_t>(i2) * n + k) * mir_stride_;
-  const std::uint64_t id_base = static_cast<std::uint64_t>(i2) * n * n + k;
-  for_each_masked_present_word_relaxed(
-      w.mask_j, removed_t_, face_base, 0, w.mask_j.word_count(),
-      [&](std::size_t wd, std::uint64_t hits) {
-        removed_t_.or_shifted_relaxed(face_base + (wd << 6), hits);
-        const TaskId first = id_base + (static_cast<TaskId>(wd) << 6) * n;
-        pool_.remove_present_run_relaxed(first, hits, n);
-        seg.task_runs.push_back(
-            TaskRun{first, hits, n,
-                    static_cast<std::uint32_t>(std::popcount(hits))});
-      });
-}
-
-void DynamicMatrixStrategy::parallel_take(WorkerState& w, std::uint32_t i,
-                                          std::uint32_t j, std::uint32_t k,
-                                          Assignment& out) {
-  ensure_lane_ready();
-  const std::uint32_t n = config_.n;
-  // Flatten the serial enumeration into an ordered unit list: corner
-  // run, i-slab runs (j2 in J ascending), j-slab runs (i2 in I
-  // ascending), k-face probes (i2 in I ascending). Unit boundaries
-  // depend only on (y, lane count), never on scan results, so the
-  // contiguous lane split + lane-order concatenation reproduces the
-  // serial output order exactly.
-  lane_j2_.clear();
-  lane_i2_.clear();
-  w.mask_j.for_each_set_in_range(0, n, [&](std::size_t j2) {
-    lane_j2_.push_back(static_cast<std::uint32_t>(j2));
-  });
-  w.mask_i.for_each_set_in_range(0, n, [&](std::size_t i2) {
-    lane_i2_.push_back(static_cast<std::uint32_t>(i2));
-  });
-  const std::uint64_t yj = lane_j2_.size();
-  const std::uint64_t yi = lane_i2_.size();
-  const std::uint64_t units = 1 + yj + 2 * yi;
-  const std::uint32_t lanes = team_->lanes();
-  auto body = [&](std::uint32_t lane) {
-    LaneSeg& seg = lane_out_[lane];
-    seg.task_runs.clear();
-    const auto [u0, u1] = LaneTeam::split(units, lanes, lane);
-    for (std::uint64_t u = u0; u < u1; ++u) {
-      if (u == 0) {
-        lane_take_run(w, i, j, seg);  // corner
-      } else if (u < 1 + yj) {
-        lane_take_run(w, i, lane_j2_[u - 1], seg);  // i-slab
-      } else if (u < 1 + yj + yi) {
-        lane_take_run(w, lane_i2_[u - 1 - yj], j, seg);  // j-slab
-      } else {
-        lane_take_face(w, lane_i2_[u - 1 - yj - yi], k, seg);  // k-face
-      }
-    }
-  };
-  team_->run(body);
-  // Owner-side merge: run segments in lane index order, then one counter
-  // commit (every encoded task was exactly one pool removal). Lane
-  // units are whole (ti, tj) runs or faces and a gathered window never
-  // crosses a word, so the concatenated run list is byte-identical to
-  // the serial branch's, not just equal after expansion.
-  std::uint64_t taken = 0;
-  for (std::uint32_t lane = 0; lane < lanes; ++lane) {
-    const LaneSeg& seg = lane_out_[lane];
-    for (const TaskRun& r : seg.task_runs) taken += r.count;
-    out.task_runs.insert(out.task_runs.end(), seg.task_runs.begin(),
-                         seg.task_runs.end());
-  }
-  pool_.commit_lane_removals(taken);
-}
-
 bool DynamicMatrixStrategy::random_request(std::uint32_t worker,
                                            Assignment& out) {
   if (pool_.empty()) return false;
@@ -580,41 +443,15 @@ bool DynamicMatrixStrategy::random_request(std::uint32_t worker,
     // untainted ship path skipped. They are exactly I x K, K x J and
     // I x J so far, one word-parallel mask OR per known row.
     const std::uint32_t n = config_.n;
-    const std::uint64_t yi = w.known_i.size();
-    const std::uint64_t rows = yi + w.known_k.size();
-    if (team_ != nullptr && team_->lanes() > 1 && rows >= 2) {
-      // Lane split over the known rows. OR is commutative and the
-      // targets are worker-private, so any interleaving yields the
-      // same sets; materialize first so the relaxed ORs are valid.
-      w.blocks.owned_a.materialize_all();
-      w.blocks.owned_b.materialize_all();
-      w.blocks.owned_c.materialize_all();
-      const std::uint32_t lanes = team_->lanes();
-      team_->run([&](std::uint32_t lane) {
-        const auto [u0, u1] = LaneTeam::split(rows, lanes, lane);
-        for (std::uint64_t u = u0; u < u1; ++u) {
-          if (u < yi) {
-            const std::size_t row = static_cast<std::size_t>(w.known_i[u]) * n;
-            or_mask_into_range_relaxed(w.blocks.owned_a, w.mask_k, row);
-            or_mask_into_range_relaxed(w.blocks.owned_c, w.mask_j, row);
-          } else {
-            or_mask_into_range_relaxed(
-                w.blocks.owned_b, w.mask_j,
-                static_cast<std::size_t>(w.known_k[u - yi]) * n);
-          }
-        }
-      });
-    } else {
-      for (const std::uint32_t i2 : w.known_i) {
-        or_mask_into_range(w.blocks.owned_a, w.mask_k,
-                           static_cast<std::size_t>(i2) * n);
-        or_mask_into_range(w.blocks.owned_c, w.mask_j,
-                           static_cast<std::size_t>(i2) * n);
-      }
-      for (const std::uint32_t k2 : w.known_k) {
-        or_mask_into_range(w.blocks.owned_b, w.mask_j,
-                           static_cast<std::size_t>(k2) * n);
-      }
+    for (const std::uint32_t i2 : w.known_i) {
+      or_mask_into_range(w.blocks.owned_a, w.mask_k,
+                         static_cast<std::size_t>(i2) * n);
+      or_mask_into_range(w.blocks.owned_c, w.mask_j,
+                         static_cast<std::size_t>(i2) * n);
+    }
+    for (const std::uint32_t k2 : w.known_k) {
+      or_mask_into_range(w.blocks.owned_b, w.mask_j,
+                         static_cast<std::size_t>(k2) * n);
     }
     w.blocks_tracked = true;
   }
@@ -632,8 +469,7 @@ bool DynamicMatrixStrategy::random_request(std::uint32_t worker,
 DynamicMatrixStrategy make_dynamic_matrix_2phases(MatmulConfig config,
                                                   std::uint32_t workers,
                                                   std::uint64_t seed,
-                                                  double phase2_fraction,
-                                                  std::uint32_t lanes) {
+                                                  double phase2_fraction) {
   if (phase2_fraction < 0.0 || phase2_fraction > 1.0) {
     throw std::invalid_argument(
         "make_dynamic_matrix_2phases: fraction must be in [0, 1]");
@@ -641,8 +477,7 @@ DynamicMatrixStrategy make_dynamic_matrix_2phases(MatmulConfig config,
   const double tasks =
       phase2_fraction * static_cast<double>(config.total_tasks());
   return DynamicMatrixStrategy(config, workers, seed,
-                               static_cast<std::uint64_t>(std::llround(tasks)),
-                               lanes);
+                               static_cast<std::uint64_t>(std::llround(tasks)));
 }
 
 }  // namespace hetsched

@@ -50,11 +50,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/dynamic_bitset.hpp"
-#include "common/lane_team.hpp"
 #include "common/rng.hpp"
 #include "common/task_pool.hpp"
 #include "matmul/pointwise_matmul.hpp"
@@ -64,15 +62,9 @@ namespace hetsched {
 
 class DynamicMatrixStrategy : public Strategy {
  public:
-  /// phase2_tasks == 0 gives the pure DynamicMatrix strategy. `lanes`
-  /// > 1 builds an intra-rep lane team (common/lane_team.hpp) that
-  /// splits each data-aware request's frontier scans, batch retirement
-  /// and output fill across up to that many threads; outputs are
-  /// bit-identical for every value (the lane partition reproduces the
-  /// serial enumeration order exactly).
+  /// phase2_tasks == 0 gives the pure DynamicMatrix strategy.
   DynamicMatrixStrategy(MatmulConfig config, std::uint32_t workers,
-                        std::uint64_t seed, std::uint64_t phase2_tasks = 0,
-                        std::uint32_t lanes = 1);
+                        std::uint64_t seed, std::uint64_t phase2_tasks = 0);
 
   std::string name() const override;
   std::uint64_t total_tasks() const override { return config_.total_tasks(); }
@@ -131,9 +123,6 @@ class DynamicMatrixStrategy : public Strategy {
     return phase2_tasks_ != 0 && in_phase2() ? 2 : 1;
   }
 
-  void prepare_lanes() override;
-  LaneUtilization lane_utilization() const override;
-
  private:
   struct WorkerState {
     std::vector<std::uint32_t> known_i;  // I
@@ -159,27 +148,12 @@ class DynamicMatrixStrategy : public Strategy {
   /// "Once fewer than phase2_tasks tasks remain": strict comparison.
   bool in_phase2() const noexcept { return pool_.size() < phase2_tasks_; }
 
-  /// Per-lane output slot: task runs appended in unit order,
-  /// concatenated by the owner in lane index order (= the serial run
-  /// emission — units are whole runs/faces, so runs never straddle
-  /// lanes).
-  struct LaneSeg {
-    std::vector<TaskRun> task_runs;
-  };
-
   bool dynamic_request(std::uint32_t worker, Assignment& out);
   bool random_request(std::uint32_t worker, Assignment& out);
-  /// One-time per-rep materialization of the shared presence bitsets
-  /// for the relaxed lane phase; reset() re-arms it.
-  void ensure_lane_ready();
-  /// The lane-parallel equivalent of the serial scan block in
-  /// dynamic_request: same candidates, same order, same bit writes.
-  void parallel_take(WorkerState& w, std::uint32_t i, std::uint32_t j,
-                     std::uint32_t k, Assignment& out);
-  void lane_take_run(const WorkerState& w, std::uint32_t ti, std::uint32_t tj,
-                     LaneSeg& seg);
-  void lane_take_face(const WorkerState& w, std::uint32_t i2, std::uint32_t k,
-                      LaneSeg& seg);
+  /// Makes every word of the pool's presence bitset and of removed_t_
+  /// generation-current, once per rep, so the request path can use the
+  /// unstamped _m accessors; reset() re-arms it.
+  void ensure_materialized();
 
   MatmulConfig config_;
   std::uint32_t n_workers_;
@@ -215,31 +189,19 @@ class DynamicMatrixStrategy : public Strategy {
   std::uint64_t fallback_served_ = 0;
   bool phase_switch_notified_ = false;
   bool fallback_notified_ = false;
-
-  // Intra-rep lane team (null when lanes <= 1 was requested). The team
-  // and its scratch live on the strategy so a request dispatch
-  // allocates nothing in steady state.
-  std::unique_ptr<LaneTeam> team_;
-  std::uint32_t lanes_requested_ = 1;
-  bool lane_ready_ = false;  // shared bitsets materialized this rep
-  std::vector<LaneSeg> lane_out_;
+  bool materialized_ = false;  // shared bitsets materialized this rep
   /// Pre-sized emission buffer of the flat serial branch: units write
   /// their run slot unconditionally and bump a cursor by (hits != 0),
   /// so zero-hit windows cost no branch; the survivors are published
   /// with one bulk insert. Sized in the constructor for the worst
   /// request, so the request loop never allocates through it.
   std::vector<TaskRun> run_scratch_;
-  std::vector<std::uint32_t> lane_i2_;  // I ascending (unit list scratch)
-  std::vector<std::uint32_t> lane_j2_;  // J ascending
-  std::uint64_t parallel_requests_ = 0;
-  std::uint64_t serial_requests_ = 0;
 };
 
 /// Switch point expressed as the fraction of tasks handled by phase 2.
 DynamicMatrixStrategy make_dynamic_matrix_2phases(MatmulConfig config,
                                                   std::uint32_t workers,
                                                   std::uint64_t seed,
-                                                  double phase2_fraction,
-                                                  std::uint32_t lanes = 1);
+                                                  double phase2_fraction);
 
 }  // namespace hetsched

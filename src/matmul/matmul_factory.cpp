@@ -20,14 +20,12 @@ std::unique_ptr<Strategy> make_matmul_strategy(
     return std::make_unique<SortedMatrixStrategy>(config, workers);
   }
   if (name == "DynamicMatrix") {
-    return std::make_unique<DynamicMatrixStrategy>(config, workers, seed,
-                                                   /*phase2_tasks=*/0,
-                                                   options.lanes);
+    return std::make_unique<DynamicMatrixStrategy>(config, workers, seed);
   }
   if (name == "DynamicMatrix2Phases") {
     return std::make_unique<DynamicMatrixStrategy>(
         make_dynamic_matrix_2phases(config, workers, seed,
-                                    options.phase2_fraction, options.lanes));
+                                    options.phase2_fraction));
   }
   if (name == "AdaptiveMatmul") {
     return std::make_unique<AdaptiveMatmulStrategy>(config, workers, seed);

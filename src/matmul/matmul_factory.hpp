@@ -14,8 +14,7 @@ struct MatmulStrategyOptions {
   /// For DynamicMatrix2Phases: fraction of tasks served by phase 2
   /// (typically exp(-beta)). Ignored by the other strategies.
   double phase2_fraction = 0.0;
-  /// Intra-rep lane team size for the data-aware strategies (1 = no
-  /// team; see common/lane_team.hpp). Ignored by the other strategies.
+  /// Ignored; kept only because bench/e2e/workload.cpp assigns it.
   std::uint32_t lanes = 1;
 };
 

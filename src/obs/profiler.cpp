@@ -19,8 +19,6 @@ const char* to_string(ProfSite site) noexcept {
       return "strategy.build";
     case ProfSite::kStrategyReset:
       return "strategy.reset";
-    case ProfSite::kLanePrep:
-      return "lane.prep";
     case ProfSite::kEngineRun:
       return "engine.run";
     case ProfSite::kAggregate:

@@ -41,8 +41,6 @@ class JsonWriter;  // common/json.hpp
 enum class ProfSite : std::uint8_t {
   kStrategyBuild = 0,  // make_*_strategy: first construction of a rep context
   kStrategyReset,      // Strategy::reset: in-place rewind for the next rep
-  kLanePrep,           // Strategy::prepare_lanes: per-rep lane-team warm-up
-                       // (presence materialization for the relaxed phase)
   kEngineRun,          // one simulate/simulate_timed call: the event loop,
                        // including all strategy on_request / serve / retire
   kAggregate,          // stat-shard merging in run_experiment

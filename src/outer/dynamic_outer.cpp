@@ -10,23 +10,17 @@ namespace hetsched {
 DynamicOuterStrategy::DynamicOuterStrategy(OuterConfig config,
                                            std::uint32_t workers,
                                            std::uint64_t seed,
-                                           std::uint64_t phase2_tasks,
-                                           std::uint32_t lanes)
+                                           std::uint64_t phase2_tasks)
     : config_(config),
       n_workers_(workers),
       phase2_tasks_(phase2_tasks),
       pool_(config.total_tasks(), /*presence_view=*/true, /*lazy_dense=*/true),
       mir_stride_(((config.n + 63) >> 6) << 6),
       removed_t_(static_cast<std::uint64_t>(config.n) * mir_stride_),
-      rng_(derive_stream(seed, "outer.dynamic")),
-      lanes_requested_(lanes > 0 ? lanes : 1) {
+      rng_(derive_stream(seed, "outer.dynamic")) {
   validate(config_);
   if (workers == 0) {
     throw std::invalid_argument("DynamicOuterStrategy: need at least 1 worker");
-  }
-  if (lanes_requested_ > 1) {
-    team_ = std::make_unique<LaneTeam>(lanes_requested_);
-    lane_out_.resize(team_->lanes());
   }
   state_.resize(workers);
   for (auto& w : state_) {
@@ -96,44 +90,25 @@ bool DynamicOuterStrategy::reset(std::uint64_t seed) {
   fallback_served_ = 0;
   phase_switch_notified_ = false;
   fallback_notified_ = false;
-  lane_ready_ = false;  // the O(1) clears above staled the bitsets
-  parallel_requests_ = 0;
-  serial_requests_ = 0;
+  materialized_ = false;  // the O(1) clears above staled the bitsets
   return true;
 }
 
-void DynamicOuterStrategy::ensure_lane_ready() {
-  if (lane_ready_) return;
-  // The relaxed lane phase ORs into these concurrently; generation
-  // stamps cannot be maintained atomically, so make every word current
-  // once per rep. Point writes elsewhere (requeue, random pops) keep
-  // materialized words current, so this survives until the next
-  // reset().
+void DynamicOuterStrategy::ensure_materialized() {
+  if (materialized_) return;
+  // Point writes elsewhere (requeue, random pops) keep materialized
+  // words current, so this survives until the next reset().
   pool_.materialize_presence();
   removed_t_.materialize_all();
-  lane_ready_ = true;
-}
-
-void DynamicOuterStrategy::prepare_lanes() {
-  if (team_ != nullptr && team_->lanes() > 1) ensure_lane_ready();
-}
-
-LaneUtilization DynamicOuterStrategy::lane_utilization() const {
-  LaneUtilization u;
-  u.lanes_requested = lanes_requested_;
-  u.lanes_granted = team_ != nullptr ? team_->lanes() : 1;
-  u.team_dispatches = team_ != nullptr ? team_->dispatches() : 0;
-  u.parallel_requests = parallel_requests_;
-  u.serial_requests = serial_requests_;
-  return u;
+  materialized_ = true;
 }
 
 bool DynamicOuterStrategy::dynamic_request(std::uint32_t worker,
                                            Assignment& out) {
-  // Both the lane phase and the serial _m fast path below need every
-  // word of the shared bitsets generation-current; one O(words) pass
-  // per rep buys stamp-free access for the whole drain.
-  ensure_lane_ready();
+  // The _m scans below need every word of the shared bitsets
+  // generation-current; one O(words) pass per rep buys stamp-free
+  // access for the whole drain.
+  ensure_materialized();
   WorkerState& w = state_[worker];
   if (w.unknown_i.empty() || w.unknown_j.empty()) {
     // The worker knows a whole dimension, so every task it could enable
@@ -178,15 +153,7 @@ bool DynamicOuterStrategy::dynamic_request(std::uint32_t worker,
   const std::uint64_t row_base = outer_task_id(config_.n, i, 0);
   const std::uint64_t col_base = static_cast<std::uint64_t>(j) * mir_stride_;
   w.mask_j.set_m(j);
-  if (team_ != nullptr && team_->lanes() > 1) {
-    // Lane-parallel scan/retire/fill. Bit-identical to the serial
-    // branch below for any lane count (the fixed word-chunk partition
-    // reproduces the serial enumeration order; see parallel_take), so
-    // the gate may depend on runtime state without affecting outputs.
-    parallel_take(w, i, j, out);
-    ++parallel_requests_;
-  } else if (std::uint64_t* rem = pool_.raw_removed_words_m()) {
-    if (team_ != nullptr) ++serial_requests_;
+  if (std::uint64_t* rem = pool_.raw_removed_words_m()) {
     // Flattened twin of the _m branch below: raw word pointers hoisted
     // out of the loops, one branchless two-word gather and write-back
     // per mask word, pool bookkeeping settled once per request. The
@@ -263,12 +230,9 @@ bool DynamicOuterStrategy::dynamic_request(std::uint32_t worker,
     out.task_runs.insert(out.task_runs.end(), rp, rp + rn);
     pool_.commit_serial_removals(taken);
   } else {
-    if (team_ != nullptr) ++serial_requests_;
-    // Serial scan through the unstamped _m accessors: the layouts
-    // without a raw-word fast path (compact / non-lazy pools) land
-    // here; ensure_lane_ready above established the same materialized
-    // invariant the lane phase needs, and the request loop re-reads
-    // these bitsets constantly.
+    // Scan through the unstamped _m accessors: the layouts without a
+    // raw-word fast path (compact / non-lazy pools) land here, on the
+    // invariant ensure_materialized above established.
     const DynamicBitset& removed = pool_.removed_view();
     // Each gathered window leaves as one TaskRun instead of per-task
     // pushes: the row window is a stride-1 run over task ids, the
@@ -302,79 +266,6 @@ bool DynamicOuterStrategy::dynamic_request(std::uint32_t worker,
   return true;
 }
 
-// The lane-parallel twin of the serial scan block: the row run and the
-// column run are cut into fixed word chunks (kLaneChunkWords mask words
-// = 512 candidates each), ordered row chunks ascending then column
-// chunks ascending, and the unit list is split contiguously across
-// lanes. Chunk boundaries depend only on n, so per-lane outputs
-// concatenated in lane index order equal the serial enumeration for any
-// lane count. Race-freedom: a row hit writes the pool inside its own
-// chunk words (batch) and the mirror at (j2, i) — outside the column
-// window unless j2 == j, where offset i is masked out (i is not in
-// mask_i until after the merge); a column hit writes the mirror inside
-// its own chunk words and the pool at (i2, j) with i2 != i. Unaligned
-// batch writes may spill one word into a neighbouring chunk, but only
-// at bit positions that chunk's mask never selects.
-void DynamicOuterStrategy::parallel_take(WorkerState& w, std::uint32_t i,
-                                         std::uint32_t j, Assignment& out) {
-  ensure_lane_ready();
-  const std::uint32_t n = config_.n;
-  const std::uint64_t row_base = outer_task_id(config_.n, i, 0);
-  const std::uint64_t col_base = static_cast<std::uint64_t>(j) * mir_stride_;
-  const std::uint64_t words = w.mask_j.word_count();
-  const std::uint64_t chunks = (words + kLaneChunkWords - 1) / kLaneChunkWords;
-  const std::uint64_t units = 2 * chunks;  // row chunks, then column chunks
-  const std::uint32_t lanes = team_->lanes();
-  auto body = [&](std::uint32_t lane) {
-    LaneSeg& seg = lane_out_[lane];
-    seg.task_runs.clear();
-    const auto [u0, u1] = LaneTeam::split(units, lanes, lane);
-    for (std::uint64_t u = u0; u < u1; ++u) {
-      const bool row = u < chunks;
-      const std::uint64_t c = row ? u : u - chunks;
-      const std::size_t w0 = static_cast<std::size_t>(c * kLaneChunkWords);
-      const std::size_t w1 = w0 + kLaneChunkWords;  // kernel clamps to end
-      if (row) {
-        for_each_masked_present_word_relaxed(
-            w.mask_j, pool_.removed_view(), row_base, w0, w1,
-            [&](std::size_t wd, std::uint64_t hits) {
-              pool_.remove_present_bits_relaxed(row_base + (wd << 6), hits);
-              removed_t_.set_run_relaxed((wd << 6) * mir_stride_ + i, hits,
-                                         mir_stride_);
-              seg.task_runs.push_back(
-                  TaskRun{row_base + (wd << 6), hits, 1,
-                          static_cast<std::uint32_t>(std::popcount(hits))});
-            });
-      } else {
-        for_each_masked_present_word_relaxed(
-            w.mask_i, removed_t_, col_base, w0, w1,
-            [&](std::size_t wd, std::uint64_t hits) {
-              removed_t_.or_shifted_relaxed(col_base + (wd << 6), hits);
-              const TaskId first = (static_cast<TaskId>(wd) << 6) * n + j;
-              pool_.remove_present_run_relaxed(first, hits, n);
-              seg.task_runs.push_back(
-                  TaskRun{first, hits, n,
-                          static_cast<std::uint32_t>(std::popcount(hits))});
-            });
-      }
-    }
-  };
-  team_->run(body);
-  // Owner-side merge: run segments in lane index order, then one counter
-  // commit (every encoded task was exactly one pool removal). Chunk
-  // boundaries are word-aligned and a gathered window never crosses a
-  // word, so the concatenated run list is byte-identical to the serial
-  // branch's, not just equal after expansion.
-  std::uint64_t taken = 0;
-  for (std::uint32_t lane = 0; lane < lanes; ++lane) {
-    const LaneSeg& seg = lane_out_[lane];
-    for (const TaskRun& r : seg.task_runs) taken += r.count;
-    out.task_runs.insert(out.task_runs.end(), seg.task_runs.begin(),
-                         seg.task_runs.end());
-  }
-  pool_.commit_lane_removals(taken);
-}
-
 bool DynamicOuterStrategy::random_request(std::uint32_t worker,
                                           Assignment& out) {
   if (pool_.empty()) return false;
@@ -397,16 +288,14 @@ bool DynamicOuterStrategy::random_request(std::uint32_t worker,
 DynamicOuterStrategy make_dynamic_outer_2phases(OuterConfig config,
                                                 std::uint32_t workers,
                                                 std::uint64_t seed,
-                                                double phase2_fraction,
-                                                std::uint32_t lanes) {
+                                                double phase2_fraction) {
   if (phase2_fraction < 0.0 || phase2_fraction > 1.0) {
     throw std::invalid_argument(
         "make_dynamic_outer_2phases: fraction must be in [0, 1]");
   }
   const double tasks = phase2_fraction * static_cast<double>(config.total_tasks());
   return DynamicOuterStrategy(config, workers, seed,
-                              static_cast<std::uint64_t>(std::llround(tasks)),
-                              lanes);
+                              static_cast<std::uint64_t>(std::llround(tasks)));
 }
 
 }  // namespace hetsched

@@ -39,11 +39,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/dynamic_bitset.hpp"
-#include "common/lane_team.hpp"
 #include "common/rng.hpp"
 #include "common/task_pool.hpp"
 #include "outer/outer_problem.hpp"
@@ -53,14 +51,9 @@ namespace hetsched {
 
 class DynamicOuterStrategy : public Strategy {
  public:
-  /// phase2_tasks == 0 gives the pure DynamicOuter strategy. `lanes`
-  /// > 1 builds an intra-rep lane team (common/lane_team.hpp) that
-  /// splits each data-aware request's row/column frontier scans, batch
-  /// retirement and output fill into fixed word-range chunks across up
-  /// to that many threads; outputs are bit-identical for every value.
+  /// phase2_tasks == 0 gives the pure DynamicOuter strategy.
   DynamicOuterStrategy(OuterConfig config, std::uint32_t workers,
-                       std::uint64_t seed, std::uint64_t phase2_tasks = 0,
-                       std::uint32_t lanes = 1);
+                       std::uint64_t seed, std::uint64_t phase2_tasks = 0);
 
   std::string name() const override;
   std::uint64_t total_tasks() const override { return config_.total_tasks(); }
@@ -111,9 +104,6 @@ class DynamicOuterStrategy : public Strategy {
     return phase2_tasks_ != 0 && in_phase2() ? 2 : 1;
   }
 
-  void prepare_lanes() override;
-  LaneUtilization lane_utilization() const override;
-
  private:
   struct WorkerState {
     std::vector<std::uint32_t> known_i;    // I, in acquisition order
@@ -129,28 +119,12 @@ class DynamicOuterStrategy : public Strategy {
   /// "Once fewer than phase2_tasks tasks remain": strict comparison.
   bool in_phase2() const noexcept { return pool_.size() < phase2_tasks_; }
 
-  /// Fixed lane work granularity: one unit is up to this many mask
-  /// words (512 candidates) of the row or column run. Constant, so the
-  /// unit list — and with it the merge order — never depends on the
-  /// lane count.
-  static constexpr std::uint64_t kLaneChunkWords = 8;
-
-  /// Per-lane output slot: task runs appended in unit order,
-  /// concatenated by the owner in lane index order (= the serial run
-  /// emission — chunks are word-aligned, so runs never straddle lanes).
-  struct LaneSeg {
-    std::vector<TaskRun> task_runs;
-  };
-
   bool dynamic_request(std::uint32_t worker, Assignment& out);
   bool random_request(std::uint32_t worker, Assignment& out);
-  /// One-time per-rep materialization of the shared presence bitsets
-  /// for the relaxed lane phase; reset() re-arms it.
-  void ensure_lane_ready();
-  /// The lane-parallel equivalent of the serial scan block in
-  /// dynamic_request: same candidates, same order, same bit writes.
-  void parallel_take(WorkerState& w, std::uint32_t i, std::uint32_t j,
-                     Assignment& out);
+  /// Makes every word of the pool's presence bitset and of removed_t_
+  /// generation-current, once per rep, so the request path can use the
+  /// unstamped _m accessors; reset() re-arms it.
+  void ensure_materialized();
 
   OuterConfig config_;
   std::uint32_t n_workers_;
@@ -178,16 +152,7 @@ class DynamicOuterStrategy : public Strategy {
   std::uint64_t fallback_served_ = 0;
   bool phase_switch_notified_ = false;
   bool fallback_notified_ = false;
-
-  // Intra-rep lane team (null when lanes <= 1 was requested). The team
-  // and its scratch live on the strategy so a request dispatch
-  // allocates nothing in steady state.
-  std::unique_ptr<LaneTeam> team_;
-  std::uint32_t lanes_requested_ = 1;
-  bool lane_ready_ = false;  // shared bitsets materialized this rep
-  std::vector<LaneSeg> lane_out_;
-  std::uint64_t parallel_requests_ = 0;
-  std::uint64_t serial_requests_ = 0;
+  bool materialized_ = false;  // shared bitsets materialized this rep
 };
 
 /// Convenience alias constructor matching the paper's name: the switch
@@ -196,7 +161,6 @@ class DynamicOuterStrategy : public Strategy {
 DynamicOuterStrategy make_dynamic_outer_2phases(OuterConfig config,
                                                 std::uint32_t workers,
                                                 std::uint64_t seed,
-                                                double phase2_fraction,
-                                                std::uint32_t lanes = 1);
+                                                double phase2_fraction);
 
 }  // namespace hetsched

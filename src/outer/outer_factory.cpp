@@ -20,14 +20,12 @@ std::unique_ptr<Strategy> make_outer_strategy(
     return std::make_unique<SortedOuterStrategy>(config, workers);
   }
   if (name == "DynamicOuter") {
-    return std::make_unique<DynamicOuterStrategy>(config, workers, seed,
-                                                  /*phase2_tasks=*/0,
-                                                  options.lanes);
+    return std::make_unique<DynamicOuterStrategy>(config, workers, seed);
   }
   if (name == "DynamicOuter2Phases") {
     return std::make_unique<DynamicOuterStrategy>(
         make_dynamic_outer_2phases(config, workers, seed,
-                                   options.phase2_fraction, options.lanes));
+                                   options.phase2_fraction));
   }
   if (name == "WorkStealingOuter") {
     return std::make_unique<WorkStealingOuterStrategy>(config, workers, seed);

@@ -83,15 +83,8 @@ std::uint32_t parallel_budget_in_use() noexcept {
   return g_budget_in_use.load(std::memory_order_relaxed);
 }
 
-ParallelLease::ParallelLease(std::uint32_t want, bool exact) noexcept {
+ParallelLease::ParallelLease(std::uint32_t want) noexcept {
   if (want == 0) return;
-  if (exact) {
-    // Honor the request unconditionally, but make it visible: nested
-    // leases subtract it from the capacity like any other occupancy.
-    g_budget_in_use.fetch_add(want, std::memory_order_relaxed);
-    granted_ = want;
-    return;
-  }
   const std::uint32_t capacity = parallel_budget_capacity();
   std::uint32_t in_use = g_budget_in_use.load(std::memory_order_relaxed);
   for (;;) {

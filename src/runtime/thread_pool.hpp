@@ -41,20 +41,9 @@ std::uint32_t parallel_budget_in_use() noexcept;
 /// min(want, capacity - in_use) slots — possibly zero, in which case
 /// the caller should run serially. The grant is released on
 /// destruction.
-///
-/// The `exact` form grants `want` unconditionally and records the usage
-/// even past the capacity. It exists for explicitly-requested thread
-/// counts (ExperimentConfig::parallelism > 0): the user's setting is
-/// honored, but the slots still count as in-use so a *nested* parallel
-/// region (an intra-rep lane team inside a rep shard) sees the true
-/// occupancy and cannot oversubscribe on top of it. Before this, an
-/// explicit rep thread count was invisible to the budget and nested
-/// leases could double-book the machine.
 class ParallelLease {
  public:
-  explicit ParallelLease(std::uint32_t want) noexcept
-      : ParallelLease(want, /*exact=*/false) {}
-  ParallelLease(std::uint32_t want, bool exact) noexcept;
+  explicit ParallelLease(std::uint32_t want) noexcept;
   ~ParallelLease();
 
   ParallelLease(const ParallelLease&) = delete;

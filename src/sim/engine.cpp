@@ -5,27 +5,9 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "sim/event_core.hpp"
 
 namespace hetsched {
-
-/// Publishes the strategy's intra-rep lane-team counters as gauges.
-/// Shared by both engines; a no-op for lanes <= 1 so metrics output is
-/// unchanged when the feature is off.
-void publish_lane_gauges(MetricsRegistry* metrics, const Strategy& strategy) {
-  if (metrics == nullptr) return;
-  const LaneUtilization u = strategy.lane_utilization();
-  if (u.lanes_requested <= 1) return;
-  metrics->gauge("strategy.lanes.requested").set(u.lanes_requested);
-  metrics->gauge("strategy.lanes.granted").set(u.lanes_granted);
-  metrics->gauge("strategy.lanes.team_dispatches")
-      .set(static_cast<double>(u.team_dispatches));
-  metrics->gauge("strategy.lanes.parallel_requests")
-      .set(static_cast<double>(u.parallel_requests));
-  metrics->gauge("strategy.lanes.serial_requests")
-      .set(static_cast<double>(u.serial_requests));
-}
 
 namespace {
 
@@ -305,9 +287,7 @@ SimResult simulate(Strategy& strategy, const Platform& platform,
   // The concrete-type loop: FlatEngine is final, so the per-event
   // callbacks devirtualize and inline.
   core.run_loop(engine);
-  SimResult result = core.finish();
-  publish_lane_gauges(config.metrics, strategy);
-  return result;
+  return core.finish();
 }
 
 }  // namespace hetsched

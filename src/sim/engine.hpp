@@ -56,11 +56,4 @@ struct SimConfig {
 SimResult simulate(Strategy& strategy, const Platform& platform,
                    const SimConfig& config = {}, TraceSink* trace = nullptr);
 
-/// Publishes the strategy's intra-rep lane-team counters
-/// (strategy.lanes.*) as gauges into `metrics` after a finished run.
-/// No-op when metrics is null or the strategy runs without a lane team,
-/// so metrics output is unchanged when the feature is off. Both engines
-/// call this after finish().
-void publish_lane_gauges(MetricsRegistry* metrics, const Strategy& strategy);
-
 }  // namespace hetsched

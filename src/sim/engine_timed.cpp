@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "sim/engine.hpp"
 #include "sim/event_core.hpp"
 
 namespace hetsched {
@@ -199,7 +198,6 @@ TimedSimResult simulate_timed(Strategy& strategy, const Platform& platform,
           .set(result.workers[k].starved_time);
     }
   }
-  publish_lane_gauges(config.metrics, strategy);
   return result;
 }
 

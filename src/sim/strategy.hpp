@@ -180,18 +180,6 @@ struct Assignment {
 
 class TraceSink;  // sim/trace.hpp; broken include cycle (TraceSink uses Assignment)
 
-/// How a strategy's intra-rep lane team (common/lane_team.hpp) fared.
-/// All-zero/one for strategies without one; the engines publish these
-/// as strategy.lanes.* gauges when metrics are attached and
-/// lanes_requested > 1.
-struct LaneUtilization {
-  std::uint32_t lanes_requested = 1;  // the --lanes setting
-  std::uint32_t lanes_granted = 1;    // 1 + extras the budget allowed
-  std::uint64_t team_dispatches = 0;  // parallel barriers executed
-  std::uint64_t parallel_requests = 0;  // data-aware requests on lanes
-  std::uint64_t serial_requests = 0;    // data-aware requests kept serial
-};
-
 class Strategy {
  public:
   virtual ~Strategy() = default;
@@ -272,20 +260,6 @@ class Strategy {
   /// switch of a two-phase strategy; 0 when the strategy has no phase
   /// structure.
   virtual int current_phase() const { return 0; }
-
-  /// One-time per-rep preparation of the intra-rep lane structures
-  /// (presence-bitset materialization, mirror warm-up) for strategies
-  /// that own a lane team; a no-op everywhere else. run_single calls it
-  /// between reset/build and the engine run, under its own profiler
-  /// site (ProfSite::kLanePrep), so the cost is attributed rather than
-  /// folded into engine.run. Strategies also self-prepare lazily on the
-  /// first lane-parallel request, so calling this is an optimization,
-  /// never a correctness requirement.
-  virtual void prepare_lanes() {}
-
-  /// Lane-team utilization counters for this rep so far (see
-  /// LaneUtilization). Defaults to the all-serial shape.
-  virtual LaneUtilization lane_utilization() const { return {}; }
 
   /// Attaches an observation sink and a simulated clock owned by the
   /// driving engine (valid for the duration of the run; the engine

@@ -37,7 +37,6 @@ CompiledCampaign compile_spec(const ScenarioSpec& resolved) {
           config.comm.bandwidth = *resolved.bandwidth;
           config.comm.latency = *resolved.latency;
           config.lookahead = *resolved.lookahead;
-          config.lanes = *resolved.lanes;
           config.faults = to_worker_faults(resolved.faults);
           config.config_hash = config_hash(config);
 

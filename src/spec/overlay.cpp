@@ -101,7 +101,6 @@ ScenarioSpec spec_overlay_from_cli(const CliArgs& args) {
   if (args.has("lookahead")) {
     spec.lookahead = parse_count_flag(args, "lookahead").front();
   }
-  if (args.has("lanes")) spec.lanes = parse_count_flag(args, "lanes").front();
   if (args.has("faults")) {
     spec.faults = parse_fault_list(args.get("faults", ""));
   }

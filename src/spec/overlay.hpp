@@ -11,7 +11,7 @@ namespace hetsched {
 
 /// Lifts the experiment-shaping flags (--name --kernel --strategy /
 /// --strategies --n --p --beta / --phase2 --scenario --reps --seed
-/// --timed --bandwidth --latency --lookahead --lanes --faults) into a
+/// --timed --bandwidth --latency --lookahead --faults) into a
 /// partial spec; only flags actually present produce set fields.
 /// Output/telemetry flags (--json, --profile, --progress*, --*-out,
 /// --jobs, ...) are not configuration and stay outside the spec.

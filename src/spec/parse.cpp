@@ -194,11 +194,7 @@ class Parser {
           spec_.seed = seed;
           return;
         }
-        if (key.text == "lanes") {
-          spec_.lanes = parse_count(key.text, value);
-          return;
-        }
-        unknown_key(key, "kernel, reps, seed, lanes");
+        unknown_key(key, "kernel, reps, seed");
       case Section::kPlatform:
         if (key.text == "scenario") {
           if (speeds_set_) {

@@ -2,7 +2,7 @@
 //
 //   # comment (to end of line)
 //   [campaign]    name
-//   [experiment]  kernel, reps, seed, lanes
+//   [experiment]  kernel, reps, seed
 //   [platform]    scenario = <preset> | speeds = <kind> <args...>, perturb
 //   [engine]      timed, bandwidth, latency, lookahead
 //   [grid]        strategy, n, p, beta | phase2   (comma-separated axes)

@@ -182,7 +182,6 @@ ScenarioSpec merge_specs(ScenarioSpec base, const ScenarioSpec& overlay) {
   if (overlay.bandwidth) base.bandwidth = overlay.bandwidth;
   if (overlay.latency) base.latency = overlay.latency;
   if (overlay.lookahead) base.lookahead = overlay.lookahead;
-  if (overlay.lanes) base.lanes = overlay.lanes;
   if (!overlay.faults.empty()) base.faults = overlay.faults;
   return base;
 }
@@ -229,13 +228,12 @@ ScenarioSpec resolve_spec(ScenarioSpec spec, const SpecDefaults& defaults) {
   if (!timed || !spec.bandwidth) spec.bandwidth = comm_defaults.bandwidth;
   if (!timed || !spec.latency) spec.latency = comm_defaults.latency;
   if (!timed || !spec.lookahead) spec.lookahead = ExperimentConfig{}.lookahead;
-  if (!spec.lanes || *spec.lanes == 0) spec.lanes = 1;
   return spec;
 }
 
 void validate_spec(const ScenarioSpec& s) {
   if (!s.name || !s.kernel || !s.platform || !s.reps || !s.seed || !s.timed ||
-      !s.bandwidth || !s.latency || !s.lookahead || !s.lanes ||
+      !s.bandwidth || !s.latency || !s.lookahead ||
       s.strategies.empty() || s.ns.empty() || s.ps.empty()) {
     throw SpecError("internal: validate_spec needs a resolved spec "
                     "(run resolve_spec first)");
@@ -285,7 +283,6 @@ void validate_spec(const ScenarioSpec& s) {
       throw SpecError("[engine] lookahead: must be >= 1");
     }
   }
-  if (*s.lanes == 0) throw SpecError("[experiment] lanes: must be >= 1");
   const std::uint32_t min_p = *std::min_element(s.ps.begin(), s.ps.end());
   for (std::size_t i = 0; i < s.faults.size(); ++i) {
     const FaultSpec& f = s.faults[i];
@@ -317,7 +314,6 @@ std::string canonical_text(const ScenarioSpec& s) {
   out += "kernel = " + to_string(*s.kernel) + "\n";
   out += "reps = " + std::to_string(*s.reps) + "\n";
   out += "seed = " + std::to_string(*s.seed) + "\n";
-  out += "lanes = " + std::to_string(*s.lanes) + "\n";
   out += "\n[platform]\n";
   const SpeedSpec& p = *s.platform;
   switch (p.kind) {
@@ -464,11 +460,9 @@ SpeedSpec speed_spec_for(const Scenario& scenario) {
 ScenarioSpec spec_for_config(const ExperimentConfig& config) {
   ScenarioSpec s;
   // Hash-neutral fields are pinned to constants: the campaign name is
-  // presentation-only, the seed is the cache key's second half, and
-  // lane counts never change results (lane identity tests).
+  // presentation-only and the seed is the cache key's second half.
   s.name = "config";
   s.seed = 0;
-  s.lanes = 1;
   s.kernel = config.kernel;
   s.strategies = {config.strategy};
   s.ns = {config.n};

@@ -101,7 +101,6 @@ struct ScenarioSpec {
   std::optional<double> bandwidth;
   std::optional<double> latency;
   std::optional<std::uint32_t> lookahead;
-  std::optional<std::uint32_t> lanes;
   std::vector<FaultSpec> faults;
 
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
@@ -128,9 +127,9 @@ SpecDefaults batch_spec_defaults();
 ScenarioSpec merge_specs(ScenarioSpec base, const ScenarioSpec& overlay);
 
 /// Fills every unset field (kernel-dependent strategy/n defaults,
-/// SpecDefaults for reps/p, paper defaults elsewhere) and normalizes
-/// execution knobs (lanes 0 -> 1; comm knobs pinned to their defaults
-/// while `timed` is false so they cannot leak into the canonical form).
+/// SpecDefaults for reps/p, paper defaults elsewhere) and pins the comm
+/// knobs to their defaults while `timed` is false, so they cannot leak
+/// into the canonical form.
 /// Throws SpecError if bandwidth/latency/lookahead are set explicitly
 /// without `timed = true` — they would silently do nothing.
 ScenarioSpec resolve_spec(ScenarioSpec spec, const SpecDefaults& defaults);
@@ -161,9 +160,8 @@ SpeedSpec speed_spec_for(const Scenario& scenario);
 
 /// Lifts one concrete ExperimentConfig into the resolved single-point
 /// spec that compiles back to it, with the hash-neutral fields
-/// normalized out: campaign name, seed and lanes are pinned to
-/// constants (seed is the cache key's second half; lanes never change
-/// results — pinned by the lane identity tests).
+/// normalized out: campaign name and seed are pinned to constants
+/// (seed is the cache key's second half).
 ScenarioSpec spec_for_config(const ExperimentConfig& config);
 
 /// 64-bit FNV-1a over the canonical text of spec_for_config(config):

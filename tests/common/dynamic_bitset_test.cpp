@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <thread>
-#include <utility>
 #include <vector>
 
 namespace hetsched {
@@ -311,85 +309,6 @@ TEST(OrMaskIntoRange, WritesMaskAtOffset) {
   EXPECT_TRUE(dst.test(150));
   EXPECT_TRUE(dst.test(150 + 37));
   EXPECT_TRUE(dst.test(150 + 99));
-}
-
-TEST(RelaxedAccess, MatchesPlainOpsAfterMaterialize) {
-  DynamicBitset bits(300);
-  bits.set(5);
-  bits.set(64);
-  bits.clear();
-  bits.set(131);
-  bits.materialize_all();
-  // Materialization applied the pending clear: only 131 survives, and
-  // the relaxed word view agrees with the logical one everywhere.
-  for (std::size_t w = 0; w < bits.word_count(); ++w) {
-    EXPECT_EQ(bits.word_or_zero_relaxed(w), bits.word_or_zero(w)) << w;
-  }
-  bits.set_relaxed(7);
-  bits.or_shifted_relaxed(190, 0b1011u);
-  DynamicBitset plain(300);
-  plain.set(131);
-  plain.set(7);
-  plain.or_shifted(190, 0b1011u);
-  EXPECT_EQ(bits, plain);
-  EXPECT_EQ(bits.word_or_zero_relaxed(bits.word_count()), 0u);  // past end
-}
-
-TEST(RelaxedAccess, ConcurrentDisjointWritersProduceTheUnion) {
-  // The lane contract: writers touch disjoint bit positions (possibly
-  // sharing words), readers mask away anything outside their own
-  // candidates. 4 threads OR stripes of one shared set.
-  DynamicBitset bits(4096);
-  bits.materialize_all();
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&bits, t] {
-      for (std::size_t pos = static_cast<std::size_t>(t); pos < 4096; pos += 4) {
-        bits.set_relaxed(pos);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(bits.count(), 4096u);
-}
-
-TEST(ForEachMaskedPresentWordRelaxed, RangedScanMatchesFullKernel) {
-  // Chunked ranged scans, concatenated in chunk order, must equal the
-  // serial whole-mask kernel for aligned and misaligned windows.
-  DynamicBitset mask(200);
-  for (std::size_t p = 0; p < 200; p += 3) mask.set(p);
-  for (const std::size_t base : {0ull, 64ull, 37ull, 129ull}) {
-    DynamicBitset absent(600);
-    for (std::size_t p = 0; p < 600; p += 7) absent.set(p);
-    absent.materialize_all();
-    std::vector<std::pair<std::size_t, std::uint64_t>> want;
-    for_each_masked_present_word(
-        mask, absent, base,
-        [&](std::size_t w, std::uint64_t hits) { want.push_back({w, hits}); });
-    std::vector<std::pair<std::size_t, std::uint64_t>> got;
-    constexpr std::size_t kChunk = 2;
-    for (std::size_t w0 = 0; w0 < mask.word_count(); w0 += kChunk) {
-      for_each_masked_present_word_relaxed(
-          mask, absent, base, w0, w0 + kChunk,
-          [&](std::size_t w, std::uint64_t hits) { got.push_back({w, hits}); });
-    }
-    EXPECT_EQ(got, want) << "base=" << base;
-  }
-}
-
-TEST(OrMaskIntoRangeRelaxed, MatchesPlainVariant) {
-  DynamicBitset mask(100);
-  mask.set(0);
-  mask.set(63);
-  mask.set(64);
-  mask.set(99);
-  DynamicBitset a(300), b(300);
-  a.set(10);
-  b.set(10);
-  b.materialize_all();
-  or_mask_into_range(a, mask, 150);
-  or_mask_into_range_relaxed(b, mask, 150);
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <set>
@@ -383,41 +382,6 @@ TEST(TaskPool, ResetWorksInBothLayouts) {
   big.reset();
   EXPECT_EQ(big.size(), TaskPool::kCompactThreshold);
   EXPECT_EQ(big.pop_first(), 0u);
-}
-
-TEST(TaskPool, LaneRemovalPhaseMatchesSerialBatchRemoval) {
-  // The lane protocol: materialize_presence once, any number of
-  // relaxed batch removals (size deferred), one commit. The result
-  // must equal the serial remove_present_bits path exactly.
-  TaskPool lane(1000, /*presence_view=*/true, /*lazy_dense=*/true);
-  TaskPool serial(1000, /*presence_view=*/true, /*lazy_dense=*/true);
-  ASSERT_TRUE(lane.supports_lane_removals());
-  lane.materialize_presence();
-  std::uint64_t taken = 0;
-  for (const std::uint64_t base : {0ull, 64ull, 100ull, 897ull}) {
-    const std::uint64_t bits = 0b1010110111ull;
-    lane.remove_present_bits_relaxed(base, bits);
-    serial.remove_present_bits(base, bits);
-    taken += static_cast<std::uint64_t>(std::popcount(bits));
-  }
-  lane.commit_lane_removals(taken);
-  EXPECT_EQ(lane.size(), serial.size());
-  for (std::uint64_t id = 0; id < 1000; ++id) {
-    EXPECT_EQ(lane.contains(id), serial.contains(id)) << id;
-  }
-  // Drains agree afterwards too (the rebuild sees identical bits).
-  Rng a(1), b(1);
-  while (!serial.empty()) {
-    EXPECT_EQ(lane.pop_random(a), serial.pop_random(b));
-  }
-  EXPECT_TRUE(lane.empty());
-}
-
-TEST(TaskPool, CommitLaneRemovalsOfZeroIsANoOp) {
-  TaskPool pool(100, /*presence_view=*/true, /*lazy_dense=*/true);
-  pool.materialize_presence();
-  pool.commit_lane_removals(0);
-  EXPECT_EQ(pool.size(), 100u);
 }
 
 }  // namespace

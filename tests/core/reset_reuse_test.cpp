@@ -14,7 +14,6 @@
 #include "core/experiment.hpp"
 #include "matmul/matmul_factory.hpp"
 #include "outer/outer_factory.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sim/strategy.hpp"
 
 namespace hetsched {
@@ -173,46 +172,6 @@ TEST(ResetReuse, OuterKernelIdenticalAcrossThreadCounts) {
   config.parallelism = 3;
   const ExperimentResult three = run_experiment(config);
   expect_identical_results(serial, three);
-}
-
-TEST(ResetReuse, LanedStrategyResetMatchesSerialFreshConstruction) {
-  // A lane-team strategy rewound with reset() must equal a fresh
-  // serial (lanes=1) instance bit for bit: reset re-arms the lane
-  // phase's materialization, and the lane path itself is pinned
-  // identical to the serial scan.
-  set_parallel_budget_capacity(8);
-  constexpr std::uint64_t kSeedA = 31;
-  constexpr std::uint64_t kSeedB = 64;
-  for (const char* name : {"DynamicOuter2Phases", "DynamicMatrix2Phases"}) {
-    SCOPED_TRACE(name);
-    std::unique_ptr<Strategy> laned;
-    constexpr std::uint32_t kN = 12;
-    constexpr std::uint32_t kWorkers = 3;
-    if (std::string(name).find("Outer") != std::string::npos) {
-      OuterStrategyOptions options;
-      options.phase2_fraction = 0.2;
-      options.lanes = 4;
-      laned = make_outer_strategy(name, OuterConfig{kN}, kWorkers, kSeedA,
-                                  options);
-    } else {
-      MatmulStrategyOptions options;
-      options.phase2_fraction = 0.2;
-      options.lanes = 4;
-      laned = make_matmul_strategy(name, MatmulConfig{kN}, kWorkers, kSeedA,
-                                   options);
-    }
-    drain(*laned);  // dirty under a different seed
-    ASSERT_TRUE(laned->reset(kSeedB));
-    auto fresh = make_named(name, kSeedB);  // lanes = 1
-    const std::vector<Assignment> got = drain(*laned);
-    const std::vector<Assignment> want = drain(*fresh);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].tasks, want[i].tasks) << "assignment " << i;
-      ASSERT_EQ(got[i].blocks, want[i].blocks) << "assignment " << i;
-    }
-  }
-  set_parallel_budget_capacity(0);
 }
 
 TEST(ResetReuse, VariantStrategiesFallBackToReconstruction) {

@@ -23,21 +23,9 @@
 #include "matmul/matmul_problem.hpp"
 #include "outer/dynamic_outer.hpp"
 #include "outer/outer_problem.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace hetsched {
 namespace {
-
-// The lane-parallel request path must satisfy the same reference
-// semantics as the serial frontier, so every grid below also runs with
-// a 4-lane team. Raising the budget cap (restored on scope exit) makes
-// the lanes actually grant on a small CI box.
-struct BudgetOverride {
-  explicit BudgetOverride(std::uint32_t capacity) {
-    set_parallel_budget_capacity(capacity);
-  }
-  ~BudgetOverride() { set_parallel_budget_capacity(0); }
-};
 
 // Mirrors the strategies' index drawing: uniform pick + swap-remove.
 std::uint32_t mirror_pick(Rng& rng, std::vector<std::uint32_t>& unknown) {
@@ -69,16 +57,13 @@ struct MatmulMirror {
 };
 
 TEST(FrontierReference, OuterMatchesNestedLoopReference) {
-  const BudgetOverride cap(8);
   for (const std::uint32_t n : {3u, 7u, 30u, 65u}) {
     for (const std::uint32_t workers : {1u, 3u}) {
       for (const std::uint64_t seed : {1ull, 42ull}) {
-       for (const std::uint32_t lanes : {1u, 4u}) {
         SCOPED_TRACE(testing::Message()
-                     << "n=" << n << " workers=" << workers << " seed=" << seed
-                     << " lanes=" << lanes);
+                     << "n=" << n << " workers=" << workers << " seed=" << seed);
         DynamicOuterStrategy strategy(OuterConfig{n}, workers, seed,
-                                      /*phase2_tasks=*/0, lanes);
+                                      /*phase2_tasks=*/0);
         Rng rng(derive_stream(seed, "outer.dynamic"));
         std::vector<OuterMirror> mirror(workers, OuterMirror(n));
         std::set<TaskId> pooled;
@@ -118,18 +103,15 @@ TEST(FrontierReference, OuterMatchesNestedLoopReference) {
           w = (w + 1) % workers;
         }
         ASSERT_EQ(strategy.unassigned_tasks(), pooled.size());
-       }
       }
     }
   }
 }
 
 TEST(FrontierReference, OuterMatchesReferenceAfterRequeue) {
-  const BudgetOverride cap(8);
   const std::uint32_t n = 20;
   const std::uint64_t seed = 7;
-  DynamicOuterStrategy strategy(OuterConfig{n}, 2, seed, /*phase2_tasks=*/0,
-                                /*lanes=*/4);
+  DynamicOuterStrategy strategy(OuterConfig{n}, 2, seed, /*phase2_tasks=*/0);
   Rng rng(derive_stream(seed, "outer.dynamic"));
   std::vector<OuterMirror> mirror(2, OuterMirror(n));
   std::set<TaskId> pooled;
@@ -173,16 +155,13 @@ TEST(FrontierReference, OuterMatchesReferenceAfterRequeue) {
 }
 
 TEST(FrontierReference, MatmulMatchesNestedLoopReference) {
-  const BudgetOverride cap(8);
   for (const std::uint32_t n : {2u, 5u, 17u, 40u}) {
     for (const std::uint32_t workers : {1u, 3u}) {
       for (const std::uint64_t seed : {1ull, 42ull}) {
-       for (const std::uint32_t lanes : {1u, 4u}) {
         SCOPED_TRACE(testing::Message()
-                     << "n=" << n << " workers=" << workers << " seed=" << seed
-                     << " lanes=" << lanes);
+                     << "n=" << n << " workers=" << workers << " seed=" << seed);
         DynamicMatrixStrategy strategy(MatmulConfig{n}, workers, seed,
-                                       /*phase2_tasks=*/0, lanes);
+                                       /*phase2_tasks=*/0);
         Rng rng(derive_stream(seed, "matmul.dynamic"));
         std::vector<MatmulMirror> mirror(workers, MatmulMirror(n));
         std::set<TaskId> pooled;
@@ -236,18 +215,15 @@ TEST(FrontierReference, MatmulMatchesNestedLoopReference) {
           w = (w + 1) % workers;
         }
         ASSERT_EQ(strategy.unassigned_tasks(), pooled.size());
-       }
       }
     }
   }
 }
 
 TEST(FrontierReference, MatmulMatchesReferenceAfterRequeue) {
-  const BudgetOverride cap(8);
   const std::uint32_t n = 9;
   const std::uint64_t seed = 11;
-  DynamicMatrixStrategy strategy(MatmulConfig{n}, 2, seed, /*phase2_tasks=*/0,
-                                 /*lanes=*/4);
+  DynamicMatrixStrategy strategy(MatmulConfig{n}, 2, seed, /*phase2_tasks=*/0);
   Rng rng(derive_stream(seed, "matmul.dynamic"));
   std::vector<MatmulMirror> mirror(2, MatmulMirror(n));
   std::set<TaskId> pooled;
@@ -310,7 +286,7 @@ TEST(FrontierReference, MatmulMatchesReferenceAfterRequeue) {
 // per-task push order exactly — corner, i-slab (J ascending), j-slab
 // (I ascending), k-faces (I x J ascending) for matmul; row (J + j
 // ascending) then column (I ascending) for the outer product — across
-// n / workers / seed / lane grids, multi-word masks (n > 64) and
+// n / workers / seed grids, multi-word masks (n > 64) and
 // crash-requeue reps.
 
 // Legacy per-task emission order of one outer request, recomputed from
@@ -387,16 +363,13 @@ std::vector<TaskId> expand_tasks_checked(const Assignment& a) {
 }
 
 TEST(FrontierReference, OuterRunExpansionMatchesLegacyOrder) {
-  const BudgetOverride cap(8);
   for (const std::uint32_t n : {3u, 30u, 65u, 130u}) {
     for (const std::uint32_t workers : {1u, 3u}) {
       for (const std::uint64_t seed : {1ull, 42ull}) {
-       for (const std::uint32_t lanes : {1u, 4u}) {
         SCOPED_TRACE(testing::Message()
-                     << "n=" << n << " workers=" << workers << " seed=" << seed
-                     << " lanes=" << lanes);
+                     << "n=" << n << " workers=" << workers << " seed=" << seed);
         DynamicOuterStrategy strategy(OuterConfig{n}, workers, seed,
-                                      /*phase2_tasks=*/0, lanes);
+                                      /*phase2_tasks=*/0);
         Rng rng(derive_stream(seed, "outer.dynamic"));
         std::vector<OuterMirror> mirror(workers, OuterMirror(n));
         std::set<TaskId> pooled;
@@ -423,26 +396,22 @@ TEST(FrontierReference, OuterRunExpansionMatchesLegacyOrder) {
           w = (w + 1) % workers;
         }
         ASSERT_EQ(strategy.unassigned_tasks(), pooled.size());
-       }
       }
     }
   }
 }
 
 TEST(FrontierReference, MatmulRunExpansionMatchesLegacyOrder) {
-  const BudgetOverride cap(8);
   for (const std::uint32_t n : {2u, 5u, 17u, 40u, 70u}) {
     for (const std::uint32_t workers : {1u, 3u}) {
       for (const std::uint64_t seed : {1ull, 42ull}) {
-       for (const std::uint32_t lanes : {1u, 4u}) {
         // n = 70 exercises the multi-word (two mask words) flat scan;
         // one grid cell keeps its reference-model cost in check.
         if (n == 70 && (workers != 3 || seed != 1)) continue;
         SCOPED_TRACE(testing::Message()
-                     << "n=" << n << " workers=" << workers << " seed=" << seed
-                     << " lanes=" << lanes);
+                     << "n=" << n << " workers=" << workers << " seed=" << seed);
         DynamicMatrixStrategy strategy(MatmulConfig{n}, workers, seed,
-                                       /*phase2_tasks=*/0, lanes);
+                                       /*phase2_tasks=*/0);
         Rng rng(derive_stream(seed, "matmul.dynamic"));
         std::vector<MatmulMirror> mirror(workers, MatmulMirror(n));
         std::set<TaskId> pooled;
@@ -472,105 +441,95 @@ TEST(FrontierReference, MatmulRunExpansionMatchesLegacyOrder) {
           w = (w + 1) % workers;
         }
         ASSERT_EQ(strategy.unassigned_tasks(), pooled.size());
-       }
       }
     }
   }
 }
 
 TEST(FrontierReference, OuterRunExpansionOrderAfterRequeue) {
-  const BudgetOverride cap(8);
   const std::uint32_t n = 67;  // multi-word masks through the crash path
   const std::uint64_t seed = 9;
-  for (const std::uint32_t lanes : {1u, 4u}) {
-    SCOPED_TRACE(testing::Message() << "lanes=" << lanes);
-    DynamicOuterStrategy strategy(OuterConfig{n}, 2, seed, /*phase2_tasks=*/0,
-                                  lanes);
-    Rng rng(derive_stream(seed, "outer.dynamic"));
-    std::vector<OuterMirror> mirror(2, OuterMirror(n));
-    std::set<TaskId> pooled;
-    for (TaskId id = 0; id < static_cast<TaskId>(n) * n; ++id) {
-      pooled.insert(id);
-    }
-
-    Assignment out;
-    std::vector<TaskId> assigned;
-    auto serve = [&](std::uint32_t w) {
-      OuterMirror& m = mirror[w];
-      ASSERT_FALSE(m.unknown_i.empty());
-      ASSERT_TRUE(strategy.on_request(w, out));
-      const std::uint32_t i = mirror_pick(rng, m.unknown_i);
-      const std::uint32_t j = mirror_pick(rng, m.unknown_j);
-      const std::vector<TaskId> expected =
-          outer_expected_order(pooled, m, n, i, j);
-      m.known_i.push_back(i);
-      m.known_j.push_back(j);
-      const std::vector<TaskId> actual = expand_tasks_checked(out);
-      ASSERT_EQ(actual, expected);
-      assigned.insert(assigned.end(), actual.begin(), actual.end());
-    };
-
-    for (int r = 0; r < 8; ++r) serve(static_cast<std::uint32_t>(r % 2));
-
-    std::vector<TaskId> requeued;
-    for (std::size_t t = 0; t < assigned.size(); t += 3) {
-      requeued.push_back(assigned[t]);
-    }
-    ASSERT_TRUE(strategy.requeue(requeued));
-    for (const TaskId id : requeued) pooled.insert(id);
-
-    for (int r = 0; r < 12; ++r) serve(static_cast<std::uint32_t>(r % 2));
-    ASSERT_EQ(strategy.unassigned_tasks(), pooled.size());
+  DynamicOuterStrategy strategy(OuterConfig{n}, 2, seed, /*phase2_tasks=*/0);
+  Rng rng(derive_stream(seed, "outer.dynamic"));
+  std::vector<OuterMirror> mirror(2, OuterMirror(n));
+  std::set<TaskId> pooled;
+  for (TaskId id = 0; id < static_cast<TaskId>(n) * n; ++id) {
+    pooled.insert(id);
   }
+
+  Assignment out;
+  std::vector<TaskId> assigned;
+  auto serve = [&](std::uint32_t w) {
+    OuterMirror& m = mirror[w];
+    ASSERT_FALSE(m.unknown_i.empty());
+    ASSERT_TRUE(strategy.on_request(w, out));
+    const std::uint32_t i = mirror_pick(rng, m.unknown_i);
+    const std::uint32_t j = mirror_pick(rng, m.unknown_j);
+    const std::vector<TaskId> expected =
+        outer_expected_order(pooled, m, n, i, j);
+    m.known_i.push_back(i);
+    m.known_j.push_back(j);
+    const std::vector<TaskId> actual = expand_tasks_checked(out);
+    ASSERT_EQ(actual, expected);
+    assigned.insert(assigned.end(), actual.begin(), actual.end());
+  };
+
+  for (int r = 0; r < 8; ++r) serve(static_cast<std::uint32_t>(r % 2));
+
+  std::vector<TaskId> requeued;
+  for (std::size_t t = 0; t < assigned.size(); t += 3) {
+    requeued.push_back(assigned[t]);
+  }
+  ASSERT_TRUE(strategy.requeue(requeued));
+  for (const TaskId id : requeued) pooled.insert(id);
+
+  for (int r = 0; r < 12; ++r) serve(static_cast<std::uint32_t>(r % 2));
+  ASSERT_EQ(strategy.unassigned_tasks(), pooled.size());
 }
 
 TEST(FrontierReference, MatmulRunExpansionOrderAfterRequeue) {
-  const BudgetOverride cap(8);
   const std::uint32_t n = 70;  // multi-word masks through the crash path
   const std::uint64_t seed = 13;
-  for (const std::uint32_t lanes : {1u, 4u}) {
-    SCOPED_TRACE(testing::Message() << "lanes=" << lanes);
-    DynamicMatrixStrategy strategy(MatmulConfig{n}, 2, seed,
-                                   /*phase2_tasks=*/0, lanes);
-    Rng rng(derive_stream(seed, "matmul.dynamic"));
-    std::vector<MatmulMirror> mirror(2, MatmulMirror(n));
-    std::set<TaskId> pooled;
-    const TaskId total = static_cast<TaskId>(n) * n * n;
-    for (TaskId id = 0; id < total; ++id) pooled.insert(id);
+  DynamicMatrixStrategy strategy(MatmulConfig{n}, 2, seed,
+                                 /*phase2_tasks=*/0);
+  Rng rng(derive_stream(seed, "matmul.dynamic"));
+  std::vector<MatmulMirror> mirror(2, MatmulMirror(n));
+  std::set<TaskId> pooled;
+  const TaskId total = static_cast<TaskId>(n) * n * n;
+  for (TaskId id = 0; id < total; ++id) pooled.insert(id);
 
-    Assignment out;
-    std::vector<TaskId> assigned;
-    auto serve = [&](std::uint32_t w) {
-      MatmulMirror& m = mirror[w];
-      ASSERT_FALSE(m.unknown_i.empty());
-      ASSERT_TRUE(strategy.on_request(w, out));
-      const std::uint32_t i = mirror_pick(rng, m.unknown_i);
-      const std::uint32_t j = mirror_pick(rng, m.unknown_j);
-      const std::uint32_t k = mirror_pick(rng, m.unknown_k);
-      const std::vector<TaskId> expected =
-          matmul_expected_order(pooled, m, n, i, j, k);
-      m.known_i.push_back(i);
-      m.known_j.push_back(j);
-      m.known_k.push_back(k);
-      const std::vector<TaskId> actual = expand_tasks_checked(out);
-      ASSERT_EQ(actual, expected);
-      assigned.insert(assigned.end(), actual.begin(), actual.end());
-    };
+  Assignment out;
+  std::vector<TaskId> assigned;
+  auto serve = [&](std::uint32_t w) {
+    MatmulMirror& m = mirror[w];
+    ASSERT_FALSE(m.unknown_i.empty());
+    ASSERT_TRUE(strategy.on_request(w, out));
+    const std::uint32_t i = mirror_pick(rng, m.unknown_i);
+    const std::uint32_t j = mirror_pick(rng, m.unknown_j);
+    const std::uint32_t k = mirror_pick(rng, m.unknown_k);
+    const std::vector<TaskId> expected =
+        matmul_expected_order(pooled, m, n, i, j, k);
+    m.known_i.push_back(i);
+    m.known_j.push_back(j);
+    m.known_k.push_back(k);
+    const std::vector<TaskId> actual = expand_tasks_checked(out);
+    ASSERT_EQ(actual, expected);
+    assigned.insert(assigned.end(), actual.begin(), actual.end());
+  };
 
-    // Enough serves that the requeued ids land inside later windows
-    // (the exhaustion filters must resurrect their rows/columns/faces).
-    for (int r = 0; r < 16; ++r) serve(static_cast<std::uint32_t>(r % 2));
+  // Enough serves that the requeued ids land inside later windows
+  // (the exhaustion filters must resurrect their rows/columns/faces).
+  for (int r = 0; r < 16; ++r) serve(static_cast<std::uint32_t>(r % 2));
 
-    std::vector<TaskId> requeued;
-    for (std::size_t t = 0; t < assigned.size(); t += 3) {
-      requeued.push_back(assigned[t]);
-    }
-    ASSERT_TRUE(strategy.requeue(requeued));
-    for (const TaskId id : requeued) pooled.insert(id);
-
-    for (int r = 0; r < 16; ++r) serve(static_cast<std::uint32_t>(r % 2));
-    ASSERT_EQ(strategy.unassigned_tasks(), pooled.size());
+  std::vector<TaskId> requeued;
+  for (std::size_t t = 0; t < assigned.size(); t += 3) {
+    requeued.push_back(assigned[t]);
   }
+  ASSERT_TRUE(strategy.requeue(requeued));
+  for (const TaskId id : requeued) pooled.insert(id);
+
+  for (int r = 0; r < 16; ++r) serve(static_cast<std::uint32_t>(r % 2));
+  ASSERT_EQ(strategy.unassigned_tasks(), pooled.size());
 }
 
 }  // namespace

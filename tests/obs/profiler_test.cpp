@@ -34,7 +34,6 @@ class FakeClockGuard {
 TEST(ProfSite, NamesAreStable) {
   EXPECT_STREQ(to_string(ProfSite::kStrategyBuild), "strategy.build");
   EXPECT_STREQ(to_string(ProfSite::kStrategyReset), "strategy.reset");
-  EXPECT_STREQ(to_string(ProfSite::kLanePrep), "lane.prep");
   EXPECT_STREQ(to_string(ProfSite::kEngineRun), "engine.run");
   EXPECT_STREQ(to_string(ProfSite::kAggregate), "aggregate");
   EXPECT_STREQ(to_string(ProfSite::kExport), "export");
@@ -169,11 +168,10 @@ TEST(RunExperimentProfile, CountingClockPinsReadsPerRep) {
   FakeClockGuard guard;
   run_experiment(config);
   // Per rep: reset scope (2 reads) + optional build scope (2) +
-  // lane prep (2) + engine.run (2); plus one aggregate scope (2) at
-  // the end.
+  // engine.run (2); plus one aggregate scope (2) at the end.
   const std::uint64_t reads = g_ticks;
-  EXPECT_LE(reads, 8u * config.reps + 2u);
-  EXPECT_GE(reads, 6u * config.reps + 2u);
+  EXPECT_LE(reads, 6u * config.reps + 2u);
+  EXPECT_GE(reads, 4u * config.reps + 2u);
 }
 
 // The < 1% overhead gate, wall-clock half: reads-per-rep (pinned above)
@@ -198,8 +196,8 @@ TEST(RunExperimentProfile, OverheadUnderOnePercentOfFigureProtocol) {
       result.wall_time_sec * 1e9 / static_cast<double>(config.reps);
   ASSERT_GT(rep_ns, 0.0);
 
-  // 8 profiler reads + 1 progress read per rep (see progress_test.cpp).
-  const double overhead = 9.0 * read_ns / rep_ns;
+  // 6 profiler reads + 1 progress read per rep (see progress_test.cpp).
+  const double overhead = 7.0 * read_ns / rep_ns;
   EXPECT_LT(overhead, 0.01) << "read_ns=" << read_ns << " rep_ns=" << rep_ns;
 }
 

@@ -37,7 +37,6 @@ void expect_config_eq(const ExperimentConfig& a, const ExperimentConfig& b) {
     EXPECT_EQ(a.faults[i].worker, b.faults[i].worker);
     EXPECT_EQ(a.faults[i].factor, b.faults[i].factor);
   }
-  EXPECT_EQ(a.lanes, b.lanes);
 }
 
 ExperimentConfig compile_single(const CliArgs& args,
@@ -66,7 +65,7 @@ TEST(SpecCliIdentity, RunFlagsCompileToTheLegacyConfig) {
                         "--p=4",     "--scenario=unif.1", "--reps=2",
                         "--seed=7",  "--beta=1.25",     "--timed",
                         "--bandwidth=40", "--latency=0.5", "--lookahead=3",
-                        "--faults=1:0:0.5", "--lanes=2"};
+                        "--faults=1:0:0.5"};
   const ExperimentConfig compiled = compile_single(
       CliArgs(static_cast<int>(std::size(argv)), argv), run_spec_defaults());
 
@@ -85,7 +84,6 @@ TEST(SpecCliIdentity, RunFlagsCompileToTheLegacyConfig) {
   legacy.comm.latency = 0.5;
   legacy.lookahead = 3;
   legacy.faults = {WorkerFault{1.0, 0, 0.5}};
-  legacy.lanes = 2;
   expect_config_eq(compiled, legacy);
 }
 

@@ -33,7 +33,6 @@ TEST(SpecCompile, RunDefaultsMatchLegacyCmdRun) {
   EXPECT_EQ(c.seed, 42u);
   EXPECT_EQ(c.reps, 10u);
   EXPECT_FALSE(c.timed);
-  EXPECT_EQ(c.lanes, 1u);
   EXPECT_TRUE(c.faults.empty());
   EXPECT_NE(c.config_hash, 0u);
   EXPECT_EQ(compiled.entries.front().label, "DynamicOuter2Phases.p20");
@@ -151,7 +150,6 @@ TEST(SpecCompile, CliOverlayMapsFlags) {
                         "--bandwidth=50",
                         "--latency=0.5",
                         "--lookahead=6",
-                        "--lanes=2",
                         "--faults=1:0:0.5",
                         "--name=trial"};
   const CliArgs args(static_cast<int>(std::size(argv)), argv);
@@ -171,7 +169,6 @@ TEST(SpecCompile, CliOverlayMapsFlags) {
   EXPECT_EQ(spec.bandwidth, 50.0);
   EXPECT_EQ(spec.latency, 0.5);
   EXPECT_EQ(spec.lookahead, 6u);
-  EXPECT_EQ(spec.lanes, 2u);
   ASSERT_EQ(spec.faults.size(), 1u);
   EXPECT_EQ(spec.faults[0], (FaultSpec{1.0, 0, 0.5}));
 }

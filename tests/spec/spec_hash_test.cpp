@@ -29,7 +29,7 @@ TEST(SpecHash, Hex16IsFixedWidthLowercase) {
 
 TEST(SpecHash, StabilityGoldens) {
   const ExperimentConfig defaults;  // DynamicOuter, n=100, p=20, default
-  EXPECT_EQ(JsonWriter::hex16(config_hash(defaults)), "c54ef24624231a29");
+  EXPECT_EQ(JsonWriter::hex16(config_hash(defaults)), "c5c5aa94d5e5f0aa");
 
   ExperimentConfig timed = defaults;
   timed.kernel = Kernel::kMatmul;
@@ -41,7 +41,7 @@ TEST(SpecHash, StabilityGoldens) {
   timed.comm.latency = 0.25;
   timed.lookahead = 2;
   timed.faults = {WorkerFault{1.5, 0, 0.0}, WorkerFault{3.0, 4, 0.5}};
-  EXPECT_EQ(JsonWriter::hex16(config_hash(timed)), "1b552cb3346c8c1a");
+  EXPECT_EQ(JsonWriter::hex16(config_hash(timed)), "81b0bd4396b4e413");
 
   ExperimentConfig inline_platform = defaults;
   inline_platform.scenario =
@@ -49,7 +49,7 @@ TEST(SpecHash, StabilityGoldens) {
                std::make_shared<TwoClassSpeeds>(10.0, 100.0, 0.25),
                PerturbationModel{}};
   EXPECT_EQ(JsonWriter::hex16(config_hash(inline_platform)),
-            "aef2d4a702f8d831");
+            "06d05f2533306a90");
 }
 
 TEST(SpecHash, NeutralFieldsDoNotChangeTheHash) {
@@ -59,12 +59,10 @@ TEST(SpecHash, NeutralFieldsDoNotChangeTheHash) {
   ExperimentConfig seeded = base;
   seeded.seed = 12345;
   EXPECT_EQ(config_hash(seeded), h);
-  // Lane teams and rep parallelism never change results (pinned by the
-  // lane identity tests), so they are hash-neutral too.
-  ExperimentConfig laned = base;
-  laned.lanes = 8;
-  laned.parallelism = 4;
-  EXPECT_EQ(config_hash(laned), h);
+  // Rep parallelism never changes results, so it is hash-neutral too.
+  ExperimentConfig parallel = base;
+  parallel.parallelism = 4;
+  EXPECT_EQ(config_hash(parallel), h);
   // Telemetry is not configuration.
   ExperimentConfig profiled = base;
   profiled.profile = true;

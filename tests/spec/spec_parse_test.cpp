@@ -21,7 +21,6 @@ TEST(SpecParse, FullDocumentEveryKey) {
       "kernel = matmul\n"
       "reps = 7\n"
       "seed = 123\n"
-      "lanes = 2\n"
       "[platform]\n"
       "scenario = unif.2\n"
       "[engine]\n"
@@ -41,7 +40,6 @@ TEST(SpecParse, FullDocumentEveryKey) {
   EXPECT_EQ(spec.kernel, Kernel::kMatmul);
   EXPECT_EQ(spec.reps, 7u);
   EXPECT_EQ(spec.seed, 123u);
-  EXPECT_EQ(spec.lanes, 2u);
   ASSERT_TRUE(spec.platform.has_value());
   EXPECT_EQ(spec.platform->kind, SpeedSpec::Kind::kPreset);
   EXPECT_EQ(spec.platform->preset, "unif.2");
@@ -157,7 +155,11 @@ INSTANTIATE_TEST_SUITE_P(
                   "line 3, col 1: duplicate key: [experiment] reps", 3, 1},
         ErrorCase{"[experiment]\ncolor = red\n",
                   "line 2, col 1: [experiment] color: unknown key "
-                  "(experiment keys: kernel, reps, seed, lanes)",
+                  "(experiment keys: kernel, reps, seed)",
+                  2, 1},
+        ErrorCase{"[experiment]\nlanes = 2\n",
+                  "line 2, col 1: [experiment] lanes: unknown key "
+                  "(experiment keys: kernel, reps, seed)",
                   2, 1},
         ErrorCase{"[grid]\nn = 10, x, 30\n",
                   "line 2, col 9: [grid] n: expected a positive integer, "

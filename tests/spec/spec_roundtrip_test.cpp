@@ -122,7 +122,6 @@ TEST(SpecRoundtrip, NonDefaultScalars) {
   s.ps = {3};
   s.reps = 1;
   s.seed = 18446744073709551615ull;  // max u64 survives the text form
-  s.lanes = 8;
   validate_spec(s);
   expect_roundtrip(s);
 }

@@ -75,9 +75,6 @@ int usage() {
       "                                  comm knobs, used with --timed\n"
       "             [--faults=t:w:f,...] scripted faults: at time t worker w\n"
       "                                  scales speed by f (f=0 -> crash)\n"
-      "             [--lanes=L]          intra-rep lane team for the dynamic\n"
-      "                                  strategies' request hot path; results\n"
-      "                                  are bit-identical for every L\n"
       "             observability (re-runs repetition 0 instrumented):\n"
       "             [--trace-out=FILE]   chrome-tracing JSON with per-worker\n"
       "                                  Gantt rows, phase-switch markers and\n"
@@ -115,7 +112,7 @@ int usage() {
       "             batch, JSON output\n"
       "             --kernel=... [--strategies=a,b] [--p=10,50] [--reps=]\n"
       "             [--n=100,200] [--beta=] [--name=] [--timed ...]\n"
-      "             [--faults=...] [--lanes=]\n"
+      "             [--faults=...]\n"
       "             [--spec=FILE.hspec]  load a scenario spec; flags\n"
       "                                  override its fields\n"
       "             [--progress] [--progress-out=FILE]\n"
@@ -312,9 +309,6 @@ int cmd_sweep(const CliArgs& args) {
   }
   if (!spec.faults.empty()) {
     throw SpecError("sweep: faults are not supported (use `campaign`)");
-  }
-  if (*spec.lanes != 1) {
-    throw SpecError("sweep: lanes are not supported (use `campaign`)");
   }
 
   const auto points = sweep_worker_count(
