@@ -1,5 +1,7 @@
 #include "platform/scenario.hpp"
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 namespace hetsched {
@@ -44,6 +46,10 @@ struct NamedCase {
   double hi;        // draw range (inclusive set values allowed)
   double perturb;   // expected perturbation percent
 };
+
+// Without this gtest prints the raw bytes of the case, pointer included,
+// and the discovered test names change with the load address.
+void PrintTo(const NamedCase& c, std::ostream* os) { *os << c.name; }
 
 class NamedScenarioTest : public ::testing::TestWithParam<NamedCase> {};
 

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <fstream>
+#include <ostream>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -111,6 +113,21 @@ struct ErrorCase {
   std::size_t line;
   std::size_t column;
 };
+
+// Names each case by its input, one source line per " | " segment.
+// Without this gtest prints the raw bytes of the case, pointers included,
+// and the discovered test names change with the load address.
+void PrintTo(const ErrorCase& c, std::ostream* os) {
+  std::string_view text = c.text;
+  if (!text.empty() && text.back() == '\n') text.remove_suffix(1);
+  for (const char ch : text) {
+    if (ch == '\n') {
+      *os << " | ";
+    } else {
+      *os << ch;
+    }
+  }
+}
 
 class SpecParseError : public ::testing::TestWithParam<ErrorCase> {};
 
