@@ -6,7 +6,6 @@
 #include "common/dynamic_bitset.hpp"
 #include "common/rng.hpp"
 #include "common/swap_remove_pool.hpp"
-#include "common/task_pool.hpp"
 #include "outer/outer_factory.hpp"
 #include "platform/platform.hpp"
 #include "sim/engine.hpp"
@@ -47,52 +46,6 @@ void BM_PoolRemoveById(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PoolRemoveById)->Arg(1000000);
-
-void BM_PoolRemovePresentRun(benchmark::State& state) {
-  // Word-level strided retirement — the primitive behind every
-  // run-encoded grant: one call retires up to 64 tasks. Arg is the
-  // stride (1 = the contiguous k-run orientation, 100 = the scattered
-  // face/column orientation of the dual-mirror structure).
-  const auto stride = static_cast<std::uint64_t>(state.range(0));
-  constexpr std::uint64_t kIds = 1ull << 22;
-  TaskPool pool(kIds, /*presence_view=*/true, /*lazy_dense=*/true);
-  std::uint64_t first = 0;
-  for (auto _ : state) {
-    if (first + 64 * stride > kIds) {
-      state.PauseTiming();
-      pool = TaskPool(kIds, true, true);
-      first = 0;
-      state.ResumeTiming();
-    }
-    pool.remove_present_run(first, ~std::uint64_t{0}, stride);
-    first += 64 * stride;
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-  state.SetLabel("items = tasks retired");
-}
-BENCHMARK(BM_PoolRemovePresentRun)->Arg(1)->Arg(100);
-
-void BM_PoolRemovePerTask(benchmark::State& state) {
-  // Per-task baseline for BM_PoolRemovePresentRun: the same 64-id
-  // windows retired one remove() at a time (the pre-run protocol).
-  const auto stride = static_cast<std::uint64_t>(state.range(0));
-  constexpr std::uint64_t kIds = 1ull << 22;
-  TaskPool pool(kIds, /*presence_view=*/true, /*lazy_dense=*/true);
-  std::uint64_t first = 0;
-  for (auto _ : state) {
-    if (first + 64 * stride > kIds) {
-      state.PauseTiming();
-      pool = TaskPool(kIds, true, true);
-      first = 0;
-      state.ResumeTiming();
-    }
-    for (int b = 0; b < 64; ++b) pool.remove(first + b * stride);
-    first += 64 * stride;
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-  state.SetLabel("items = tasks retired");
-}
-BENCHMARK(BM_PoolRemovePerTask)->Arg(1)->Arg(100);
 
 void BM_AssignmentRunIteration(benchmark::State& state) {
   // Consumer-side cost of the run facade: expanding an Assignment of

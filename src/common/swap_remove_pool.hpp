@@ -115,7 +115,7 @@ class SwapRemovePool {
   /// Rebuilds the pool to hold exactly the *clear* bits of `removed`
   /// (which must be capacity_ids() bits wide), ascending, with a fresh
   /// index. One O(capacity) streaming pass over preallocated storage —
-  /// no allocation. Backs TaskPool's lazy-dense mode, where removals
+  /// no allocation. Backs TaskPool's presence-view mode, where removals
   /// touch only the bitset and this reconciles before the next pop.
   void refill_present(const DynamicBitset& removed) noexcept;
 

@@ -1,6 +1,5 @@
 #include "common/task_pool.hpp"
 
-#include <bit>
 #include <stdexcept>
 
 namespace hetsched {
@@ -12,15 +11,6 @@ bool CompactTaskPool::remove(std::uint64_t id) noexcept {
   if (id >= capacity_ || !removed_.set_if_clear(id)) return false;
   --size_;
   return true;
-}
-
-void CompactTaskPool::remove_present_bits(std::uint64_t base,
-                                          std::uint64_t bits) noexcept {
-  if (bits == 0) return;
-  removed_.or_shifted(base, bits);
-  size_ -= static_cast<std::uint64_t>(std::popcount(bits));
-  // Stale tail entries for these ids are pruned lazily by pop_random,
-  // exactly as after remove().
 }
 
 bool CompactTaskPool::insert(std::uint64_t id) {

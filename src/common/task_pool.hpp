@@ -12,7 +12,7 @@
 // while large instances silently switch to the compact layout.
 #pragma once
 
-#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -55,26 +55,14 @@ class CompactTaskPool {
   /// Removes id if present; returns whether it was present.
   bool remove(std::uint64_t id) noexcept;
 
-  /// Batch removal of up to 64 ids the caller has already verified
-  /// present (bit b of `bits` removes id base + b): one OR into the
-  /// removed-bitset instead of a test-and-set per id. Precondition:
-  /// every set bit names a present id (violations corrupt size()).
-  void remove_present_bits(std::uint64_t base, std::uint64_t bits) noexcept;
-
-  /// Strided batch removal: bit b of `bits` removes id first + b * stride
-  /// (same present-ids precondition as remove_present_bits). One size
-  /// update for the whole run; stale tail entries are pruned lazily by
-  /// pop_random, exactly as after remove().
-  void remove_present_run(std::uint64_t first, std::uint64_t bits,
-                          std::uint64_t stride) noexcept {
-    if (bits == 0) return;
-    if (stride == 1) {
-      remove_present_bits(first, bits);
-      return;
-    }
-    removed_.set_run(first, bits, stride);
-    size_ -= static_cast<std::uint64_t>(std::popcount(bits));
+  /// Raw removed-set words and their bulk commit, for the frontier
+  /// kernels; see TaskPool::raw_removed_words_m. Stale tail entries
+  /// of ids removed this way are pruned lazily by pop_random, exactly
+  /// as after remove().
+  std::uint64_t* raw_removed_words_m() noexcept {
+    return removed_.raw_words_m();
   }
+  void commit_removals(std::uint64_t taken) noexcept { size_ -= taken; }
 
   /// Re-inserts a previously removed id (task requeue after a worker
   /// failure). Returns false if the id is already present.
@@ -134,35 +122,30 @@ class TaskPool {
 
   TaskPool() = default;
 
-  /// Fills the pool with ids 0..n-1. `presence_view` additionally
-  /// maintains a word-level removed-bitset over the dense layout (the
-  /// compact layout is that bitset, so the flag costs nothing there);
-  /// the data-aware strategies scan it via removed_view(). Off by
-  /// default: the pointwise strategies never scan and skip the extra
-  /// bit write per mutation.
+  /// Fills the pool with ids 0..n-1. `presence_view` keeps a word-level
+  /// removed-bitset over the dense layout (the compact layout is that
+  /// bitset, so the flag costs nothing there), which the data-aware
+  /// strategies scan via removed_view() / raw_removed_words_m(). Off
+  /// by default: the pointwise strategies never scan and keep the
+  /// eager swap-remove index.
   ///
-  /// `lazy_dense` (implies the presence view) defers the dense index:
-  /// remove()/insert() touch only the removed-bitset and a live
-  /// counter — one L1 bit write instead of 2-3 random index lines —
-  /// and the swap-remove arrays are reconciled in one streaming
-  /// O(capacity) pass at the next pop. Built for the data-aware
-  /// strategies, whose steady state is long remove-only stretches
-  /// (phase 1) followed by pop-only stretches (phase 2/fallback): each
-  /// stretch pays at most one rebuild. RNG consumption is identical
-  /// (1 draw per pop), but pops after a rebuild draw from an
-  /// ascending-id layout rather than the swap-scrambled one, so the
-  /// popped *values* differ from the eager mode's. No effect on the
-  /// compact layout, which is already bitset-first.
-  explicit TaskPool(std::uint64_t n, bool presence_view = false,
-                    bool lazy_dense = false)
-      : compact_(n >= kCompactThreshold),
-        dense_view_((presence_view || lazy_dense) && !compact_),
-        lazy_(lazy_dense && !compact_) {
+  /// With the view on, the dense index is deferred: remove()/insert()
+  /// touch only the removed-bitset and a live counter — one L1 bit
+  /// write instead of 2-3 random index lines — and the swap-remove
+  /// arrays are reconciled in one streaming O(capacity) pass at the
+  /// next pop. The data-aware strategies' steady state is long
+  /// remove-only stretches (phase 1) followed by pop-only stretches
+  /// (phase 2/fallback), so each stretch pays at most one rebuild. RNG
+  /// consumption is that of the plain pool (1 draw per pop), but pops
+  /// after a rebuild draw from an ascending-id layout rather than the
+  /// swap-scrambled one, so the popped *values* differ from it.
+  explicit TaskPool(std::uint64_t n, bool presence_view = false)
+      : compact_(n >= kCompactThreshold), lazy_(presence_view && !compact_) {
     if (compact_) {
       large_ = CompactTaskPool(n);
     } else {
       dense_ = SwapRemovePool(n);
-      if (dense_view_) dense_removed_ = DynamicBitset(n);
+      if (lazy_) dense_removed_ = DynamicBitset(n);
       lazy_live_ = n;
     }
   }
@@ -188,113 +171,25 @@ class TaskPool {
       dense_stale_ = true;
       return true;
     }
-    if (!dense_.remove(id)) return false;
-    if (dense_view_) dense_removed_.set(id);
-    return true;
+    return dense_.remove(id);
   }
-  /// Batch removal of up to 64 ids the caller has already verified
-  /// present via removed_view() (bit b of `bits` removes id base + b).
-  /// The frontier scans gather presence word-parallel, so this pairs
-  /// one word-level write with each gathered window: lazy-dense and
-  /// compact layouts pay a single OR plus a popcount; the eager dense
-  /// index falls back to per-id removal to stay current. Precondition:
-  /// every set bit names a present id (violations corrupt size()).
-  void remove_present_bits(std::uint64_t base, std::uint64_t bits) noexcept {
-    if (bits == 0) return;
-    if (compact_) {
-      large_.remove_present_bits(base, bits);
-      return;
-    }
-    if (lazy_) {
-      dense_removed_.or_shifted(base, bits);
-      lazy_live_ -= static_cast<std::uint64_t>(std::popcount(bits));
-      dense_stale_ = true;
-      return;
-    }
-    while (bits != 0) {
-      const std::uint64_t id =
-          base + static_cast<std::uint64_t>(std::countr_zero(bits));
-      dense_.remove(id);
-      if (dense_view_) dense_removed_.set(id);
-      bits &= bits - 1;
-    }
-  }
-  /// Strided batch removal: bit b of `bits` removes id first + b * stride,
-  /// all verified present by the caller's frontier gather. The run
-  /// analogue of remove_present_bits: one call and one live-counter
-  /// update retire a whole TaskRun. Stride 1 delegates to the word-OR
-  /// path; larger strides pay one bit write per id (the scattered
-  /// orientation of the dual-mirror structure) but no per-id counter or
-  /// call overhead. Precondition: every set bit names a present id.
-  void remove_present_run(std::uint64_t first, std::uint64_t bits,
-                          std::uint64_t stride) noexcept {
-    if (bits == 0) return;
-    if (stride == 1) {
-      remove_present_bits(first, bits);
-      return;
-    }
-    if (compact_) {
-      large_.remove_present_run(first, bits, stride);
-      return;
-    }
-    if (lazy_) {
-      dense_removed_.set_run(first, bits, stride);
-      lazy_live_ -= static_cast<std::uint64_t>(std::popcount(bits));
-      dense_stale_ = true;
-      return;
-    }
-    std::uint64_t rest = bits;
-    while (rest != 0) {
-      const std::uint64_t id =
-          first + static_cast<std::uint64_t>(std::countr_zero(rest)) * stride;
-      dense_.remove(id);
-      if (dense_view_) dense_removed_.set(id);
-      rest &= rest - 1;
-    }
-  }
-  /// Materialized-serial remove_present_bits: the bitset write skips
-  /// generation resolution (see DynamicBitset::set_m and friends).
-  /// Requires materialize_presence() since the last reset(); layouts
-  /// without an unstamped path fall back to the stamped call, so the
-  /// semantics never differ.
-  void remove_present_bits_m(std::uint64_t base, std::uint64_t bits) noexcept {
-    if (bits == 0) return;
-    if (lazy_) {
-      dense_removed_.or_shifted_m(base, bits);
-      lazy_live_ -= static_cast<std::uint64_t>(std::popcount(bits));
-      dense_stale_ = true;
-      return;
-    }
-    remove_present_bits(base, bits);
-  }
-  /// Materialized-serial remove_present_run; same contract as
-  /// remove_present_bits_m.
-  void remove_present_run_m(std::uint64_t first, std::uint64_t bits,
-                            std::uint64_t stride) noexcept {
-    if (bits == 0) return;
-    if (lazy_ && stride != 1) {
-      dense_removed_.set_run_m(first, bits, stride);
-      lazy_live_ -= static_cast<std::uint64_t>(std::popcount(bits));
-      dense_stale_ = true;
-      return;
-    }
-    if (lazy_) {
-      remove_present_bits_m(first, bits);
-      return;
-    }
-    remove_present_run(first, bits, stride);
-  }
-  /// Raw removed-mask words for the flattened serial fast path. Only
-  /// the lazy-dense layout exposes one (nullptr otherwise — callers
-  /// fall back to the stamped/_m calls). The caller scans and ORs
-  /// removal bits directly against the same precondition as the _m
-  /// family, then settles the bookkeeping in one step with
-  /// commit_serial_removals(total bits set).
+  /// Raw removed-set words (bit set <=> id absent) for the data-aware
+  /// strategies' frontier kernels, in both layouts. Requires
+  /// has_presence_view() and materialize_presence() since the last
+  /// reset(). The caller scans and ORs removal bits directly — every
+  /// bit it sets must name a present id — then settles the bookkeeping
+  /// in one step with commit_serial_removals(total bits set).
   std::uint64_t* raw_removed_words_m() noexcept {
-    return lazy_ ? dense_removed_.raw_words_m() : nullptr;
+    assert(has_presence_view() && "raw_removed_words_m needs a presence view");
+    return compact_ ? large_.raw_removed_words_m()
+                    : dense_removed_.raw_words_m();
   }
   void commit_serial_removals(std::uint64_t taken) noexcept {
     if (taken == 0) return;
+    if (compact_) {
+      large_.commit_removals(taken);
+      return;
+    }
     lazy_live_ -= taken;
     dense_stale_ = true;
   }
@@ -310,17 +205,12 @@ class TaskPool {
       dense_stale_ = true;
       return true;
     }
-    if (!dense_.insert(id)) return false;
-    if (dense_view_) dense_removed_.reset(id);
-    return true;
+    return dense_.insert(id);
   }
   std::uint64_t pop_random(Rng& rng) {
     if (compact_) return large_.pop_random(rng);
     if (lazy_ && dense_stale_) rebuild_dense();
-    const std::uint64_t id = dense_.pop_random(rng);
-    if (dense_view_) dense_removed_.set(id);
-    if (lazy_) --lazy_live_;
-    return id;
+    return note_pop(dense_.pop_random(rng));
   }
   /// Random pop for consumers that never mix in indexed operations on
   /// the steady path (see SwapRemovePool::pop_random_unindexed). Same
@@ -329,22 +219,16 @@ class TaskPool {
   std::uint64_t pop_random_unindexed(Rng& rng) {
     if (compact_) return large_.pop_random(rng);
     if (lazy_ && dense_stale_) rebuild_dense();
-    const std::uint64_t id = dense_.pop_random_unindexed(rng);
-    if (dense_view_) dense_removed_.set(id);
-    if (lazy_) --lazy_live_;
-    return id;
+    return note_pop(dense_.pop_random_unindexed(rng));
   }
   std::uint64_t pop_first() {
     if (compact_) return large_.pop_first();
     if (lazy_ && dense_stale_) rebuild_dense();
-    const std::uint64_t id = dense_.pop_first();
-    if (dense_view_) dense_removed_.set(id);
-    if (lazy_) --lazy_live_;
-    return id;
+    return note_pop(dense_.pop_first());
   }
 
-  /// Refill with ids 0..capacity-1; all heap blocks retained. O(1) for
-  /// the lazy-dense mode (generation bump + deferred rebuild),
+  /// Refill with ids 0..capacity-1; all heap blocks retained. O(1)
+  /// with a presence view (generation bump + deferred rebuild),
   /// O(capacity) otherwise.
   void reset() {
     if (compact_) {
@@ -355,13 +239,12 @@ class TaskPool {
       dense_stale_ = true;
     } else {
       dense_.reset();
-      if (dense_view_) dense_removed_.clear();  // O(1) generation bump
     }
   }
 
   /// Makes every word of removed_view() generation-current, so the
   /// data-aware strategies' request loop can read and write it through
-  /// the unstamped _m accessors (see DynamicBitset::materialize_all).
+  /// raw_removed_words_m (see DynamicBitset::materialize_all).
   /// Idempotent; must be re-run after reset().
   void materialize_presence() noexcept {
     if (compact_) {
@@ -375,7 +258,7 @@ class TaskPool {
 
   /// True when removed_view() is available (compact layout, or a dense
   /// pool constructed with presence_view = true).
-  bool has_presence_view() const noexcept { return compact_ || dense_view_; }
+  bool has_presence_view() const noexcept { return compact_ || lazy_; }
 
   /// Word-level membership view: bit set <=> id absent. Requires
   /// has_presence_view(). The reference stays valid (and exact) across
@@ -384,9 +267,9 @@ class TaskPool {
     return compact_ ? large_.removed_view() : dense_removed_;
   }
 
-  /// Present ids (dense: unspecified order; compact and stale lazy
-  /// dense: ascending). May scan the whole bitset — inspection and
-  /// testing only.
+  /// Present ids (dense: unspecified order; compact and stale
+  /// presence-view dense: ascending). May scan the whole bitset —
+  /// inspection and testing only.
   std::vector<std::uint64_t> ids() const {
     if (compact_) return large_.ids();
     if (lazy_ && dense_stale_) {
@@ -411,13 +294,21 @@ class TaskPool {
     dense_stale_ = false;
   }
 
+  /// Mirrors a dense-index pop into the presence view.
+  std::uint64_t note_pop(std::uint64_t id) noexcept {
+    if (lazy_) {
+      dense_removed_.set(id);
+      --lazy_live_;
+    }
+    return id;
+  }
+
   bool compact_ = false;
-  bool dense_view_ = false;
-  bool lazy_ = false;        // lazy-dense mode (see constructor)
+  bool lazy_ = false;        // dense layout with a presence view (see ctor)
   bool dense_stale_ = false; // lazy mode: dense_ lags dense_removed_
   SwapRemovePool dense_;
   CompactTaskPool large_;
-  DynamicBitset dense_removed_;  // mirrors dense_ when dense_view_
+  DynamicBitset dense_removed_;  // the removed set, when lazy_
   std::uint64_t lazy_live_ = 0;  // live count while dense_ is stale
 };
 

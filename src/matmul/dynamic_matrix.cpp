@@ -7,9 +7,10 @@
 namespace hetsched {
 
 namespace {
-/// Widest index-mask (words) the flattened serial scan keeps on the
-/// stack: n <= 1024. Larger problems fall back to the stamped branch.
-constexpr std::size_t kMaxFlatWords = 16;
+/// Widest index mask (words) the request kernel copies to the stack.
+constexpr std::size_t kMaxMaskWords = 16;
+static_assert(kMaxMaskWords * 64 >= MatmulConfig::kMaxN,
+              "the stack masks must cover every n validate() accepts");
 
 /// n rows of ceil(n/64) words, every valid bit set (tail bits clear).
 void refill_alive(std::vector<std::uint64_t>& rows, std::uint32_t n) {
@@ -27,7 +28,7 @@ DynamicMatrixStrategy::DynamicMatrixStrategy(MatmulConfig config,
     : config_(config),
       n_workers_(workers),
       phase2_tasks_(phase2_tasks),
-      pool_(config.total_tasks(), /*presence_view=*/true, /*lazy_dense=*/true),
+      pool_(config.total_tasks(), /*presence_view=*/true),
       mir_stride_(((config.n + 63) >> 6) << 6),
       removed_t_(static_cast<std::uint64_t>(config.n) * config.n * mir_stride_),
       rng_(derive_stream(seed, "matmul.dynamic")) {
@@ -55,13 +56,11 @@ DynamicMatrixStrategy::DynamicMatrixStrategy(MatmulConfig config,
   refill_alive(alive_row_, config_.n);
   refill_alive(alive_col_, config_.n);
   refill_alive(alive_face_, config_.n);
-  const std::size_t nmw = (config_.n + 63) >> 6;
-  if (nmw <= kMaxFlatWords) {
-    // Branchless emission bound of one flat request: every scan unit
-    // (corner + i-slab + j-slab + faces <= 3n + 1 of them) may leave
-    // one run per mask word.
-    run_scratch_.resize((static_cast<std::size_t>(3) * config_.n + 1) * nmw);
-  }
+  // Branchless emission bound of one request: every scan unit (corner
+  // + i-slab + j-slab + faces <= 3n + 1 of them) may leave one run per
+  // mask word.
+  run_scratch_.resize((static_cast<std::size_t>(3) * config_.n + 1) *
+                      ((config_.n + 63) >> 6));
 }
 
 std::string DynamicMatrixStrategy::name() const {
@@ -135,7 +134,7 @@ void DynamicMatrixStrategy::ensure_materialized() {
 
 bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
                                             Assignment& out) {
-  // The _m scans below need every word of the shared bitsets
+  // The raw-word scans below need every word of the shared bitsets
   // generation-current; one O(words) pass per rep buys stamp-free
   // access for the whole drain.
   ensure_materialized();
@@ -232,198 +231,150 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
   // enumeration order documented in the header is what the goldens
   // pin.
   w.mask_k.set_m(k);  // runs scan K + k (set_m: masks stay materialized)
-  if (std::uint64_t* rem = w.mask_k.word_count() <= kMaxFlatWords
-                               ? pool_.raw_removed_words_m()
-                               : nullptr) {
-    // Flattened twin of the _m branch below: raw word pointers hoisted
-    // out of the loops, one branchless two-word gather and write-back
-    // per (unit, mask word), and the pool bookkeeping settled once per
-    // request instead of once per window. The taken set, the emission
-    // order (corner, i-slab J ascending, j-slab I ascending, k-faces I
-    // ascending) and every emitted run are identical to that branch —
-    // only call and stamp overhead differs.
-    std::uint64_t* mir = removed_t_.raw_words_m();
-    const std::size_t total_words = pool_.removed_view().word_count();
-    const std::uint64_t n64 = n;
-    // The knowledge masks are re-read once per scanned unit otherwise;
-    // one stamped copy to the stack up front keeps the loops on plain
-    // registers and local words.
-    const std::size_t nmw = w.mask_k.word_count();
-    std::uint64_t mk[kMaxFlatWords], mi_w[kMaxFlatWords], mj_w[kMaxFlatWords];
-    std::uint64_t kfull[kMaxFlatWords];
+  // Raw word pointers hoisted out of the loops, one branchless two-word
+  // gather and write-back per (unit, mask word), and the pool
+  // bookkeeping settled once per request instead of once per window.
+  // The same kernel serves both pool layouts (dense with a presence
+  // view, and compact): each exposes its removed-set as raw words.
+  std::uint64_t* const rem = pool_.raw_removed_words_m();
+  std::uint64_t* const mir = removed_t_.raw_words_m();
+  const std::size_t total_words = pool_.removed_view().word_count();
+  const std::uint64_t n64 = n;
+  // The knowledge masks are re-read once per scanned unit otherwise;
+  // one copy to the stack up front keeps the loops on plain
+  // registers and local words.
+  const std::size_t nmw = w.mask_k.word_count();
+  std::uint64_t mk[kMaxMaskWords], mi_w[kMaxMaskWords], mj_w[kMaxMaskWords];
+  std::uint64_t kfull[kMaxMaskWords];
+  for (std::size_t wd = 0; wd < nmw; ++wd) {
+    mk[wd] = w.mask_k.word_m(wd);
+    mi_w[wd] = w.mask_i.word_m(wd);
+    mj_w[wd] = w.mask_j.word_m(wd);
+    kfull[wd] = ~0ULL;
+  }
+  if ((n & 63) != 0) kfull[nmw - 1] = (1ULL << (n & 63)) - 1;
+  // Exhaustion filters: a clear bit proves the unit cannot hit, so
+  // the slab/face loops iterate mask AND alive and skip the dead
+  // windows without touching the pool words at all. A scan that
+  // observes a unit fully retired clears the matching bits (exact:
+  // the gather just read every present-bit of the unit).
+  const std::uint64_t* arow = alive_row_.data() + std::size_t{i} * nmw;
+  const std::uint64_t* acol = alive_col_.data() + std::size_t{j} * nmw;
+  const std::uint64_t* aface = alive_face_.data() + std::size_t{k} * nmw;
+  // Emission goes through a cursor into pre-sized scratch: the slot
+  // write is unconditional and the cursor advances by (hits != 0),
+  // so the ~50% zero-hit units cost no mispredicting branch. One
+  // bulk insert publishes the surviving runs at the end.
+  TaskRun* const rp = run_scratch_.data();
+  std::size_t rn = 0;
+  std::uint64_t taken = 0;
+  const auto take_runs = [&](std::uint64_t ti, std::uint64_t tj) {
+    const std::uint64_t base = matmul_task_id(n, static_cast<std::uint32_t>(ti),
+                                              static_cast<std::uint32_t>(tj), 0);
+    // Padded-mirror row of (ti, k0): line stride nmw words, so the
+    // scatter below or-stores a constant single-bit mask at adjacent
+    // word indices — no per-bit position split.
+    std::uint64_t* const mrow = mir + (ti * n64) * nmw + (tj >> 6);
+    const std::uint64_t jbit = 1ULL << (tj & 63);
+    std::uint64_t live_left = 0;
     for (std::size_t wd = 0; wd < nmw; ++wd) {
-      mk[wd] = w.mask_k.word_m(wd);
-      mi_w[wd] = w.mask_i.word_m(wd);
-      mj_w[wd] = w.mask_j.word_m(wd);
-      kfull[wd] = ~0ULL;
+      const std::uint64_t mask = mk[wd];
+      if (mask == 0) {
+        live_left = 1;  // unexamined window word: assume survivors
+        continue;
+      }
+      const std::uint64_t wbase = base + (wd << 6);
+      const auto q = static_cast<std::size_t>(wbase >> 6);
+      const auto sh = static_cast<unsigned>(wbase & 63);
+      // Branchless two-word window: the double shift maps sh == 0 to a
+      // zero contribution without a data-dependent branch (sh is an
+      // arbitrary bit offset here, so a branch on it mispredicts).
+      const std::uint64_t lo = rem[q];
+      const bool two = q + 1 < total_words;
+      const std::uint64_t hi = two ? rem[q + 1] : 0;
+      const std::uint64_t gone = (lo >> sh) | ((hi << 1) << (63 - sh));
+      const std::uint64_t hits = mask & ~gone;
+      live_left |= kfull[wd] & ~(gone | hits);
+      // hits == 0 makes every write below an identity; doing them
+      // anyway beats a 50/50 data-dependent branch.
+      rem[q] = lo | (hits << sh);
+      if (two) rem[q + 1] = hi | ((hits >> 1) >> (63 - sh));
+      const auto pc = static_cast<std::uint32_t>(std::popcount(hits));
+      taken += pc;
+      std::uint64_t* const mw = mrow + (wd << 6) * nmw;
+      std::uint64_t rest = hits;
+      while (rest != 0) {
+        mw[static_cast<std::size_t>(std::countr_zero(rest)) * nmw] |= jbit;
+        rest &= rest - 1;
+      }
+      rp[rn] = TaskRun{wbase, hits, 1, pc};
+      rn += static_cast<std::size_t>(hits != 0);
     }
-    if ((n & 63) != 0) kfull[nmw - 1] = (1ULL << (n & 63)) - 1;
-    // Exhaustion filters: a clear bit proves the unit cannot hit, so
-    // the slab/face loops iterate mask AND alive and skip the dead
-    // windows without touching the pool words at all. A scan that
-    // observes a unit fully retired clears the matching bits (exact:
-    // the gather just read every present-bit of the unit).
-    const std::uint64_t* arow = alive_row_.data() + std::size_t{i} * nmw;
-    const std::uint64_t* acol = alive_col_.data() + std::size_t{j} * nmw;
-    const std::uint64_t* aface = alive_face_.data() + std::size_t{k} * nmw;
-    // Emission goes through a cursor into pre-sized scratch: the slot
-    // write is unconditional and the cursor advances by (hits != 0),
-    // so the ~50% zero-hit units cost no mispredicting branch. One
-    // bulk insert publishes the surviving runs at the end.
-    TaskRun* const rp = run_scratch_.data();
-    std::size_t rn = 0;
-    std::uint64_t taken = 0;
-    const auto take_runs_flat = [&](std::uint64_t ti, std::uint64_t tj) {
-      const std::uint64_t base = matmul_task_id(n, static_cast<std::uint32_t>(ti),
-                                                static_cast<std::uint32_t>(tj), 0);
-      // Padded-mirror row of (ti, k0): line stride nmw words, so the
-      // scatter below or-stores a constant single-bit mask at adjacent
-      // word indices — no per-bit position split.
-      std::uint64_t* const mrow = mir + (ti * n64) * nmw + (tj >> 6);
-      const std::uint64_t jbit = 1ULL << (tj & 63);
+    if (live_left == 0) {
+      alive_row_[ti * nmw + (tj >> 6)] &= ~(1ULL << (tj & 63));
+      alive_col_[tj * nmw + (ti >> 6)] &= ~(1ULL << (ti & 63));
+    }
+  };
+  if ((arow[j >> 6] >> (j & 63)) & 1) {
+    take_runs(i, j);  // corner run (i, j, ·)
+  }
+  for (std::size_t wd = 0; wd < nmw; ++wd) {  // i-slab
+    std::uint64_t bits = mj_w[wd] & arow[wd];
+    while (bits != 0) {
+      take_runs(i,
+                (wd << 6) + static_cast<std::uint64_t>(std::countr_zero(bits)));
+      bits &= bits - 1;
+    }
+  }
+  for (std::size_t wd = 0; wd < nmw; ++wd) {  // j-slab
+    std::uint64_t bits = mi_w[wd] & acol[wd];
+    while (bits != 0) {
+      take_runs((wd << 6) + static_cast<std::uint64_t>(std::countr_zero(bits)),
+                j);
+      bits &= bits - 1;
+    }
+  }
+  for (std::size_t wdi = 0; wdi < nmw; ++wdi) {  // k-face
+    std::uint64_t ibits = mi_w[wdi] & aface[wdi];
+    while (ibits != 0) {
+      const std::uint64_t i2 =
+          (wdi << 6) + static_cast<std::uint64_t>(std::countr_zero(ibits));
+      ibits &= ibits - 1;
+      // Padded mirror: the (i2, k) j-line starts word-aligned, so the
+      // gather is one aligned load per mask word — no two-word split.
+      std::uint64_t* const fline = mir + (i2 * n64 + k) * nmw;
+      const std::uint64_t id_base = i2 * n64 * n64 + k;
       std::uint64_t live_left = 0;
       for (std::size_t wd = 0; wd < nmw; ++wd) {
-        const std::uint64_t mask = mk[wd];
+        const std::uint64_t mask = mj_w[wd];
         if (mask == 0) {
           live_left = 1;  // unexamined window word: assume survivors
           continue;
         }
-        const std::uint64_t wbase = base + (wd << 6);
-        const auto q = static_cast<std::size_t>(wbase >> 6);
-        const auto sh = static_cast<unsigned>(wbase & 63);
-        // Branchless two-word window: the double shift maps sh == 0 to a
-        // zero contribution without a data-dependent branch (sh is an
-        // arbitrary bit offset here, so a branch on it mispredicts).
-        const std::uint64_t lo = rem[q];
-        const bool two = q + 1 < total_words;
-        const std::uint64_t hi = two ? rem[q + 1] : 0;
-        const std::uint64_t gone = (lo >> sh) | ((hi << 1) << (63 - sh));
+        const std::uint64_t gone = fline[wd];
         const std::uint64_t hits = mask & ~gone;
         live_left |= kfull[wd] & ~(gone | hits);
-        // hits == 0 makes every write below an identity; doing them
-        // anyway beats a 50/50 data-dependent branch.
-        rem[q] = lo | (hits << sh);
-        if (two) rem[q + 1] = hi | ((hits >> 1) >> (63 - sh));
+        fline[wd] = gone | hits;  // identity when hits == 0
         const auto pc = static_cast<std::uint32_t>(std::popcount(hits));
         taken += pc;
-        std::uint64_t* const mw = mrow + (wd << 6) * nmw;
+        const TaskId first = id_base + (static_cast<TaskId>(wd) << 6) * n64;
         std::uint64_t rest = hits;
         while (rest != 0) {
-          mw[static_cast<std::size_t>(std::countr_zero(rest)) * nmw] |= jbit;
+          const std::uint64_t pos =
+              first + static_cast<std::uint64_t>(std::countr_zero(rest)) * n64;
+          rem[pos >> 6] |= 1ULL << (pos & 63);
           rest &= rest - 1;
         }
-        rp[rn] = TaskRun{wbase, hits, 1, pc};
+        rp[rn] = TaskRun{first, hits, n64, pc};
         rn += static_cast<std::size_t>(hits != 0);
       }
       if (live_left == 0) {
-        alive_row_[ti * nmw + (tj >> 6)] &= ~(1ULL << (tj & 63));
-        alive_col_[tj * nmw + (ti >> 6)] &= ~(1ULL << (ti & 63));
-      }
-    };
-    if ((arow[j >> 6] >> (j & 63)) & 1) {
-      take_runs_flat(i, j);  // corner run (i, j, ·)
-    }
-    for (std::size_t wd = 0; wd < nmw; ++wd) {  // i-slab
-      std::uint64_t bits = mj_w[wd] & arow[wd];
-      while (bits != 0) {
-        take_runs_flat(i, (wd << 6) +
-                              static_cast<std::uint64_t>(std::countr_zero(bits)));
-        bits &= bits - 1;
+        alive_face_[k * nmw + (i2 >> 6)] &= ~(1ULL << (i2 & 63));
       }
     }
-    for (std::size_t wd = 0; wd < nmw; ++wd) {  // j-slab
-      std::uint64_t bits = mi_w[wd] & acol[wd];
-      while (bits != 0) {
-        take_runs_flat((wd << 6) +
-                           static_cast<std::uint64_t>(std::countr_zero(bits)),
-                       j);
-        bits &= bits - 1;
-      }
-    }
-    for (std::size_t wdi = 0; wdi < nmw; ++wdi) {  // k-face
-      std::uint64_t ibits = mi_w[wdi] & aface[wdi];
-      while (ibits != 0) {
-        const std::uint64_t i2 =
-            (wdi << 6) + static_cast<std::uint64_t>(std::countr_zero(ibits));
-        ibits &= ibits - 1;
-        // Padded mirror: the (i2, k) j-line starts word-aligned, so the
-        // gather is one aligned load per mask word — no two-word split.
-        std::uint64_t* const fline = mir + (i2 * n64 + k) * nmw;
-        const std::uint64_t id_base = i2 * n64 * n64 + k;
-        std::uint64_t live_left = 0;
-        for (std::size_t wd = 0; wd < nmw; ++wd) {
-          const std::uint64_t mask = mj_w[wd];
-          if (mask == 0) {
-            live_left = 1;  // unexamined window word: assume survivors
-            continue;
-          }
-          const std::uint64_t gone = fline[wd];
-          const std::uint64_t hits = mask & ~gone;
-          live_left |= kfull[wd] & ~(gone | hits);
-          fline[wd] = gone | hits;  // identity when hits == 0
-          const auto pc = static_cast<std::uint32_t>(std::popcount(hits));
-          taken += pc;
-          const TaskId first = id_base + (static_cast<TaskId>(wd) << 6) * n64;
-          std::uint64_t rest = hits;
-          while (rest != 0) {
-            const std::uint64_t pos =
-                first + static_cast<std::uint64_t>(std::countr_zero(rest)) * n64;
-            rem[pos >> 6] |= 1ULL << (pos & 63);
-            rest &= rest - 1;
-          }
-          rp[rn] = TaskRun{first, hits, n64, pc};
-          rn += static_cast<std::size_t>(hits != 0);
-        }
-        if (live_left == 0) {
-          alive_face_[k * nmw + (i2 >> 6)] &= ~(1ULL << (i2 & 63));
-        }
-      }
-    }
-    out.task_runs.insert(out.task_runs.end(), rp, rp + rn);
-    pool_.commit_serial_removals(taken);
-  } else {
-    // Scan through the unstamped _m accessors: the layouts without a
-    // raw-word fast path (compact / non-lazy pools, n > 1024) land
-    // here, on the invariant ensure_materialized above established.
-    // The request loop re-reads these bitsets constantly — skipping the
-    // stamp arrays halves the cache lines per window.
-    const DynamicBitset& removed = pool_.removed_view();
-    auto take_run = [&](std::uint32_t ti, std::uint32_t tj) {
-      const std::uint64_t base = matmul_task_id(n, ti, tj, 0);
-      const std::uint64_t mirror_base =
-          static_cast<std::uint64_t>(ti) * n * mir_stride_ + tj;
-      for_each_masked_present_word_m(
-          w.mask_k, removed, base, [&](std::size_t wd, std::uint64_t hits) {
-            pool_.remove_present_bits_m(base + (wd << 6), hits);  // batch side
-            removed_t_.set_run_m(mirror_base + (wd << 6) * mir_stride_, hits,
-                                 mir_stride_);  // scattered side
-            out.task_runs.push_back(
-                TaskRun{base + (wd << 6), hits, 1,
-                        static_cast<std::uint32_t>(std::popcount(hits))});
-          });
-    };
-    take_run(i, j);     // corner run (i, j, ·)
-    w.mask_j.for_each_set_in_range(0, n, [&](std::size_t j2) {  // i-slab
-      take_run(i, static_cast<std::uint32_t>(j2));
-    });
-    w.mask_i.for_each_set_in_range(0, n, [&](std::size_t i2) {  // j-slab
-      take_run(static_cast<std::uint32_t>(i2), j);
-    });
-    w.mask_i.for_each_set_in_range(0, n, [&](std::size_t i2) {  // k-face
-      const std::uint64_t face_base =
-          (static_cast<std::uint64_t>(i2) * n + k) * mir_stride_;
-      const std::uint64_t id_base = static_cast<std::uint64_t>(i2) * n * n + k;
-      for_each_masked_present_word_m(
-          w.mask_j, removed_t_, face_base, [&](std::size_t wd, std::uint64_t hits) {
-            removed_t_.or_shifted_m(face_base + (wd << 6), hits);  // batch side
-            const TaskId first = id_base + (static_cast<TaskId>(wd) << 6) * n;
-            pool_.remove_present_run_m(first, hits, n);  // scattered side
-            out.task_runs.push_back(
-                TaskRun{first, hits, n,
-                        static_cast<std::uint32_t>(std::popcount(hits))});
-          });
-    });
   }
+  out.task_runs.insert(out.task_runs.end(), rp, rp + rn);
+  pool_.commit_serial_removals(taken);
   w.mask_i.set_m(i);
   w.mask_j.set_m(j);
 

@@ -17,17 +17,20 @@
 // removed set — contiguous j-runs per (i2, k) — against the J mask the
 // same way. Each gathered window leaves the request as one run-encoded
 // grant (TaskRun: occupancy word + stride, see sim/strategy.hpp) and
-// is *retired* word-level on both orientations: one batch write
-// (TaskPool::remove_present_bits or or_shifted) clears all its hits on
-// the scanned side, and one set_run / remove_present_run call scatters
-// the mirror side — the per-task bit writes there are the minimum for
-// a two-orientation presence structure, but no per-task push_back or
-// counter update survives. Untainted block shipping is run-encoded
-// too (BlockRun per occupied mask word, each extension in ascending
-// index order — same set and count as the former acquisition-order
-// loops). The pool runs in lazy-dense mode (common/task_pool.hpp):
-// phase-1 removals are bitset writes only, and the swap-remove index
-// is rebuilt once, at the phase-2 switch.
+// is *retired* word-level on both orientations through raw words
+// (TaskPool::raw_removed_words_m): one two-word OR clears all its hits
+// on the scanned side, and one bit write per hit scatters the mirror
+// side — the minimum for a two-orientation presence structure — while
+// the pool's count is settled once per request
+// (TaskPool::commit_serial_removals). Both pool layouts expose those
+// raw words, so one kernel serves every request, the compact layout
+// (>= 2^25 tasks, e.g. N/l = 1000) included. Untainted block shipping
+// is run-encoded too (BlockRun per occupied mask word, each extension
+// in ascending index order — same set and count as the former
+// acquisition-order loops). The pool is built with a presence view
+// (common/task_pool.hpp): phase-1 removals are bitset writes only, and
+// the dense layout's swap-remove index is rebuilt once, at the phase-2
+// switch.
 // Enumeration order: the corner run (i, j, ·), then the i-slab
 // runs (i, j2, ·) for j2 in J ascending, then the j-slab runs
 // (i2, j, ·) for i2 in I ascending, then the k-face probes (i2, j2, k)
@@ -151,8 +154,8 @@ class DynamicMatrixStrategy : public Strategy {
   bool dynamic_request(std::uint32_t worker, Assignment& out);
   bool random_request(std::uint32_t worker, Assignment& out);
   /// Makes every word of the pool's presence bitset and of removed_t_
-  /// generation-current, once per rep, so the request path can use the
-  /// unstamped _m accessors; reset() re-arms it.
+  /// generation-current, once per rep, so the request kernel can use
+  /// their raw words; reset() re-arms it.
   void ensure_materialized();
 
   MatmulConfig config_;
@@ -173,7 +176,7 @@ class DynamicMatrixStrategy : public Strategy {
   /// scan word-parallel like the (·,·,k)-runs instead of as stride-n
   /// bit probes.
   DynamicBitset removed_t_;
-  /// Exhaustion filters over the serial scan's unit space, one
+  /// Exhaustion filters over the request kernel's unit space, one
   /// ceil(n/64)-word row per index. Bit tj of alive_row_ row ti clear
   /// <=> cell (ti, tj) was observed fully retired along k, so no
   /// future scan of it can hit; alive_col_ mirrors that over ti for a
@@ -190,7 +193,7 @@ class DynamicMatrixStrategy : public Strategy {
   bool phase_switch_notified_ = false;
   bool fallback_notified_ = false;
   bool materialized_ = false;  // shared bitsets materialized this rep
-  /// Pre-sized emission buffer of the flat serial branch: units write
+  /// Pre-sized emission buffer of the request kernel: units write
   /// their run slot unconditionally and bump a cursor by (hits != 0),
   /// so zero-hit windows cost no branch; the survivors are published
   /// with one bulk insert. Sized in the constructor for the worst

@@ -12,7 +12,7 @@ void validate(const MatmulConfig& config) {
   // (~1.5 bits/task past 2^25 ids) holds the paper's largest instance,
   // N/l = 1000 (10^9 tasks), in ~180 MB; the cap keeps the pool and
   // the per-worker n^2-bit ownership sets comfortably under 2 GiB.
-  if (config.n > 1024) {
+  if (config.n > MatmulConfig::kMaxN) {
     throw std::invalid_argument("MatmulConfig: n > 1024 not supported");
   }
 }

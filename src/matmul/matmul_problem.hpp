@@ -17,6 +17,9 @@
 namespace hetsched {
 
 struct MatmulConfig {
+  /// Largest n validate() accepts (see matmul_problem.cpp).
+  static constexpr std::uint32_t kMaxN = 1024;
+
   /// Blocks per matrix dimension (the paper's N/l). Tasks: n^3.
   std::uint32_t n = 40;
 

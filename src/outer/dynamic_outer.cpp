@@ -14,7 +14,7 @@ DynamicOuterStrategy::DynamicOuterStrategy(OuterConfig config,
     : config_(config),
       n_workers_(workers),
       phase2_tasks_(phase2_tasks),
-      pool_(config.total_tasks(), /*presence_view=*/true, /*lazy_dense=*/true),
+      pool_(config.total_tasks(), /*presence_view=*/true),
       mir_stride_(((config.n + 63) >> 6) << 6),
       removed_t_(static_cast<std::uint64_t>(config.n) * mir_stride_),
       rng_(derive_stream(seed, "outer.dynamic")) {
@@ -37,8 +37,8 @@ DynamicOuterStrategy::DynamicOuterStrategy(OuterConfig config,
     w.known_i.reserve(config_.n);
     w.known_j.reserve(config_.n);
   }
-  // Branchless emission bound of one flat request: the row scan and
-  // the column scan each leave at most one run per mask word.
+  // Branchless emission bound of one request: the row scan and the
+  // column scan each leave at most one run per mask word.
   run_scratch_.resize(2 * ((static_cast<std::size_t>(config_.n) + 63) >> 6));
 }
 
@@ -105,7 +105,7 @@ void DynamicOuterStrategy::ensure_materialized() {
 
 bool DynamicOuterStrategy::dynamic_request(std::uint32_t worker,
                                            Assignment& out) {
-  // The _m scans below need every word of the shared bitsets
+  // The raw-word scans below need every word of the shared bitsets
   // generation-current; one O(words) pass per rep buys stamp-free
   // access for the whole drain.
   ensure_materialized();
@@ -151,113 +151,82 @@ bool DynamicOuterStrategy::dynamic_request(std::uint32_t worker,
   // (i2, j) ascending — any candidate is taken iff still pooled, so the
   // assignment *set* matches the former per-element rescan exactly.
   const std::uint64_t row_base = outer_task_id(config_.n, i, 0);
-  const std::uint64_t col_base = static_cast<std::uint64_t>(j) * mir_stride_;
   w.mask_j.set_m(j);
-  if (std::uint64_t* rem = pool_.raw_removed_words_m()) {
-    // Flattened twin of the _m branch below: raw word pointers hoisted
-    // out of the loops, one branchless two-word gather and write-back
-    // per mask word, pool bookkeeping settled once per request. The
-    // taken set, the emission order (row (i, j2) ascending then column
-    // (i2, j) ascending) and every emitted run are identical to that
-    // branch — only call and stamp overhead differs.
-    std::uint64_t* mir = removed_t_.raw_words_m();
-    const std::size_t total_words = pool_.removed_view().word_count();
-    const std::uint64_t n64 = config_.n;
-    // Emission cursor into pre-sized scratch: the slot write is
-    // unconditional and the cursor advances by (hits != 0), so a
-    // zero-hit window costs no mispredicting branch.
-    TaskRun* const rp = run_scratch_.data();
-    std::size_t rn = 0;
-    std::uint64_t taken = 0;
-    const std::size_t nw = w.mask_j.word_count();
-    // Padded mirror: line j2 starts at word j2 * nw, so the row-take
-    // scatter or-stores a constant single-bit mask at stride-nw word
-    // indexes and the column gather below is one aligned load per mask
-    // word.
-    std::uint64_t* const mcol = mir + (static_cast<std::size_t>(i) >> 6);
-    const std::uint64_t ibit = 1ULL << (i & 63);
-    for (std::size_t wd = 0; wd < nw; ++wd) {  // row i against J + j
-      const std::uint64_t mask = w.mask_j.word_m(wd);
-      if (mask == 0) continue;
-      const std::uint64_t wbase = row_base + (wd << 6);
-      const auto q = static_cast<std::size_t>(wbase >> 6);
-      const auto sh = static_cast<unsigned>(wbase & 63);
-      // Branchless two-word window: the double shift maps sh == 0 to a
-      // zero contribution without a data-dependent branch (sh is an
-      // arbitrary bit offset here, so a branch on it mispredicts).
-      const std::uint64_t lo = rem[q];
-      const bool two = q + 1 < total_words;
-      const std::uint64_t hi = two ? rem[q + 1] : 0;
-      const std::uint64_t gone = (lo >> sh) | ((hi << 1) << (63 - sh));
-      const std::uint64_t hits = mask & ~gone;
-      // hits == 0 makes every write below an identity; doing them
-      // anyway beats a 50/50 data-dependent branch.
-      rem[q] = lo | (hits << sh);
-      if (two) rem[q + 1] = hi | ((hits >> 1) >> (63 - sh));
-      const auto pc = static_cast<std::uint32_t>(std::popcount(hits));
-      taken += pc;
-      std::uint64_t* const mw = mcol + (wd << 6) * nw;
-      std::uint64_t rest = hits;
-      while (rest != 0) {
-        mw[static_cast<std::size_t>(std::countr_zero(rest)) * nw] |= ibit;
-        rest &= rest - 1;
-      }
-      rp[rn] = TaskRun{wbase, hits, 1, pc};
-      rn += static_cast<std::size_t>(hits != 0);
+  // Raw word pointers hoisted out of the loops, one branchless two-word
+  // gather and write-back per mask word, pool bookkeeping settled once
+  // per request. The same kernel serves both pool layouts (dense with a
+  // presence view, and compact): each exposes its removed-set as raw
+  // words.
+  std::uint64_t* const rem = pool_.raw_removed_words_m();
+  std::uint64_t* const mir = removed_t_.raw_words_m();
+  const std::size_t total_words = pool_.removed_view().word_count();
+  const std::uint64_t n64 = config_.n;
+  // Emission cursor into pre-sized scratch: the slot write is
+  // unconditional and the cursor advances by (hits != 0), so a
+  // zero-hit window costs no mispredicting branch.
+  TaskRun* const rp = run_scratch_.data();
+  std::size_t rn = 0;
+  std::uint64_t taken = 0;
+  const std::size_t nw = w.mask_j.word_count();
+  // Padded mirror: line j2 starts at word j2 * nw, so the row-take
+  // scatter or-stores a constant single-bit mask at stride-nw word
+  // indexes and the column gather below is one aligned load per mask
+  // word.
+  std::uint64_t* const mcol = mir + (static_cast<std::size_t>(i) >> 6);
+  const std::uint64_t ibit = 1ULL << (i & 63);
+  for (std::size_t wd = 0; wd < nw; ++wd) {  // row i against J + j
+    const std::uint64_t mask = w.mask_j.word_m(wd);
+    if (mask == 0) continue;
+    const std::uint64_t wbase = row_base + (wd << 6);
+    const auto q = static_cast<std::size_t>(wbase >> 6);
+    const auto sh = static_cast<unsigned>(wbase & 63);
+    // Branchless two-word window: the double shift maps sh == 0 to a
+    // zero contribution without a data-dependent branch (sh is an
+    // arbitrary bit offset here, so a branch on it mispredicts).
+    const std::uint64_t lo = rem[q];
+    const bool two = q + 1 < total_words;
+    const std::uint64_t hi = two ? rem[q + 1] : 0;
+    const std::uint64_t gone = (lo >> sh) | ((hi << 1) << (63 - sh));
+    const std::uint64_t hits = mask & ~gone;
+    // hits == 0 makes every write below an identity; doing them
+    // anyway beats a 50/50 data-dependent branch.
+    rem[q] = lo | (hits << sh);
+    if (two) rem[q + 1] = hi | ((hits >> 1) >> (63 - sh));
+    const auto pc = static_cast<std::uint32_t>(std::popcount(hits));
+    taken += pc;
+    std::uint64_t* const mw = mcol + (wd << 6) * nw;
+    std::uint64_t rest = hits;
+    while (rest != 0) {
+      mw[static_cast<std::size_t>(std::countr_zero(rest)) * nw] |= ibit;
+      rest &= rest - 1;
     }
-    std::uint64_t* const cline = mir + static_cast<std::size_t>(j) * nw;
-    for (std::size_t wd = 0; wd < nw; ++wd) {  // column j against I
-      const std::uint64_t mask = w.mask_i.word_m(wd);
-      if (mask == 0) continue;
-      // Padded mirror: column j's line starts word-aligned, so the
-      // gather is one aligned load per mask word — no two-word split.
-      const std::uint64_t gone = cline[wd];
-      const std::uint64_t hits = mask & ~gone;
-      cline[wd] = gone | hits;  // identity when hits == 0
-      const auto pc = static_cast<std::uint32_t>(std::popcount(hits));
-      taken += pc;
-      const TaskId first = (static_cast<TaskId>(wd) << 6) * n64 + j;
-      std::uint64_t rest = hits;
-      while (rest != 0) {
-        const std::uint64_t pos =
-            first + static_cast<std::uint64_t>(std::countr_zero(rest)) * n64;
-        rem[pos >> 6] |= 1ULL << (pos & 63);
-        rest &= rest - 1;
-      }
-      rp[rn] = TaskRun{first, hits, n64, pc};
-      rn += static_cast<std::size_t>(hits != 0);
-    }
-    out.task_runs.insert(out.task_runs.end(), rp, rp + rn);
-    pool_.commit_serial_removals(taken);
-  } else {
-    // Scan through the unstamped _m accessors: the layouts without a
-    // raw-word fast path (compact / non-lazy pools) land here, on the
-    // invariant ensure_materialized above established.
-    const DynamicBitset& removed = pool_.removed_view();
-    // Each gathered window leaves as one TaskRun instead of per-task
-    // pushes: the row window is a stride-1 run over task ids, the
-    // column window a stride-n run, and each is retired with one batch
-    // write per orientation (remove_present_bits / or_shifted on the
-    // scanned side, set_run / remove_present_run on the mirror side).
-    for_each_masked_present_word_m(
-        w.mask_j, removed, row_base, [&](std::size_t wd, std::uint64_t hits) {
-          pool_.remove_present_bits_m(row_base + (wd << 6), hits);  // batch side
-          removed_t_.set_run_m((wd << 6) * mir_stride_ + i, hits,
-                               mir_stride_);  // scattered side
-          out.task_runs.push_back(
-              TaskRun{row_base + (wd << 6), hits, 1,
-                      static_cast<std::uint32_t>(std::popcount(hits))});
-        });
-    for_each_masked_present_word_m(
-        w.mask_i, removed_t_, col_base, [&](std::size_t wd, std::uint64_t hits) {
-          removed_t_.or_shifted_m(col_base + (wd << 6), hits);  // batch side
-          const TaskId first = (static_cast<TaskId>(wd) << 6) * config_.n + j;
-          pool_.remove_present_run_m(first, hits, config_.n);  // scattered side
-          out.task_runs.push_back(
-              TaskRun{first, hits, config_.n,
-                      static_cast<std::uint32_t>(std::popcount(hits))});
-        });
+    rp[rn] = TaskRun{wbase, hits, 1, pc};
+    rn += static_cast<std::size_t>(hits != 0);
   }
+  std::uint64_t* const cline = mir + static_cast<std::size_t>(j) * nw;
+  for (std::size_t wd = 0; wd < nw; ++wd) {  // column j against I
+    const std::uint64_t mask = w.mask_i.word_m(wd);
+    if (mask == 0) continue;
+    // Padded mirror: column j's line starts word-aligned, so the
+    // gather is one aligned load per mask word — no two-word split.
+    const std::uint64_t gone = cline[wd];
+    const std::uint64_t hits = mask & ~gone;
+    cline[wd] = gone | hits;  // identity when hits == 0
+    const auto pc = static_cast<std::uint32_t>(std::popcount(hits));
+    taken += pc;
+    const TaskId first = (static_cast<TaskId>(wd) << 6) * n64 + j;
+    std::uint64_t rest = hits;
+    while (rest != 0) {
+      const std::uint64_t pos =
+          first + static_cast<std::uint64_t>(std::countr_zero(rest)) * n64;
+      rem[pos >> 6] |= 1ULL << (pos & 63);
+      rest &= rest - 1;
+    }
+    rp[rn] = TaskRun{first, hits, n64, pc};
+    rn += static_cast<std::size_t>(hits != 0);
+  }
+  out.task_runs.insert(out.task_runs.end(), rp, rp + rn);
+  pool_.commit_serial_removals(taken);
   w.mask_i.set_m(i);
 
   w.known_i.push_back(i);

@@ -15,13 +15,16 @@
 // of the removed set (bit j*n + i) the same way, so they cost one
 // AND-NOT per 64 candidates too. Each gathered window leaves the
 // request as one run-encoded grant (TaskRun: occupancy word + stride,
-// see sim/strategy.hpp) and is retired word-level on both orientations
-// (TaskPool::remove_present_bits / or_shifted on the scanned side,
-// set_run / remove_present_run on the mirror side) — no per-task
-// push_back or bookkeeping survives on this path. The pool itself runs
-// in lazy-dense mode:
-// phase-1 removals are bitset writes only, and the swap-remove index
-// is rebuilt once, at the phase-2 switch.
+// see sim/strategy.hpp). One kernel serves every request: it reads and
+// writes the pool's removed-set and the mirror as raw words
+// (TaskPool::raw_removed_words_m), retiring each window with one
+// two-word OR on the scanned side and one bit write per hit on the
+// other, and settles the pool's count once per request
+// (TaskPool::commit_serial_removals). Both pool layouts expose those
+// raw words, so the compact layout (>= 2^25 tasks) takes the same
+// path. The pool is built with a presence view: phase-1 removals are
+// bitset writes only, and the dense layout's swap-remove index is
+// rebuilt once, at the phase-2 switch.
 //
 // Two-phase variant: once fewer than `phase2_tasks` tasks remain
 // unallocated (strictly fewer — a request arriving with exactly
@@ -122,8 +125,8 @@ class DynamicOuterStrategy : public Strategy {
   bool dynamic_request(std::uint32_t worker, Assignment& out);
   bool random_request(std::uint32_t worker, Assignment& out);
   /// Makes every word of the pool's presence bitset and of removed_t_
-  /// generation-current, once per rep, so the request path can use the
-  /// unstamped _m accessors; reset() re-arms it.
+  /// generation-current, once per rep, so the request kernel can use
+  /// their raw words; reset() re-arms it.
   void ensure_materialized();
 
   OuterConfig config_;
@@ -141,8 +144,8 @@ class DynamicOuterStrategy : public Strategy {
   /// column-j candidates into one contiguous word-parallel scan,
   /// symmetric to the row run.
   DynamicBitset removed_t_;
-  /// Pre-sized emission buffer of the flat serial branch: windows
-  /// write their run slot unconditionally and bump a cursor by
+  /// Pre-sized emission buffer of the request kernel: windows write
+  /// their run slot unconditionally and bump a cursor by
   /// (hits != 0), so zero-hit windows cost no mispredicting branch;
   /// the survivors are published with one bulk insert.
   std::vector<TaskRun> run_scratch_;

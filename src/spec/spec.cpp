@@ -84,6 +84,21 @@ void require_known_strategy(Kernel kernel, const std::string& name) {
   }
 }
 
+/// Applies the kernel's own size limit (validate(OuterConfig) /
+/// validate(MatmulConfig)), so an out-of-range n is reported here
+/// rather than after a strategy has allocated its pool.
+void require_kernel_accepts_n(Kernel kernel, std::uint32_t n) {
+  try {
+    if (kernel == Kernel::kOuter) {
+      validate(OuterConfig{n});
+    } else {
+      validate(MatmulConfig{n});
+    }
+  } catch (const std::invalid_argument& e) {
+    throw SpecError("[grid] n: " + std::string(e.what()));
+  }
+}
+
 void validate_platform(const SpeedSpec& p) {
   const auto finite_positive = [](double v) {
     return std::isfinite(v) && v > 0.0;
@@ -255,6 +270,7 @@ void validate_spec(const ScenarioSpec& s) {
   require_unique(s.ns, "[grid] n", u32_fmt);
   for (const std::uint32_t n : s.ns) {
     if (n == 0) throw SpecError("[grid] n: must be >= 1");
+    require_kernel_accepts_n(*s.kernel, n);
   }
   require_unique(s.ps, "[grid] p", u32_fmt);
   for (const std::uint32_t p : s.ps) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <vector>
 
 namespace hetsched {
@@ -125,105 +124,6 @@ TEST(DynamicBitset, WordViewResolvesGenerationClears) {
   bits.set(64);
   EXPECT_EQ(bits.word(1), 1ull);
   EXPECT_EQ(bits.word(0), 0ull);  // still stale, still reads zero
-  EXPECT_EQ(bits.word_or_zero(2), 0ull);
-  EXPECT_EQ(bits.word_or_zero(3), 0ull);  // past the array
-}
-
-TEST(DynamicBitset, ForEachSetInRangeVisitsAscending) {
-  DynamicBitset bits(200);
-  const std::vector<std::size_t> expect{3, 63, 64, 100, 127, 128, 199};
-  for (const std::size_t pos : expect) bits.set(pos);
-
-  std::vector<std::size_t> seen;
-  bits.for_each_set_in_range(0, 200, [&](std::size_t pos) {
-    seen.push_back(pos);
-  });
-  EXPECT_EQ(seen, expect);
-
-  // Sub-word clipping on both ends, including mid-word boundaries.
-  seen.clear();
-  bits.for_each_set_in_range(4, 128, [&](std::size_t pos) {
-    seen.push_back(pos);
-  });
-  EXPECT_EQ(seen, (std::vector<std::size_t>{63, 64, 100, 127}));
-
-  seen.clear();
-  bits.for_each_set_in_range(63, 64, [&](std::size_t pos) {
-    seen.push_back(pos);
-  });
-  EXPECT_EQ(seen, (std::vector<std::size_t>{63}));
-
-  // Degenerate and clamped ranges.
-  seen.clear();
-  bits.for_each_set_in_range(100, 100, [&](std::size_t pos) {
-    seen.push_back(pos);
-  });
-  bits.for_each_set_in_range(199, 500, [&](std::size_t pos) {
-    seen.push_back(pos);
-  });
-  EXPECT_EQ(seen, (std::vector<std::size_t>{199}));
-}
-
-TEST(ForEachMaskedPresent, AlignedWindowIntersects) {
-  DynamicBitset mask(70);
-  DynamicBitset absent(256);
-  mask.set(0);
-  mask.set(65);
-  mask.set(69);
-  absent.set(64 + 65);  // knocks out mask bit 65 at base 64
-  std::vector<std::size_t> seen;
-  for_each_masked_present(mask, absent, 64, [&](std::size_t pos) {
-    seen.push_back(pos);
-  });
-  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 69}));
-}
-
-TEST(ForEachMaskedPresent, MisalignedWindowGathersAcrossWords) {
-  // base = 100 puts every mask word across a 64-bit boundary of the
-  // absent set; verify against a scalar reference over random-ish bits.
-  DynamicBitset mask(150);
-  DynamicBitset absent(400);
-  for (std::size_t pos = 0; pos < 150; pos += 7) mask.set(pos);
-  for (std::size_t pos = 0; pos < 400; pos += 3) absent.set(pos);
-
-  std::vector<std::size_t> expect;
-  for (std::size_t pos = 0; pos < 150; ++pos) {
-    if (mask.test(pos) && !absent.test(100 + pos)) expect.push_back(pos);
-  }
-  std::vector<std::size_t> seen;
-  for_each_masked_present(mask, absent, 100, [&](std::size_t pos) {
-    seen.push_back(pos);
-  });
-  EXPECT_EQ(seen, expect);
-  ASSERT_FALSE(seen.empty());
-}
-
-TEST(ForEachMaskedPresent, CalleeMayRemoveVisitedBits) {
-  // The frontier removes each reported id from the pool (= sets the
-  // absent bit) while the scan is in flight; the contract is that the
-  // word window was read beforehand, so every original hit is reported.
-  DynamicBitset mask(64);
-  DynamicBitset absent(64);
-  for (std::size_t pos = 0; pos < 64; pos += 2) mask.set(pos);
-  std::vector<std::size_t> seen;
-  for_each_masked_present(mask, absent, 0, [&](std::size_t pos) {
-    absent.set(pos);
-    seen.push_back(pos);
-  });
-  EXPECT_EQ(seen.size(), 32u);
-  EXPECT_EQ(absent.count(), 32u);
-}
-
-TEST(ForEachMaskedPresent, WindowPastAbsentEndReadsClear) {
-  DynamicBitset mask(64);
-  DynamicBitset absent(32);
-  mask.set(10);
-  mask.set(40);  // base 16 + 40 = 56 is past absent.size(); reads clear
-  std::vector<std::size_t> seen;
-  for_each_masked_present(mask, absent, 16, [&](std::size_t pos) {
-    seen.push_back(pos);
-  });
-  EXPECT_EQ(seen, (std::vector<std::size_t>{10, 40}));
 }
 
 TEST(OrShifted, MatchesPerBitSetsAcrossAlignments) {
@@ -253,47 +153,6 @@ TEST(OrShifted, PreservesExistingBitsAndSurvivesClear) {
   set.or_shifted(62, 0b1);
   EXPECT_EQ(set.count(), 1u);
   EXPECT_TRUE(set.test(62));
-}
-
-TEST(ForEachMaskedPresentWord, ReportsSameBitsAsPerBitKernel) {
-  DynamicBitset mask(150);
-  DynamicBitset absent(400);
-  for (std::size_t pos = 0; pos < 150; pos += 5) mask.set(pos);
-  for (std::size_t pos = 0; pos < 400; pos += 3) absent.set(pos);
-
-  std::vector<std::size_t> expect;
-  for_each_masked_present(mask, absent, 100, [&](std::size_t pos) {
-    expect.push_back(pos);
-  });
-  std::vector<std::size_t> seen;
-  for_each_masked_present_word(
-      mask, absent, 100, [&](std::size_t word, std::uint64_t hits) {
-        ASSERT_NE(hits, 0u);
-        while (hits != 0) {
-          seen.push_back((word << 6) +
-                         static_cast<std::size_t>(std::countr_zero(hits)));
-          hits &= hits - 1;
-        }
-      });
-  EXPECT_EQ(seen, expect);
-  ASSERT_FALSE(seen.empty());
-}
-
-TEST(ForEachMaskedPresentWord, CalleeMayRetireTheReportedWindow) {
-  // The frontier ORs each hit word back into the scanned set while the
-  // scan is in flight; the window is gathered first, so every original
-  // hit is still reported and no bit twice.
-  DynamicBitset mask(128);
-  DynamicBitset absent(192);
-  for (std::size_t pos = 0; pos < 128; pos += 2) mask.set(pos);
-  std::size_t reported = 0;
-  for_each_masked_present_word(
-      mask, absent, 32, [&](std::size_t word, std::uint64_t hits) {
-        absent.or_shifted(32 + (word << 6), hits);
-        reported += static_cast<std::size_t>(std::popcount(hits));
-      });
-  EXPECT_EQ(reported, 64u);
-  EXPECT_EQ(absent.count(), 64u);
 }
 
 TEST(OrMaskIntoRange, WritesMaskAtOffset) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <set>
@@ -276,11 +277,12 @@ TEST(TaskPool, RemovedViewTracksCompactLayout) {
 }
 
 TEST(TaskPool, LazyDenseAgreesWithEagerThroughMixedOps) {
-  // Lazy-dense mode defers the swap-remove index; the observable set
-  // (size / contains / removed_view / ids) must stay identical to the
-  // eager presence-view pool through removes, inserts and a reset.
-  TaskPool lazy(200, /*presence_view=*/true, /*lazy_dense=*/true);
-  TaskPool eager(200, /*presence_view=*/true);
+  // A presence-view pool defers the swap-remove index; the observable
+  // set (size / contains / ids, and removed_view as its complement)
+  // must stay identical to the plain eager pool through removes,
+  // inserts and a reset.
+  TaskPool lazy(200, /*presence_view=*/true);
+  TaskPool eager(200);
   for (std::uint64_t id = 0; id < 200; id += 3) {
     ASSERT_EQ(lazy.remove(id), eager.remove(id)) << id;
   }
@@ -294,7 +296,7 @@ TEST(TaskPool, LazyDenseAgreesWithEagerThroughMixedOps) {
   EXPECT_EQ(lazy.size(), eager.size());
   for (std::uint64_t id = 0; id < 200; ++id) {
     ASSERT_EQ(lazy.contains(id), eager.contains(id)) << id;
-    ASSERT_EQ(lazy.removed_view().test(id), eager.removed_view().test(id));
+    ASSERT_EQ(lazy.removed_view().test(id), !eager.contains(id)) << id;
   }
   auto eager_ids = eager.ids();  // dense order is unspecified; lazy is
   std::sort(eager_ids.begin(), eager_ids.end());  // ascending
@@ -310,7 +312,7 @@ TEST(TaskPool, LazyDensePopsDrawFromAscendingRebuild) {
   // one ascending pass: pop_first yields the smallest survivor and
   // pop_random consumes exactly one draw per pop (the bit-identity
   // contract; the *values* come from the ascending layout).
-  TaskPool pool(100, /*presence_view=*/true, /*lazy_dense=*/true);
+  TaskPool pool(100, /*presence_view=*/true);
   for (std::uint64_t id = 0; id < 50; ++id) ASSERT_TRUE(pool.remove(id));
   EXPECT_EQ(pool.pop_first(), 50u);
   Rng rng_pool(42), rng_ref(42);
@@ -331,41 +333,56 @@ TEST(TaskPool, LazyDensePopsDrawFromAscendingRebuild) {
   EXPECT_EQ(rng_pool.next_u64(), rng_ref.next_u64());
 }
 
-TEST(TaskPool, RemovePresentBitsMatchesPerIdRemovalInEveryLayout) {
+TEST(TaskPool, RawWordCommitMatchesPerIdRemovalInBothLayouts) {
+  // The frontier kernels OR removal bits straight into the raw
+  // removed-set words and settle the count once per request. In both
+  // layouts that must leave the pool exactly as per-id remove() does.
   const std::uint64_t base = 60;  // straddles a word boundary
   const std::uint64_t bits = 0x8000'0000'0420'0081ull;
-  auto check = [&](TaskPool& batched, TaskPool& scalar) {
-    ASSERT_EQ(batched.size(), scalar.size());
-    batched.remove_present_bits(base, bits);
+  const std::uint64_t first = 300;  // a strided (column / face) window
+  const std::uint64_t stride = 7;
+  const std::uint64_t scattered = 0x0123'4567'89ab'cdefull;
+  auto check = [&](TaskPool& raw, TaskPool& scalar) {
+    ASSERT_EQ(raw.size(), scalar.size());
+    raw.materialize_presence();
+    std::uint64_t* const rem = raw.raw_removed_words_m();
+    rem[base >> 6] |= bits << (base & 63);
+    rem[(base >> 6) + 1] |= bits >> (64 - (base & 63));
     for (std::uint64_t b = 0; b < 64; ++b) {
       if ((bits >> b) & 1) {
         ASSERT_TRUE(scalar.remove(base + b)) << b;
       }
+      if ((scattered >> b) & 1) {
+        const std::uint64_t id = first + b * stride;
+        rem[id >> 6] |= 1ULL << (id & 63);
+        ASSERT_TRUE(scalar.remove(id)) << id;
+      }
     }
-    ASSERT_EQ(batched.size(), scalar.size());
-    for (std::uint64_t id = 0; id < 200; ++id) {
-      ASSERT_EQ(batched.contains(id), scalar.contains(id)) << id;
+    raw.commit_serial_removals(static_cast<std::uint64_t>(
+        std::popcount(bits) + std::popcount(scattered)));
+    ASSERT_EQ(raw.size(), scalar.size());
+    for (std::uint64_t id = 0; id < 1000; ++id) {
+      ASSERT_EQ(raw.contains(id), scalar.contains(id)) << id;
+    }
+    // The compact layout's ids() is its removed-set read in order, so
+    // comparing the sets spares two O(2^25) id vectors.
+    if (raw.uses_compact_layout()) {
+      ASSERT_EQ(raw.removed_view(), scalar.removed_view());
+    } else {
+      ASSERT_EQ(raw.ids(), scalar.ids());
+    }
+    Rng rng_raw(17), rng_scalar(17);
+    for (int k = 0; k < 64; ++k) {
+      ASSERT_EQ(raw.pop_random(rng_raw), scalar.pop_random(rng_scalar)) << k;
     }
   };
-  TaskPool lazy_a(200, true, true), lazy_b(200, true, true);
+  TaskPool lazy_a(1000, /*presence_view=*/true);
+  TaskPool lazy_b(1000, /*presence_view=*/true);
   check(lazy_a, lazy_b);
-  TaskPool eager_a(200, true), eager_b(200, true);
-  check(eager_a, eager_b);
-  TaskPool plain_a(200), plain_b(200);  // no presence view: per-id path
-  check(plain_a, plain_b);
   TaskPool compact_a(TaskPool::kCompactThreshold);
   TaskPool compact_b(TaskPool::kCompactThreshold);
   ASSERT_TRUE(compact_a.uses_compact_layout());
-  compact_a.remove_present_bits(base, bits);
-  for (std::uint64_t b = 0; b < 64; ++b) {
-    if ((bits >> b) & 1) {
-      ASSERT_TRUE(compact_b.remove(base + b)) << b;
-    }
-  }
-  EXPECT_EQ(compact_a.size(), compact_b.size());
-  for (std::uint64_t id = 0; id < 200; ++id) {
-    ASSERT_EQ(compact_a.contains(id), compact_b.contains(id)) << id;
-  }
+  check(compact_a, compact_b);
 }
 
 TEST(TaskPool, ResetWorksInBothLayouts) {

@@ -19,6 +19,12 @@ struct GridCase {
   double tolerance;  // relative
 };
 
+// Names each case by its fields; without this gtest puts the case's
+// raw bytes into the discovered test names.
+void PrintTo(const GridCase& c, std::ostream* os) {
+  *os << "p=" << c.p << " n=" << c.n << " tolerance=" << c.tolerance;
+}
+
 class OuterConsistencyTest : public ::testing::TestWithParam<GridCase> {};
 
 TEST_P(OuterConsistencyTest, TwoPhaseTracksAnalysisAcrossGrid) {

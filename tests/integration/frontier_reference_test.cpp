@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/task_pool.hpp"
 #include "matmul/dynamic_matrix.hpp"
 #include "matmul/matmul_problem.hpp"
 #include "outer/dynamic_outer.hpp"
@@ -289,12 +290,25 @@ TEST(FrontierReference, MatmulMatchesReferenceAfterRequeue) {
 // n / workers / seed grids, multi-word masks (n > 64) and
 // crash-requeue reps.
 
+// Takes `id` from a shadow pool if it is still there. The small grids
+// keep the pool as a std::set, the compact-layout cases (~3.6e7 ids)
+// as a std::vector<bool>.
+bool take_pooled(std::set<TaskId>& pooled, TaskId id) {
+  return pooled.erase(id) != 0;
+}
+bool take_pooled(std::vector<bool>& pooled, TaskId id) {
+  if (!pooled[id]) return false;
+  pooled[id] = false;
+  return true;
+}
+
 // Legacy per-task emission order of one outer request, recomputed from
 // the mirror: row i against J + j ascending, then column j against I
 // ascending, each taken iff still pooled.
-std::vector<TaskId> outer_expected_order(std::set<TaskId>& pooled,
-                                         const OuterMirror& m, std::uint32_t n,
-                                         std::uint32_t i, std::uint32_t j) {
+template <typename Pool>
+std::vector<TaskId> outer_expected_order(Pool& pooled, const OuterMirror& m,
+                                         std::uint32_t n, std::uint32_t i,
+                                         std::uint32_t j) {
   std::vector<TaskId> expected;
   std::vector<std::uint32_t> all_j = m.known_j;
   all_j.push_back(j);
@@ -302,7 +316,7 @@ std::vector<TaskId> outer_expected_order(std::set<TaskId>& pooled,
   std::vector<std::uint32_t> all_i = m.known_i;
   std::sort(all_i.begin(), all_i.end());
   auto try_take = [&](TaskId id) {
-    if (pooled.erase(id) != 0) expected.push_back(id);
+    if (take_pooled(pooled, id)) expected.push_back(id);
   };
   for (const std::uint32_t j2 : all_j) try_take(outer_task_id(n, i, j2));
   for (const std::uint32_t i2 : all_i) try_take(outer_task_id(n, i2, j));
@@ -314,8 +328,8 @@ std::vector<TaskId> outer_expected_order(std::set<TaskId>& pooled,
 // the j-slab runs (i2, j, ·) for i2 in I ascending, then the k-face
 // probes (i2, j2, k) for i2 in I, j2 in J ascending; every k-run scans
 // K + k ascending, every candidate taken iff still pooled.
-std::vector<TaskId> matmul_expected_order(std::set<TaskId>& pooled,
-                                          const MatmulMirror& m,
+template <typename Pool>
+std::vector<TaskId> matmul_expected_order(Pool& pooled, const MatmulMirror& m,
                                           std::uint32_t n, std::uint32_t i,
                                           std::uint32_t j, std::uint32_t k) {
   std::vector<TaskId> expected;
@@ -328,7 +342,7 @@ std::vector<TaskId> matmul_expected_order(std::set<TaskId>& pooled,
   std::sort(old_j.begin(), old_j.end());
   auto try_take = [&](std::uint32_t ti, std::uint32_t tj, std::uint32_t tk) {
     const TaskId id = matmul_task_id(n, ti, tj, tk);
-    if (pooled.erase(id) != 0) expected.push_back(id);
+    if (take_pooled(pooled, id)) expected.push_back(id);
   };
   auto k_run = [&](std::uint32_t ti, std::uint32_t tj) {
     for (const std::uint32_t tk : all_k) try_take(ti, tj, tk);
@@ -530,6 +544,138 @@ TEST(FrontierReference, MatmulRunExpansionOrderAfterRequeue) {
 
   for (int r = 0; r < 16; ++r) serve(static_cast<std::uint32_t>(r % 2));
   ASSERT_EQ(strategy.unassigned_tasks(), pooled.size());
+}
+
+// ---- Compact pool layout ----
+//
+// At >= 2^25 tasks the pool switches to its compact layout, and the
+// request kernel reads and writes that layout's raw removed-set words
+// instead. The grids above never reach it; these cases do, at the
+// smallest n that crosses the threshold. The shadow pool is a
+// std::vector<bool> (a std::set of ~3.6e7 nodes would dominate the
+// run), each request is checked twice — the allocated set against the
+// nested-loop reference and the run expansion against the legacy
+// per-task order — and one served batch is requeued mid-run.
+
+constexpr std::uint32_t kCompactOuterN = 5800;
+constexpr std::uint32_t kCompactMatmulN = 330;
+static_assert(std::uint64_t{kCompactOuterN} * kCompactOuterN >=
+              TaskPool::kCompactThreshold);
+static_assert(std::uint64_t{kCompactMatmulN} * kCompactMatmulN *
+                  kCompactMatmulN >=
+              TaskPool::kCompactThreshold);
+
+constexpr std::uint32_t kCompactWorkers = 3;
+constexpr int kCompactRequests = 60;
+constexpr int kCompactRequeueAfter = 30;
+
+std::vector<TaskId> sorted_copy(std::vector<TaskId> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(FrontierReference, OuterMatchesReferenceOnCompactLayout) {
+  const std::uint32_t n = kCompactOuterN;
+  for (const std::uint64_t seed : {1ull, 42ull}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    DynamicOuterStrategy strategy(OuterConfig{n}, kCompactWorkers, seed,
+                                  /*phase2_tasks=*/0);
+    Rng rng(derive_stream(seed, "outer.dynamic"));
+    std::vector<OuterMirror> mirror(kCompactWorkers, OuterMirror(n));
+    std::vector<bool> pooled(static_cast<std::size_t>(n) * n, true);
+    std::uint64_t pooled_count = pooled.size();
+
+    Assignment out;
+    for (int r = 0; r < kCompactRequests; ++r) {
+      const auto w = static_cast<std::uint32_t>(r % kCompactWorkers);
+      OuterMirror& m = mirror[w];
+      ASSERT_TRUE(strategy.on_request(w, out));
+      const std::uint32_t i = mirror_pick(rng, m.unknown_i);
+      const std::uint32_t j = mirror_pick(rng, m.unknown_j);
+      // Nested-loop set: row i against J + j, column j against I.
+      std::vector<TaskId> expected_set;
+      const auto probe = [&](TaskId id) {
+        if (pooled[id]) expected_set.push_back(id);
+      };
+      probe(outer_task_id(n, i, j));
+      for (const std::uint32_t j2 : m.known_j) probe(outer_task_id(n, i, j2));
+      for (const std::uint32_t i2 : m.known_i) probe(outer_task_id(n, i2, j));
+      const std::vector<TaskId> expected =
+          outer_expected_order(pooled, m, n, i, j);
+      m.known_i.push_back(i);
+      m.known_j.push_back(j);
+
+      const std::vector<TaskId> actual = expand_tasks_checked(out);
+      ASSERT_EQ(sorted_copy(actual), sorted_copy(expected_set));
+      ASSERT_EQ(actual, expected);
+      pooled_count -= actual.size();
+      if (r == kCompactRequeueAfter) {
+        // Crash path: this whole batch goes back to the pool.
+        ASSERT_TRUE(strategy.requeue(actual));
+        for (const TaskId id : actual) pooled[id] = true;
+        pooled_count += actual.size();
+      }
+      ASSERT_EQ(strategy.unassigned_tasks(), pooled_count);
+    }
+  }
+}
+
+TEST(FrontierReference, MatmulMatchesReferenceOnCompactLayout) {
+  const std::uint32_t n = kCompactMatmulN;
+  for (const std::uint64_t seed : {1ull, 42ull}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    DynamicMatrixStrategy strategy(MatmulConfig{n}, kCompactWorkers, seed,
+                                   /*phase2_tasks=*/0);
+    Rng rng(derive_stream(seed, "matmul.dynamic"));
+    std::vector<MatmulMirror> mirror(kCompactWorkers, MatmulMirror(n));
+    std::vector<bool> pooled(static_cast<std::size_t>(n) * n * n, true);
+    std::uint64_t pooled_count = pooled.size();
+
+    Assignment out;
+    for (int r = 0; r < kCompactRequests; ++r) {
+      const auto w = static_cast<std::uint32_t>(r % kCompactWorkers);
+      MatmulMirror& m = mirror[w];
+      ASSERT_TRUE(strategy.on_request(w, out));
+      const std::uint32_t i = mirror_pick(rng, m.unknown_i);
+      const std::uint32_t j = mirror_pick(rng, m.unknown_j);
+      const std::uint32_t k = mirror_pick(rng, m.unknown_k);
+      // Nested-loop set: all of (I+i) x (J+j) x (K+k) with at least
+      // one new coordinate, each taken iff still pooled.
+      std::vector<std::uint32_t> all_i = m.known_i;
+      std::vector<std::uint32_t> all_j = m.known_j;
+      std::vector<std::uint32_t> all_k = m.known_k;
+      all_i.push_back(i);
+      all_j.push_back(j);
+      all_k.push_back(k);
+      std::vector<TaskId> expected_set;
+      for (const std::uint32_t ti : all_i) {
+        for (const std::uint32_t tj : all_j) {
+          for (const std::uint32_t tk : all_k) {
+            if (ti != i && tj != j && tk != k) continue;
+            const TaskId id = matmul_task_id(n, ti, tj, tk);
+            if (pooled[id]) expected_set.push_back(id);
+          }
+        }
+      }
+      const std::vector<TaskId> expected =
+          matmul_expected_order(pooled, m, n, i, j, k);
+      m.known_i.push_back(i);
+      m.known_j.push_back(j);
+      m.known_k.push_back(k);
+
+      const std::vector<TaskId> actual = expand_tasks_checked(out);
+      ASSERT_EQ(sorted_copy(actual), sorted_copy(expected_set));
+      ASSERT_EQ(actual, expected);
+      pooled_count -= actual.size();
+      if (r == kCompactRequeueAfter) {
+        // Crash path: this whole batch goes back to the pool.
+        ASSERT_TRUE(strategy.requeue(actual));
+        for (const TaskId id : actual) pooled[id] = true;
+        pooled_count += actual.size();
+      }
+      ASSERT_EQ(strategy.unassigned_tasks(), pooled_count);
+    }
+  }
 }
 
 }  // namespace

@@ -21,6 +21,12 @@ struct MatmulCase {
   std::uint32_t p;
 };
 
+// Without this gtest prints the raw bytes of the case, string pointer
+// included, and the discovered test names change with the load address.
+void PrintTo(const MatmulCase& c, std::ostream* os) {
+  *os << c.strategy << " n=" << c.n << " p=" << c.p;
+}
+
 class MatmulInvariantTest : public ::testing::TestWithParam<MatmulCase> {};
 
 TEST_P(MatmulInvariantTest, SimulationSatisfiesKernelInvariants) {

@@ -23,6 +23,12 @@ struct OuterCase {
   std::uint32_t p;
 };
 
+// Without this gtest prints the raw bytes of the case, string pointer
+// included, and the discovered test names change with the load address.
+void PrintTo(const OuterCase& c, std::ostream* os) {
+  *os << c.strategy << " n=" << c.n << " p=" << c.p;
+}
+
 class OuterInvariantTest : public ::testing::TestWithParam<OuterCase> {};
 
 TEST_P(OuterInvariantTest, SimulationSatisfiesKernelInvariants) {

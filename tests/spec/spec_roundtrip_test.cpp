@@ -156,6 +156,14 @@ TEST(SpecRoundtrip, ValidationCatchesBadSpecs) {
   invalid([](ScenarioSpec& s) { s.strategies = {"NoSuchStrategy"}; });
   invalid([](ScenarioSpec& s) { s.strategies = {"DynamicMatrix"}; });  // kernel mismatch
   invalid([](ScenarioSpec& s) { s.ns = {0}; });
+  // Past the kernel's own size limit (validate(OuterConfig) /
+  // validate(MatmulConfig)).
+  invalid([](ScenarioSpec& s) { s.ns = {(1u << 20) + 1}; });
+  invalid([](ScenarioSpec& s) {
+    s.kernel = Kernel::kMatmul;
+    s.strategies = {"DynamicMatrix"};
+    s.ns = {1025};
+  });
   invalid([](ScenarioSpec& s) { s.ps = {10, 10}; });
   invalid([](ScenarioSpec& s) { s.phase2s = {1.5}; });
   invalid([](ScenarioSpec& s) { s.phase2s = {0.0}; });
