@@ -5,7 +5,7 @@
 // a bounded set of worker threads (each experiment is internally
 // deterministic, so concurrency cannot change results) — and reported
 // as one JSON document. This is the "reproduce everything with one
-// command" entry point used by bench/campaign_paper.
+// command" entry point behind `hetsched_cli campaign`.
 #pragma once
 
 #include <cstdint>

@@ -60,7 +60,7 @@ CholeskyGraph build_cholesky_graph(std::uint32_t tiles,
       task.kind = "POTRF";
       task.work = weights.potrf;
       task.inputs = {akk};
-      task.outputs = {akk};
+      task.output = akk;
       dep_on(task.deps, akk);
       last_writer[akk] = g.add_task(std::move(task));
     }
@@ -72,7 +72,7 @@ CholeskyGraph build_cholesky_graph(std::uint32_t tiles,
       task.kind = "TRSM";
       task.work = weights.trsm;
       task.inputs = {akk, aik};
-      task.outputs = {aik};
+      task.output = aik;
       dep_on(task.deps, akk);
       dep_on(task.deps, aik);
       last_writer[aik] = g.add_task(std::move(task));
@@ -86,7 +86,7 @@ CholeskyGraph build_cholesky_graph(std::uint32_t tiles,
         task.kind = "SYRK";
         task.work = weights.syrk;
         task.inputs = {ajk, ajj};
-        task.outputs = {ajj};
+        task.output = ajj;
         dep_on(task.deps, ajk);
         dep_on(task.deps, ajj);
         last_writer[ajj] = g.add_task(std::move(task));
@@ -99,7 +99,7 @@ CholeskyGraph build_cholesky_graph(std::uint32_t tiles,
         task.kind = "GEMM";
         task.work = weights.gemm;
         task.inputs = {aik, ajk, aij};
-        task.outputs = {aij};
+        task.output = aij;
         dep_on(task.deps, aik);
         dep_on(task.deps, ajk);
         dep_on(task.deps, aij);

@@ -60,7 +60,7 @@ CholeskyExecResult execute_cholesky_order(const CholeskyGraph& cholesky,
   for (const DagTaskId id : order) {
     const DagTask& task = graph.task(id);
     if (task.kind == "POTRF") {
-      const auto [k, k2] = cholesky.tile_coords(task.outputs[0]);
+      const auto [k, k2] = cholesky.tile_coords(task.output);
       (void)k2;
       if (!potrf_block(work.block(k, k), l)) {
         throw std::runtime_error(
@@ -68,26 +68,26 @@ CholeskyExecResult execute_cholesky_order(const CholeskyGraph& cholesky,
             "order?)");
       }
     } else if (task.kind == "TRSM") {
-      const auto [i, k] = cholesky.tile_coords(task.outputs[0]);
+      const auto [i, k] = cholesky.tile_coords(task.output);
       trsm_block(work.block(k, k), work.block(i, k), l);
     } else if (task.kind == "SYRK") {
-      const auto [j, j2] = cholesky.tile_coords(task.outputs[0]);
+      const auto [j, j2] = cholesky.tile_coords(task.output);
       (void)j2;
       // The panel input is the non-diagonal input tile.
-      TileId panel = task.inputs[0] == task.outputs[0] ? task.inputs[1]
-                                                   : task.inputs[0];
+      TileId panel = task.inputs[0] == task.output ? task.inputs[1]
+                                               : task.inputs[0];
       const auto [pi, pk] = cholesky.tile_coords(panel);
       (void)pi;
       syrk_block(work.block(j, pk), work.block(j, j), l);
     } else if (task.kind == "GEMM") {
-      const auto [i, j] = cholesky.tile_coords(task.outputs[0]);
+      const auto [i, j] = cholesky.tile_coords(task.output);
       // Inputs: A(i,k), A(j,k), A(i,j); recover k from the input that is
       // neither the output nor in row j ... simpler: find the two panel
       // tiles by excluding the output.
       std::uint32_t k = 0;
       bool found = false;
       for (const TileId input : task.inputs) {
-        if (input == task.outputs[0]) continue;
+        if (input == task.output) continue;
         const auto [r, c] = cholesky.tile_coords(input);
         if (r == i) {
           k = c;

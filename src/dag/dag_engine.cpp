@@ -153,9 +153,9 @@ class DagEngine final : public EventCoreClient {
     const auto task = static_cast<DagTaskId>(core_->worker(k).current);
     result_.completion_order.push_back(task);
 
-    // Write-invalidate: the writer keeps the only valid copy of every
+    // Write-invalidate: the writer keeps the only valid copy of the
     // tile it produced.
-    for (const TileId out : graph_.task(task).outputs) {
+    if (const TileId out = graph_.task(task).output; out != kNoTile) {
       for (std::uint32_t other = 0; other < core_->num_workers(); ++other) {
         if (other != k) caches_[other].reset(out);
       }

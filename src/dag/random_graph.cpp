@@ -62,12 +62,12 @@ TaskGraph build_random_graph(const RandomGraphConfig& config,
         // Write one of the inputs (in-place update, the common case in
         // the factorizations); also depend on its pre-layer writer.
         const TileId out = task.inputs[rng.next_below(task.inputs.size())];
-        task.outputs = {out};
+        task.output = out;
       }
 
       const DagTaskId id = g.add_task(std::move(task));
-      if (!g.task(id).outputs.empty()) {
-        layer_writes.push_back({g.task(id).outputs[0], id});
+      if (g.task(id).output != kNoTile) {
+        layer_writes.push_back({g.task(id).output, id});
       }
     }
     // Publish this layer's writes; later writes to the same tile win

@@ -23,10 +23,8 @@ DagTaskId TaskGraph::add_task(DagTask task) {
       throw std::invalid_argument("TaskGraph::add_task: unknown input tile");
     }
   }
-  for (const TileId tile : task.outputs) {
-    if (tile >= num_tiles_) {
-      throw std::invalid_argument("TaskGraph::add_task: unknown output tile");
-    }
+  if (task.output != kNoTile && task.output >= num_tiles_) {
+    throw std::invalid_argument("TaskGraph::add_task: unknown output tile");
   }
   if (!(task.work > 0.0)) {
     throw std::invalid_argument("TaskGraph::add_task: work must be positive");

@@ -1,10 +1,13 @@
 // A task graph with data footprints: the substrate for extending the
 // paper's data-aware dynamic scheduling to kernels *with* dependencies
-// (the conclusion names tiled Cholesky/QR as the natural next step).
+// (the conclusion names tiled factorizations as the natural next step;
+// tiled Cholesky is the one built here).
 //
-// Each task reads a set of tiles, writes (at most) one tile, and has a
-// work weight in the same unit as the engine's (a unit-speed worker
-// performs one unit of work per time unit).
+// Each task reads a set of tiles, writes at most one tile (`output`,
+// kNoTile when it writes nothing; an in-place update lists the tile
+// among its inputs too), and has a work weight in the same unit as the
+// engine's (a unit-speed worker performs one unit of work per time
+// unit).
 #pragma once
 
 #include <cstdint>
@@ -23,16 +26,8 @@ struct DagTask {
   std::string kind;                // kernel name (POTRF, GEMM, ...)
   double work = 1.0;               // relative cost
   std::vector<TileId> inputs;      // tiles read
-  std::vector<TileId> outputs;     // tiles written (may also be inputs;
-                                   // QR kernels write two tiles)
+  TileId output = kNoTile;         // tile written, or kNoTile
   std::vector<DagTaskId> deps;     // predecessor task ids
-
-  bool writes(TileId tile) const noexcept {
-    for (const TileId out : outputs) {
-      if (out == tile) return true;
-    }
-    return false;
-  }
 };
 
 class TaskGraph {

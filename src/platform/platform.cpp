@@ -29,7 +29,15 @@ double Platform::alpha(std::size_t k) const noexcept {
 
 Platform make_platform(const SpeedModel& model, std::size_t p, Rng& rng) {
   std::vector<double> speeds(p);
-  for (auto& s : speeds) s = model.draw(rng);
+  if (const auto* list = dynamic_cast<const FixedListSpeeds*>(&model)) {
+    // Replayed from its start, not through draw()'s cursor: the reps of
+    // one experiment share the model across threads, and each must see
+    // the same platform.
+    const std::vector<double>& values = list->speeds();
+    for (std::size_t k = 0; k < p; ++k) speeds[k] = values[k % values.size()];
+  } else {
+    for (auto& s : speeds) s = model.draw(rng);
+  }
   return Platform(std::move(speeds));
 }
 

@@ -35,7 +35,8 @@ class Platform {
   double total_ = 0.0;
 };
 
-/// Draws a p-worker platform from a speed model.
+/// Draws a p-worker platform from a speed model. A FixedListSpeeds
+/// model gives speeds[k % size] to worker k on every call.
 Platform make_platform(const SpeedModel& model, std::size_t p, Rng& rng);
 
 /// A p-worker platform with all speeds equal (the Section 3.6

@@ -72,9 +72,9 @@ class TwoClassSpeeds final : public SpeedModel {
 /// (Figures 2, 6, 11) where the paper fixes one arbitrary speed vector
 /// and sweeps a strategy parameter.
 ///
-/// The replay cursor is internal mutable state: do not share one
-/// instance across concurrently running experiments (Campaign entries
-/// should each construct their own).
+/// The replay cursor is internal mutable state: do not call draw() on
+/// one instance from several threads. make_platform() does not use it;
+/// it replays the list from its start for every platform.
 class FixedListSpeeds final : public SpeedModel {
  public:
   explicit FixedListSpeeds(std::vector<double> speeds);

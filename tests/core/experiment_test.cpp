@@ -200,6 +200,27 @@ TEST(RunExperiment, BitIdenticalAcrossParallelism) {
   }
 }
 
+TEST(RunExperiment, FixedListScenarioReplaysTheListInEveryRep) {
+  // The single-draw figures (2, 6, 11) share one FixedListSpeeds across
+  // parallel reps: every rep must get the same platform, however the
+  // reps interleave and whether or not p is a multiple of the list.
+  ExperimentConfig config;
+  config.kernel = Kernel::kOuter;
+  config.strategy = "DynamicOuter2Phases";
+  config.n = 20;
+  config.p = 4;
+  config.reps = 12;
+  config.scenario = Scenario{
+      "fixed", std::make_shared<FixedListSpeeds>(
+                   std::vector<double>{10.0, 20.0, 30.0}),
+      PerturbationModel{}};
+  config.parallelism = 4;
+  const ExperimentResult result = run_experiment(config);
+  for (const RepOutcome& rep : result.reps) {
+    EXPECT_EQ(rep.speeds, (std::vector<double>{10.0, 20.0, 30.0, 10.0}));
+  }
+}
+
 TEST(RunExperiment, ReportsEngineObservability) {
   ExperimentConfig config;
   config.kernel = Kernel::kOuter;

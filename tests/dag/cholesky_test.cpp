@@ -91,7 +91,7 @@ TEST(CholeskyGraph, DependenciesRespectDataFlow) {
       // Find the most recent writer of `tile` among tasks before t.
       DagTaskId writer = kNoTile;
       for (DagTaskId u = 0; u < t; ++u) {
-        if (g.task(u).writes(tile)) writer = u;
+        if (g.task(u).output == tile) writer = u;
       }
       if (writer != kNoTile) {
         const auto& deps = g.task(t).deps;

@@ -14,7 +14,7 @@ TaskGraph chain_graph(int length) {
     task.kind = "STEP";
     task.work = 1.0;
     task.inputs = {tile};
-    task.outputs = {tile};
+    task.output = tile;
     if (t > 0) task.deps = {prev};
     prev = g.add_task(std::move(task));
   }
@@ -94,7 +94,7 @@ TEST(TaskGraph, RejectsUnknownTiles) {
   DagTask task2;
   task2.kind = "T";
   task2.work = 1.0;
-  task2.outputs = {3};
+  task2.output = 3;
   EXPECT_THROW(g.add_task(std::move(task2)), std::invalid_argument);
 }
 

@@ -40,8 +40,6 @@
 #include "core/report.hpp"
 #include "dag/cholesky.hpp"
 #include "dag/dag_engine.hpp"
-#include "dag/lu.hpp"
-#include "dag/qr.hpp"
 #include "obs/analyze.hpp"
 #include "obs/export.hpp"
 #include "obs/instrument.hpp"
@@ -103,7 +101,7 @@ int usage() {
       "  partition  static 7/4 rectangle partition for explicit speeds\n"
       "             --speeds=10,40,25,25 [--n=100]\n"
       "  dag        compare ready-task policies on a factorization graph\n"
-      "             --factorization=cholesky|qr|lu [--tiles=16] [--p=8]\n"
+      "             --factorization=cholesky [--tiles=16] [--p=8]\n"
       "             [--reps=3] [--seed=]\n"
       "             [--events-out=FILE] [--policy=NAME] record one traced\n"
       "                                  rep of NAME as hetsched-trace/1\n"
@@ -378,17 +376,11 @@ int cmd_dag(const CliArgs& args) {
   const auto reps = static_cast<std::uint32_t>(args.get_int("reps", 3));
   const std::uint64_t seed = args.get_int("seed", 42);
 
-  TaskGraph graph;
-  if (fact == "cholesky") {
-    graph = build_cholesky_graph(tiles).graph;
-  } else if (fact == "qr") {
-    graph = build_qr_graph(tiles).graph;
-  } else if (fact == "lu") {
-    graph = build_lu_graph(tiles).graph;
-  } else {
+  if (fact != "cholesky") {
     std::cerr << "dag: unknown factorization " << fact << "\n";
     return 2;
   }
+  const TaskGraph graph = build_cholesky_graph(tiles).graph;
   std::cout << fact << " T=" << tiles << ": " << graph.num_tasks()
             << " tasks, " << graph.num_tiles() << " tiles, critical path "
             << graph.critical_path() << "\n";
