@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 
 namespace hetsched {
 
@@ -13,9 +12,7 @@ constexpr std::size_t words_for(std::size_t n_bits) {
 }  // namespace
 
 DynamicBitset::DynamicBitset(std::size_t n_bits, bool value)
-    : n_bits_(n_bits),
-      words_(words_for(n_bits), value ? ~0ULL : 0ULL),
-      gen_(words_for(n_bits), 0) {
+    : n_bits_(n_bits), words_(words_for(n_bits), value ? ~0ULL : 0ULL) {
   if (value && n_bits_ % 64 != 0 && !words_.empty()) {
     // Keep bits past the logical end clear so count()/all() stay exact.
     words_.back() &= (1ULL << (n_bits_ % 64)) - 1;
@@ -24,46 +21,25 @@ DynamicBitset::DynamicBitset(std::size_t n_bits, bool value)
 
 std::size_t DynamicBitset::count() const noexcept {
   std::size_t total = 0;
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    total += static_cast<std::size_t>(std::popcount(logical_word(w)));
+  for (const std::uint64_t w : words_) {
+    total += static_cast<std::size_t>(std::popcount(w));
   }
   return total;
 }
 
 bool DynamicBitset::none() const noexcept {
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    if (logical_word(w) != 0) return false;
-  }
-  return true;
+  return std::all_of(words_.begin(), words_.end(),
+                     [](std::uint64_t w) { return w == 0; });
 }
 
 bool DynamicBitset::all() const noexcept { return count() == n_bits_; }
 
 void DynamicBitset::clear() noexcept {
-  if (gen_id_ == std::numeric_limits<std::uint32_t>::max()) {
-    // Stamp wrap-around (once per 2^32 clears): fall back to the eager
-    // fill so stale stamps from 2^32 generations ago cannot alias.
-    std::fill(words_.begin(), words_.end(), 0ULL);
-    std::fill(gen_.begin(), gen_.end(), 0u);
-    gen_id_ = 0;
-    return;
-  }
-  ++gen_id_;
-}
-
-void DynamicBitset::materialize() noexcept {
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    if (gen_[w] != gen_id_) {
-      gen_[w] = gen_id_;
-      words_[w] = 0;
-    }
-  }
+  std::fill(words_.begin(), words_.end(), 0ULL);
 }
 
 void DynamicBitset::resize(std::size_t n_bits) {
-  materialize();
   words_.resize(words_for(n_bits), 0ULL);
-  gen_.resize(words_for(n_bits), gen_id_);
   if (n_bits < n_bits_ && n_bits % 64 != 0 && !words_.empty()) {
     words_.back() &= (1ULL << (n_bits % 64)) - 1;
   }
@@ -74,7 +50,7 @@ std::size_t DynamicBitset::find_next_zero(std::size_t from) const noexcept {
   if (from >= n_bits_) return n_bits_;
   std::size_t w = from >> 6;
   // Mask off bits below `from` in the first word so they read as set.
-  std::uint64_t inverted = ~logical_word(w) & (~0ULL << (from & 63));
+  std::uint64_t inverted = ~words_[w] & (~0ULL << (from & 63));
   for (;;) {
     if (inverted != 0) {
       const std::size_t pos =
@@ -83,16 +59,8 @@ std::size_t DynamicBitset::find_next_zero(std::size_t from) const noexcept {
       return pos < n_bits_ ? pos : n_bits_;
     }
     if (++w == words_.size()) return n_bits_;
-    inverted = ~logical_word(w);
+    inverted = ~words_[w];
   }
-}
-
-bool operator==(const DynamicBitset& a, const DynamicBitset& b) {
-  if (a.n_bits_ != b.n_bits_) return false;
-  for (std::size_t w = 0; w < a.words_.size(); ++w) {
-    if (a.logical_word(w) != b.logical_word(w)) return false;
-  }
-  return true;
 }
 
 }  // namespace hetsched

@@ -8,13 +8,14 @@
 // all three. Ids enter once at construction and only ever leave, which
 // also lets lexicographic extraction run behind a monotone cursor.
 //
-// The index is two plain uint32 arrays (4 B per side per id). A
-// generation-stamped layout was tried for O(1) reset() and rejected:
-// doubling the entry to 8 B doubles the randomly-accessed footprint,
-// costing ~25-40% per pop at 10^6 ids, while reset() is a streaming
-// identity rewrite that vectorizes to ~1-2 ms at that size — and every
-// replication drains the whole pool anyway, so there is no "mostly
-// untouched" state for lazy stamps to exploit.
+// The index is plain uint32 (4 B per side per id), ids and positions
+// sharing one allocation (see allocate()). A generation-stamped layout
+// was tried for O(1) reset() and rejected: doubling the entry to 8 B
+// doubles the randomly-accessed footprint, costing ~25-40% per pop at
+// 10^6 ids, while reset() is a streaming identity rewrite that
+// vectorizes to ~1-2 ms at that size — and every replication drains
+// the whole pool anyway, so there is no "mostly untouched" state for
+// lazy stamps to exploit.
 //
 // Positions and ids are stored as uint32 with ~0u reserved as the
 // absent marker, so capacities must stay below 2^32-1; the constructor
@@ -44,11 +45,11 @@ class SwapRemovePool {
 
   std::uint64_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
-  std::uint64_t capacity_ids() const noexcept { return position_.size(); }
+  std::uint64_t capacity_ids() const noexcept { return capacity_; }
 
   bool contains(std::uint64_t id) const noexcept {
     if (index_dirty_) reindex();
-    return id < position_.size() && position_[id] != kAbsent;
+    return id < capacity_ && pos_of(id) != kAbsent;
   }
 
   /// Removes id if present; returns whether it was present. Defined
@@ -56,12 +57,12 @@ class SwapRemovePool {
   /// dynamic strategy.
   bool remove(std::uint64_t id) noexcept {
     if (!contains(id)) return false;
-    const std::uint32_t pos = position_[id];
-    const std::uint32_t last = ids_[size_ - 1];
-    ids_[pos] = last;
-    position_[last] = pos;
+    const std::uint32_t pos = pos_of(id);
+    const std::uint32_t last = id_at(size_ - 1);
+    id_at(pos) = last;
+    pos_of(last) = pos;
     --size_;
-    position_[id] = kAbsent;
+    pos_of(id) = kAbsent;
     return true;
   }
 
@@ -77,12 +78,12 @@ class SwapRemovePool {
     if (size_ == 0) throw_empty("SwapRemovePool::pop_random: pool is empty");
     if (index_dirty_) reindex();
     const auto pos = static_cast<std::uint32_t>(rng.next_below(size_));
-    const std::uint32_t id = ids_[pos];
-    const std::uint32_t last = ids_[size_ - 1];
-    ids_[pos] = last;
-    position_[last] = pos;
+    const std::uint32_t id = id_at(pos);
+    const std::uint32_t last = id_at(size_ - 1);
+    id_at(pos) = last;
+    pos_of(last) = pos;
     --size_;
-    position_[id] = kAbsent;
+    pos_of(id) = kAbsent;
     return id;
   }
 
@@ -96,8 +97,8 @@ class SwapRemovePool {
   std::uint64_t pop_random_unindexed(Rng& rng) {
     if (size_ == 0) throw_empty("SwapRemovePool::pop_random: pool is empty");
     const auto pos = static_cast<std::uint32_t>(rng.next_below(size_));
-    const std::uint32_t id = ids_[pos];
-    ids_[pos] = ids_[size_ - 1];
+    const std::uint32_t id = id_at(pos);
+    id_at(pos) = id_at(size_ - 1);
     --size_;
     index_dirty_ = true;
     return id;
@@ -112,12 +113,13 @@ class SwapRemovePool {
   /// blocks retained, so no allocation).
   void reset() noexcept;
 
-  /// Rebuilds the pool to hold exactly the *clear* bits of `removed`
-  /// (which must be capacity_ids() bits wide), ascending, with a fresh
-  /// index. One O(capacity) streaming pass over preallocated storage —
-  /// no allocation. Backs TaskPool's presence-view mode, where removals
-  /// touch only the bitset and this reconciles before the next pop.
-  void refill_present(const DynamicBitset& removed) noexcept;
+  /// Rebuilds the pool over removed.size() ids to hold exactly the
+  /// *clear* bits of `removed`, ascending, with a fresh index. One
+  /// O(capacity) streaming pass; it allocates only when removed.size()
+  /// differs from capacity_ids() (a default-constructed pool's first
+  /// refill). Backs TaskPool's presence-view mode, where removals touch
+  /// only the bitset and this reconciles before the next pop.
+  void refill_present(const DynamicBitset& removed);
 
   /// Present ids in unspecified order (for inspection/testing).
   std::vector<std::uint64_t> ids() const;
@@ -127,19 +129,33 @@ class SwapRemovePool {
 
   [[noreturn]] static void throw_empty(const char* what);
 
+  /// Sizes the storage for n ids; throws std::length_error past
+  /// kMaxCapacity.
+  void allocate(std::uint64_t n);
+
   void fill_identity() noexcept;
 
-  /// Recomputes position_ from the (always current) ids_ prefix after
+  /// The id at position p of the id array.
+  std::uint32_t& id_at(std::uint64_t p) const noexcept { return slots_[p]; }
+  /// Position of `id` in the id array, kAbsent if gone.
+  std::uint32_t& pos_of(std::uint64_t id) const noexcept {
+    return slots_[capacity_ + id];
+  }
+
+  /// Recomputes the positions from the (always current) id prefix after
   /// unindexed pops. Produces exactly the state an indexed pop
   /// sequence would have left. const (with mutable index state) so
   /// contains() can self-heal.
   void reindex() const noexcept;
 
-  std::vector<std::uint32_t> ids_;  // dense array of present ids [0, size_)
-  /// id -> index in ids_, kAbsent if gone; lazily rebuilt after
-  /// pop_random_unindexed (mutable: contains() self-heals).
-  mutable std::vector<std::uint32_t> position_;
-  std::uint64_t size_ = 0;          // live prefix of ids_
+  /// [0, capacity_): the dense array of present ids, live prefix
+  /// [0, size_). [capacity_, 2 capacity_): id -> position, lazily
+  /// rebuilt after pop_random_unindexed (mutable: contains() self-heals).
+  /// Addressed by offset, not by pointers into the block, so copies and
+  /// moves stay valid.
+  mutable std::vector<std::uint32_t> slots_;
+  std::uint64_t capacity_ = 0;
+  std::uint64_t size_ = 0;          // live prefix of the id array
   std::uint64_t first_cursor_ = 0;  // lower bound for pop_first scan
   mutable bool index_dirty_ = false;
 };

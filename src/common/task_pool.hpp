@@ -1,8 +1,8 @@
 // Task pools for the master's unprocessed-task set, at two scales.
 //
-// SwapRemovePool (dense id->position index, ~16 bytes/task) is exact
+// SwapRemovePool (dense id->position index, 8 bytes/task) is exact
 // and fast but 10^9 tasks — matrix multiplication at N/l = 1000 — would
-// need >10 GB. CompactTaskPool stores the same set in ~1.5 bits/task: a
+// need 8 GB. CompactTaskPool stores the same set in ~1 bit/task: a
 // removed-bitset plus, once the pool has drained far enough that
 // rejection sampling would start to spin, a one-time compaction of the
 // survivors into a dense tail array. TaskPool is the facade strategies
@@ -23,9 +23,9 @@
 
 namespace hetsched {
 
-/// Bitset-backed pool for huge id ranges: 1 bit/id for membership plus
-/// 0.5 bit/id of generation stamps (inside DynamicBitset), plus a dense
-/// tail of at most capacity/kCompactDivisor ids after compaction.
+/// Bitset-backed pool for huge id ranges: 1 bit/id for membership, plus
+/// a dense tail of at most capacity/kCompactDivisor ids after
+/// compaction.
 ///
 /// pop_random draws uniformly by rejection over [0, capacity) while the
 /// pool is dense enough (expected < 2 draws above 50% occupancy), then
@@ -56,12 +56,10 @@ class CompactTaskPool {
   bool remove(std::uint64_t id) noexcept;
 
   /// Raw removed-set words and their bulk commit, for the frontier
-  /// kernels; see TaskPool::raw_removed_words_m. Stale tail entries
+  /// kernels; see TaskPool::raw_removed_words. Stale tail entries
   /// of ids removed this way are pruned lazily by pop_random, exactly
   /// as after remove().
-  std::uint64_t* raw_removed_words_m() noexcept {
-    return removed_.raw_words_m();
-  }
+  std::uint64_t* raw_removed_words() noexcept { return removed_.raw_words(); }
   void commit_removals(std::uint64_t taken) noexcept { size_ -= taken; }
 
   /// Re-inserts a previously removed id (task requeue after a worker
@@ -89,11 +87,8 @@ class CompactTaskPool {
   /// eagerly). Valid until the next non-const call.
   const DynamicBitset& removed_view() const noexcept { return removed_; }
 
-  /// See TaskPool::materialize_presence.
-  void materialize_presence() noexcept { removed_.materialize_all(); }
-
-  /// Refills with ids 0..capacity-1 in O(1) (generation bump in the
-  /// bitset; the tail keeps its heap block).
+  /// Refills with ids 0..capacity-1: one fill of the bitset's words;
+  /// the tail keeps its heap block.
   void reset();
 
   /// Present ids in ascending order. O(capacity) scan — inspection and
@@ -125,7 +120,7 @@ class TaskPool {
   /// Fills the pool with ids 0..n-1. `presence_view` keeps a word-level
   /// removed-bitset over the dense layout (the compact layout is that
   /// bitset, so the flag costs nothing there), which the data-aware
-  /// strategies scan via removed_view() / raw_removed_words_m(). Off
+  /// strategies scan via removed_view() / raw_removed_words(). Off
   /// by default: the pointwise strategies never scan and keep the
   /// eager swap-remove index.
   ///
@@ -133,20 +128,24 @@ class TaskPool {
   /// touch only the removed-bitset and a live counter — one L1 bit
   /// write instead of 2-3 random index lines — and the swap-remove
   /// arrays are reconciled in one streaming O(capacity) pass at the
-  /// next pop. The data-aware strategies' steady state is long
+  /// next pop. The index is first built (and allocated) at the first
+  /// pop, not here. The data-aware strategies' steady state is long
   /// remove-only stretches (phase 1) followed by pop-only stretches
   /// (phase 2/fallback), so each stretch pays at most one rebuild. RNG
   /// consumption is that of the plain pool (1 draw per pop), but pops
   /// after a rebuild draw from an ascending-id layout rather than the
   /// swap-scrambled one, so the popped *values* differ from it.
   explicit TaskPool(std::uint64_t n, bool presence_view = false)
-      : compact_(n >= kCompactThreshold), lazy_(presence_view && !compact_) {
+      : compact_(n >= kCompactThreshold),
+        lazy_(presence_view && !compact_),
+        dense_stale_(lazy_) {
     if (compact_) {
       large_ = CompactTaskPool(n);
+    } else if (lazy_) {
+      dense_removed_ = DynamicBitset(n);
+      lazy_live_ = n;
     } else {
       dense_ = SwapRemovePool(n);
-      if (lazy_) dense_removed_ = DynamicBitset(n);
-      lazy_live_ = n;
     }
   }
 
@@ -155,7 +154,8 @@ class TaskPool {
   }
   bool empty() const noexcept { return size() == 0; }
   std::uint64_t capacity_ids() const noexcept {
-    return compact_ ? large_.capacity_ids() : dense_.capacity_ids();
+    if (compact_) return large_.capacity_ids();
+    return lazy_ ? dense_removed_.size() : dense_.capacity_ids();
   }
   bool contains(std::uint64_t id) const noexcept {
     if (compact_) return large_.contains(id);
@@ -175,14 +175,13 @@ class TaskPool {
   }
   /// Raw removed-set words (bit set <=> id absent) for the data-aware
   /// strategies' frontier kernels, in both layouts. Requires
-  /// has_presence_view() and materialize_presence() since the last
-  /// reset(). The caller scans and ORs removal bits directly — every
-  /// bit it sets must name a present id — then settles the bookkeeping
-  /// in one step with commit_serial_removals(total bits set).
-  std::uint64_t* raw_removed_words_m() noexcept {
-    assert(has_presence_view() && "raw_removed_words_m needs a presence view");
-    return compact_ ? large_.raw_removed_words_m()
-                    : dense_removed_.raw_words_m();
+  /// has_presence_view(). The caller scans and ORs removal bits
+  /// directly — every bit it sets must name a present id — then settles
+  /// the bookkeeping in one step with commit_serial_removals(total bits
+  /// set).
+  std::uint64_t* raw_removed_words() noexcept {
+    assert(has_presence_view() && "raw_removed_words needs a presence view");
+    return compact_ ? large_.raw_removed_words() : dense_removed_.raw_words();
   }
   void commit_serial_removals(std::uint64_t taken) noexcept {
     if (taken == 0) return;
@@ -227,30 +226,19 @@ class TaskPool {
     return note_pop(dense_.pop_first());
   }
 
-  /// Refill with ids 0..capacity-1; all heap blocks retained. O(1)
-  /// with a presence view (generation bump + deferred rebuild),
-  /// O(capacity) otherwise.
+  /// Refill with ids 0..capacity-1; all heap blocks retained. With a
+  /// presence view this fills the bitset (capacity/64 words) and
+  /// defers the index rebuild to the next pop; otherwise it rewrites
+  /// the identity index.
   void reset() {
     if (compact_) {
       large_.reset();
     } else if (lazy_) {
-      dense_removed_.clear();  // O(1) generation bump
+      dense_removed_.clear();
       lazy_live_ = dense_removed_.size();
       dense_stale_ = true;
     } else {
       dense_.reset();
-    }
-  }
-
-  /// Makes every word of removed_view() generation-current, so the
-  /// data-aware strategies' request loop can read and write it through
-  /// raw_removed_words_m (see DynamicBitset::materialize_all).
-  /// Idempotent; must be re-run after reset().
-  void materialize_presence() noexcept {
-    if (compact_) {
-      large_.materialize_presence();
-    } else {
-      dense_removed_.materialize_all();
     }
   }
 
@@ -262,7 +250,7 @@ class TaskPool {
 
   /// Word-level membership view: bit set <=> id absent. Requires
   /// has_presence_view(). The reference stays valid (and exact) across
-  /// mutations of the pool; reset() re-clears it in O(1).
+  /// mutations of the pool; reset() re-clears it.
   const DynamicBitset& removed_view() const {
     return compact_ ? large_.removed_view() : dense_removed_;
   }
@@ -287,8 +275,8 @@ class TaskPool {
 
  private:
   /// Reconciles the swap-remove arrays with the removed-bitset after a
-  /// lazy remove/insert/reset stretch (ascending rebuild, no
-  /// allocation).
+  /// lazy remove/insert/reset stretch (ascending rebuild; allocates
+  /// only on the first call, which builds the index).
   void rebuild_dense() {
     dense_.refill_present(dense_removed_);
     dense_stale_ = false;
@@ -306,7 +294,7 @@ class TaskPool {
   bool compact_ = false;
   bool lazy_ = false;        // dense layout with a presence view (see ctor)
   bool dense_stale_ = false; // lazy mode: dense_ lags dense_removed_
-  SwapRemovePool dense_;
+  SwapRemovePool dense_;     // lazy mode: empty until the first pop
   CompactTaskPool large_;
   DynamicBitset dense_removed_;  // the removed set, when lazy_
   std::uint64_t lazy_live_ = 0;  // live count while dense_ is stale

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "analysis/homogeneous.hpp"
 #include "analysis/matmul_analysis.hpp"
@@ -136,6 +137,19 @@ RepOutcome run_single(const ExperimentConfig& config, std::uint64_t rep_seed,
       sim_config.metrics = metrics;
       outcome.sim = simulate(*strategy, platform, sim_config, trace);
     }
+  }
+  // A fault script can crash every worker before the pool drains. The
+  // volume and makespan of such a rep measure an unfinished run, so
+  // reject it rather than average it into the figure.
+  const std::uint64_t total_tasks = strategy->total_tasks();
+  if (outcome.sim.total_tasks_done < total_tasks) {
+    throw std::runtime_error(
+        "run_single: rep with seed " + std::to_string(rep_seed) +
+        " completed " + std::to_string(outcome.sim.total_tasks_done) +
+        " of " + std::to_string(total_tasks) + " tasks (" +
+        std::to_string(total_tasks - outcome.sim.total_tasks_done) +
+        " short); the run ended with tasks unserved, as when a fault "
+        "script crashes every worker");
   }
   if (instr != nullptr && instr->on_done) instr->on_done(outcome.sim);
   if (ctx != nullptr && owned != nullptr) ctx->strategy = std::move(owned);

@@ -125,7 +125,7 @@ struct RepInstrumentation {
 /// ExperimentConfig. When passed to run_single, the strategy built for
 /// the first rep is kept and rewound in place (Strategy::reset) for the
 /// next one instead of being reconstructed — pool index arrays and
-/// ownership bitsets re-init via generation counters in O(active), so a
+/// ownership bitsets are refilled in their existing heap blocks, so a
 /// rep costs no large allocations after the first. Strategies that do
 /// not support reset() fall back to reconstruction transparently.
 /// Reps stay bit-identical either way: reset(seed) is pinned to fresh

@@ -100,12 +100,6 @@ bool DynamicMatrixStrategy::reset(std::uint64_t seed) {
     w.mask_i.clear();
     w.mask_j.clear();
     w.mask_k.clear();
-    // The serial hot path writes the masks with the unstamped set_m:
-    // one per-rep pass makes every word current again after the O(1)
-    // clears above (they are per-worker and a few words each).
-    w.mask_i.materialize_all();
-    w.mask_j.materialize_all();
-    w.mask_k.materialize_all();
     w.blocks.owned_a.clear();
     w.blocks.owned_b.clear();
     w.blocks.owned_c.clear();
@@ -119,25 +113,11 @@ bool DynamicMatrixStrategy::reset(std::uint64_t seed) {
   fallback_served_ = 0;
   phase_switch_notified_ = false;
   fallback_notified_ = false;
-  materialized_ = false;  // the O(1) clears above staled the bitsets
   return true;
-}
-
-void DynamicMatrixStrategy::ensure_materialized() {
-  if (materialized_) return;
-  // Point writes elsewhere (requeue, random pops) keep materialized
-  // words current, so this survives until the next reset().
-  pool_.materialize_presence();
-  removed_t_.materialize_all();
-  materialized_ = true;
 }
 
 bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
                                             Assignment& out) {
-  // The raw-word scans below need every word of the shared bitsets
-  // generation-current; one O(words) pass per rep buys stamp-free
-  // access for the whole drain.
-  ensure_materialized();
   WorkerState& w = state_[worker];
   if (w.unknown_i.empty() || w.unknown_j.empty() || w.unknown_k.empty()) {
     // Knowledge covers a full dimension: the structured extension is
@@ -230,14 +210,14 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
   // the assignment set matches the former nested-loop rescan; the
   // enumeration order documented in the header is what the goldens
   // pin.
-  w.mask_k.set_m(k);  // runs scan K + k (set_m: masks stay materialized)
+  w.mask_k.set(k);  // runs scan K + k
   // Raw word pointers hoisted out of the loops, one branchless two-word
   // gather and write-back per (unit, mask word), and the pool
   // bookkeeping settled once per request instead of once per window.
   // The same kernel serves both pool layouts (dense with a presence
   // view, and compact): each exposes its removed-set as raw words.
-  std::uint64_t* const rem = pool_.raw_removed_words_m();
-  std::uint64_t* const mir = removed_t_.raw_words_m();
+  std::uint64_t* const rem = pool_.raw_removed_words();
+  std::uint64_t* const mir = removed_t_.raw_words();
   const std::size_t total_words = pool_.removed_view().word_count();
   const std::uint64_t n64 = n;
   // The knowledge masks are re-read once per scanned unit otherwise;
@@ -247,9 +227,9 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
   std::uint64_t mk[kMaxMaskWords], mi_w[kMaxMaskWords], mj_w[kMaxMaskWords];
   std::uint64_t kfull[kMaxMaskWords];
   for (std::size_t wd = 0; wd < nmw; ++wd) {
-    mk[wd] = w.mask_k.word_m(wd);
-    mi_w[wd] = w.mask_i.word_m(wd);
-    mj_w[wd] = w.mask_j.word_m(wd);
+    mk[wd] = w.mask_k.word(wd);
+    mi_w[wd] = w.mask_i.word(wd);
+    mj_w[wd] = w.mask_j.word(wd);
     kfull[wd] = ~0ULL;
   }
   if ((n & 63) != 0) kfull[nmw - 1] = (1ULL << (n & 63)) - 1;
@@ -375,8 +355,8 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
   }
   out.task_runs.insert(out.task_runs.end(), rp, rp + rn);
   pool_.commit_serial_removals(taken);
-  w.mask_i.set_m(i);
-  w.mask_j.set_m(j);
+  w.mask_i.set(i);
+  w.mask_j.set(j);
 
   w.known_i.push_back(i);
   w.known_j.push_back(j);

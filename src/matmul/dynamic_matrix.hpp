@@ -18,7 +18,7 @@
 // same way. Each gathered window leaves the request as one run-encoded
 // grant (TaskRun: occupancy word + stride, see sim/strategy.hpp) and
 // is *retired* word-level on both orientations through raw words
-// (TaskPool::raw_removed_words_m): one two-word OR clears all its hits
+// (TaskPool::raw_removed_words): one two-word OR clears all its hits
 // on the scanned side, and one bit write per hit scatters the mirror
 // side — the minimum for a two-orientation presence structure — while
 // the pool's count is settled once per request
@@ -153,10 +153,6 @@ class DynamicMatrixStrategy : public Strategy {
 
   bool dynamic_request(std::uint32_t worker, Assignment& out);
   bool random_request(std::uint32_t worker, Assignment& out);
-  /// Makes every word of the pool's presence bitset and of removed_t_
-  /// generation-current, once per rep, so the request kernel can use
-  /// their raw words; reset() re-arms it.
-  void ensure_materialized();
 
   MatmulConfig config_;
   std::uint32_t n_workers_;
@@ -192,7 +188,6 @@ class DynamicMatrixStrategy : public Strategy {
   std::uint64_t fallback_served_ = 0;
   bool phase_switch_notified_ = false;
   bool fallback_notified_ = false;
-  bool materialized_ = false;  // shared bitsets materialized this rep
   /// Pre-sized emission buffer of the request kernel: units write
   /// their run slot unconditionally and bump a cursor by (hits != 0),
   /// so zero-hit windows cost no branch; the survivors are published

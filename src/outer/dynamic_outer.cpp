@@ -77,38 +77,17 @@ bool DynamicOuterStrategy::reset(std::uint64_t seed) {
     w.mask_j.clear();
     w.owned_a.clear();
     w.owned_b.clear();
-    // The serial hot path writes these with the unstamped set_m: one
-    // per-rep pass makes every word current again after the O(1)
-    // clears above (they are per-worker and a few words each).
-    w.mask_i.materialize_all();
-    w.mask_j.materialize_all();
-    w.owned_a.materialize_all();
-    w.owned_b.materialize_all();
   }
   rng_ = Rng(derive_stream(seed, "outer.dynamic"));
   phase2_served_ = 0;
   fallback_served_ = 0;
   phase_switch_notified_ = false;
   fallback_notified_ = false;
-  materialized_ = false;  // the O(1) clears above staled the bitsets
   return true;
-}
-
-void DynamicOuterStrategy::ensure_materialized() {
-  if (materialized_) return;
-  // Point writes elsewhere (requeue, random pops) keep materialized
-  // words current, so this survives until the next reset().
-  pool_.materialize_presence();
-  removed_t_.materialize_all();
-  materialized_ = true;
 }
 
 bool DynamicOuterStrategy::dynamic_request(std::uint32_t worker,
                                            Assignment& out) {
-  // The raw-word scans below need every word of the shared bitsets
-  // generation-current; one O(words) pass per rep buys stamp-free
-  // access for the whole drain.
-  ensure_materialized();
   WorkerState& w = state_[worker];
   if (w.unknown_i.empty() || w.unknown_j.empty()) {
     // The worker knows a whole dimension, so every task it could enable
@@ -138,8 +117,8 @@ bool DynamicOuterStrategy::dynamic_request(std::uint32_t worker,
 
   out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
   out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
-  w.owned_a.set_m(i);  // set_m: kept materialized since reset()
-  w.owned_b.set_m(j);
+  w.owned_a.set(i);
+  w.owned_b.set(j);
 
   // Allocate every unprocessed task the new data enables: row i against
   // J + j, and column j against I. Row i's task ids are the contiguous
@@ -151,14 +130,14 @@ bool DynamicOuterStrategy::dynamic_request(std::uint32_t worker,
   // (i2, j) ascending — any candidate is taken iff still pooled, so the
   // assignment *set* matches the former per-element rescan exactly.
   const std::uint64_t row_base = outer_task_id(config_.n, i, 0);
-  w.mask_j.set_m(j);
+  w.mask_j.set(j);
   // Raw word pointers hoisted out of the loops, one branchless two-word
   // gather and write-back per mask word, pool bookkeeping settled once
   // per request. The same kernel serves both pool layouts (dense with a
   // presence view, and compact): each exposes its removed-set as raw
   // words.
-  std::uint64_t* const rem = pool_.raw_removed_words_m();
-  std::uint64_t* const mir = removed_t_.raw_words_m();
+  std::uint64_t* const rem = pool_.raw_removed_words();
+  std::uint64_t* const mir = removed_t_.raw_words();
   const std::size_t total_words = pool_.removed_view().word_count();
   const std::uint64_t n64 = config_.n;
   // Emission cursor into pre-sized scratch: the slot write is
@@ -175,7 +154,7 @@ bool DynamicOuterStrategy::dynamic_request(std::uint32_t worker,
   std::uint64_t* const mcol = mir + (static_cast<std::size_t>(i) >> 6);
   const std::uint64_t ibit = 1ULL << (i & 63);
   for (std::size_t wd = 0; wd < nw; ++wd) {  // row i against J + j
-    const std::uint64_t mask = w.mask_j.word_m(wd);
+    const std::uint64_t mask = w.mask_j.word(wd);
     if (mask == 0) continue;
     const std::uint64_t wbase = row_base + (wd << 6);
     const auto q = static_cast<std::size_t>(wbase >> 6);
@@ -205,7 +184,7 @@ bool DynamicOuterStrategy::dynamic_request(std::uint32_t worker,
   }
   std::uint64_t* const cline = mir + static_cast<std::size_t>(j) * nw;
   for (std::size_t wd = 0; wd < nw; ++wd) {  // column j against I
-    const std::uint64_t mask = w.mask_i.word_m(wd);
+    const std::uint64_t mask = w.mask_i.word(wd);
     if (mask == 0) continue;
     // Padded mirror: column j's line starts word-aligned, so the
     // gather is one aligned load per mask word — no two-word split.
@@ -227,7 +206,7 @@ bool DynamicOuterStrategy::dynamic_request(std::uint32_t worker,
   }
   out.task_runs.insert(out.task_runs.end(), rp, rp + rn);
   pool_.commit_serial_removals(taken);
-  w.mask_i.set_m(i);
+  w.mask_i.set(i);
 
   w.known_i.push_back(i);
   w.known_j.push_back(j);

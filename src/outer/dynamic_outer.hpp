@@ -17,7 +17,7 @@
 // request as one run-encoded grant (TaskRun: occupancy word + stride,
 // see sim/strategy.hpp). One kernel serves every request: it reads and
 // writes the pool's removed-set and the mirror as raw words
-// (TaskPool::raw_removed_words_m), retiring each window with one
+// (TaskPool::raw_removed_words), retiring each window with one
 // two-word OR on the scanned side and one bit write per hit on the
 // other, and settles the pool's count once per request
 // (TaskPool::commit_serial_removals). Both pool layouts expose those
@@ -124,10 +124,6 @@ class DynamicOuterStrategy : public Strategy {
 
   bool dynamic_request(std::uint32_t worker, Assignment& out);
   bool random_request(std::uint32_t worker, Assignment& out);
-  /// Makes every word of the pool's presence bitset and of removed_t_
-  /// generation-current, once per rep, so the request kernel can use
-  /// their raw words; reset() re-arms it.
-  void ensure_materialized();
 
   OuterConfig config_;
   std::uint32_t n_workers_;
@@ -155,7 +151,6 @@ class DynamicOuterStrategy : public Strategy {
   std::uint64_t fallback_served_ = 0;
   bool phase_switch_notified_ = false;
   bool fallback_notified_ = false;
-  bool materialized_ = false;  // shared bitsets materialized this rep
 };
 
 /// Convenience alias constructor matching the paper's name: the switch

@@ -218,10 +218,10 @@ class Strategy {
 
   /// Rewinds the strategy to its freshly-constructed state for a new
   /// replication with the given RNG seed, reusing already-allocated
-  /// storage (pools and bitsets re-init via generation counters in
-  /// O(active), not O(total_tasks)). Returns false when the strategy
-  /// does not support in-place reuse — the caller must construct a
-  /// fresh instance instead. A true return must leave the strategy
+  /// storage (pools and bitsets are refilled in place, with no
+  /// allocation). Returns false when the strategy does not support
+  /// in-place reuse — the caller must construct a fresh instance
+  /// instead. A true return must leave the strategy
   /// bit-identical to `make_*_strategy(...)` with the same seed.
   virtual bool reset(std::uint64_t seed) {
     (void)seed;

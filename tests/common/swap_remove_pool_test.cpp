@@ -4,6 +4,7 @@
 
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace hetsched {
@@ -193,6 +194,29 @@ TEST(SwapRemovePool, UnindexedPopsMatchIndexedPopsExactly) {
     ASSERT_EQ(indexed.pop_random(rng_a), lazy.pop_random_unindexed(rng_b));
   }
   EXPECT_TRUE(lazy.empty());
+}
+
+TEST(SwapRemovePool, CopyDrainsIndependentlyOfOriginal) {
+  // Ids and positions share one block, addressed by offset, so a copy
+  // owns its own index and a move carries it over intact.
+  SwapRemovePool original(50);
+  original.remove(3);
+  SwapRemovePool copy = original;
+  Rng rng_a(8), rng_b(8);
+  std::set<std::uint64_t> from_copy;
+  while (!copy.empty()) from_copy.insert(copy.pop_random(rng_a));
+  EXPECT_EQ(from_copy.size(), 49u);
+  EXPECT_EQ(from_copy.count(3), 0u);
+  EXPECT_EQ(original.size(), 49u);
+  for (std::uint64_t id = 0; id < 50; ++id) {
+    EXPECT_EQ(original.contains(id), id != 3) << id;
+  }
+  // The copy's drain left the original untouched: moved out, it pops
+  // the same set under the same seed.
+  SwapRemovePool moved = std::move(original);
+  std::set<std::uint64_t> from_moved;
+  while (!moved.empty()) from_moved.insert(moved.pop_random(rng_b));
+  EXPECT_EQ(from_moved, from_copy);
 }
 
 TEST(SwapRemovePool, ManyResetCyclesStayConsistent) {

@@ -214,13 +214,21 @@ TEST(TaskPool, ThresholdCapacityUsesCompactLayout) {
 
 TEST(TaskPool, DenseLayoutMatchesRawSwapRemovePoolRng) {
   // The facade must consume the RNG exactly like the bare dense pool —
-  // this is the bit-identity contract of the engine goldens.
+  // this is the bit-identity contract of the engine goldens. A
+  // presence-view pool builds its index at the first pop, from a full
+  // bitset, so it lays the ids out like a fresh pool and pops the same
+  // sequence.
   TaskPool facade(64);
+  TaskPool lazy(64, /*presence_view=*/true);
+  EXPECT_EQ(lazy.capacity_ids(), 64u);  // before any index exists
   SwapRemovePool raw(64);
-  Rng rng_a(777), rng_b(777);
+  Rng rng_a(777), rng_b(777), rng_c(777);
   for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(facade.pop_random(rng_a), raw.pop_random(rng_b));
+    const std::uint64_t id = raw.pop_random(rng_b);
+    EXPECT_EQ(facade.pop_random(rng_a), id);
+    EXPECT_EQ(lazy.pop_random(rng_c), id);
   }
+  EXPECT_EQ(lazy.capacity_ids(), 64u);
 }
 
 // -------------------------------------------------- Removed-set view
@@ -344,8 +352,7 @@ TEST(TaskPool, RawWordCommitMatchesPerIdRemovalInBothLayouts) {
   const std::uint64_t scattered = 0x0123'4567'89ab'cdefull;
   auto check = [&](TaskPool& raw, TaskPool& scalar) {
     ASSERT_EQ(raw.size(), scalar.size());
-    raw.materialize_presence();
-    std::uint64_t* const rem = raw.raw_removed_words_m();
+    std::uint64_t* const rem = raw.raw_removed_words();
     rem[base >> 6] |= bits << (base & 63);
     rem[(base >> 6) + 1] |= bits >> (64 - (base & 63));
     for (std::uint64_t b = 0; b < 64; ++b) {

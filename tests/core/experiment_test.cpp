@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "runtime/thread_pool.hpp"
 
@@ -91,6 +93,32 @@ TEST(RunSingle, DifferentRepSeedsDiffer) {
   const RepOutcome a = run_single(config, 1);
   const RepOutcome b = run_single(config, 2);
   EXPECT_NE(a.speeds, b.speeds);
+}
+
+TEST(RunSingle, RepLeftUnfinishedByCrashesThrowsInBothEngines) {
+  // Crashing every worker at t = 0 used to report the few blocks
+  // shipped before the crash as a normalized volume below 1 and a zero
+  // makespan. Both engines must reject the unfinished rep instead,
+  // while a crash after the pool has drained stays harmless.
+  ExperimentConfig config;
+  config.kernel = Kernel::kOuter;
+  config.strategy = "RandomOuter";
+  config.n = 10;
+  config.p = 2;
+  for (const bool timed : {false, true}) {
+    config.timed = timed;
+    config.faults = {WorkerFault{0.0, 0, 0.0}, WorkerFault{0.0, 1, 0.0}};
+    try {
+      (void)run_single(config, 7);
+      ADD_FAILURE() << "no throw, timed = " << timed;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("of 100 tasks"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW((void)run_experiment(config), std::runtime_error);
+    config.faults = {WorkerFault{1e9, 0, 0.0}, WorkerFault{1e9, 1, 0.0}};
+    EXPECT_EQ(run_single(config, 7).sim.total_tasks_done, 100u);
+  }
 }
 
 TEST(RunExperiment, AggregatesRequestedReps) {

@@ -5,8 +5,9 @@ Usage:
     python3 tools/check_results.py results/ [--spec tools/expectations.json]
 
 Each spec entry names a bench output file (without .txt) and a list of
-rules evaluated at an x position, which selects one row of the file's
-first table (a blank line ends it). A number matches the first CSV
+rules evaluated at an x position, which selects one row of one table in
+the file: blank lines separate tables, and a rule's optional "table": k
+picks the k-th (0-based, default 0). A number matches the first CSV
 column with a small tolerance, a string matches it exactly (e.g.
 "dyn.5"), and a list matches the leading columns one by one (e.g.
 [10, 1000] for the row p = 10, n = 1000). Rule shapes:
@@ -32,14 +33,16 @@ import os
 import sys
 
 
-def load_table(path):
-    rows = []
-    header = None
+def load_tables(path):
+    """The file's tables as (header, rows) pairs, in file order."""
+    tables = []
+    header, rows = None, []
     with open(path) as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line.strip() and rows:
-                break  # a blank line ends the first table
+                tables.append((header, rows))  # a blank line ends a table
+                header, rows = None, []
             if line.startswith("#") or not line.strip():
                 continue
             cells = next(csv.reader([line]))
@@ -47,7 +50,9 @@ def load_table(path):
                 header = cells
             else:
                 rows.append(cells)
-    return header, rows
+    if rows:
+        tables.append((header, rows))
+    return tables
 
 
 def key_matches(cell, key):
@@ -83,11 +88,18 @@ def value_at(header, rows, x, column):
     raise KeyError(f"x={label(x)} not found in table")
 
 
-def check_rule(header, rows, rule):
+def check_rule(tables, rule):
+    index = rule.get("table", 0)
+    if index >= len(tables):
+        raise KeyError(f"table {index} not found ({len(tables)} in file)")
+    header, rows = tables[index]
+
     def at(column):
         return value_at(header, rows, rule["x"], column)
 
     x = label(rule["x"])
+    if index:
+        x += f"; table {index}"
     if "series" in rule:
         v = at(rule["series"])
         ok = rule.get("min", -1e300) <= v <= rule.get("max", 1e300)
@@ -132,11 +144,11 @@ def main():
             print(f"MISSING {bench}: {path} not found")
             missing += 1
             continue
-        header, rows = load_table(path)
+        tables = load_tables(path)
         for rule in rules:
             checks += 1
             try:
-                ok, detail = check_rule(header, rows, rule)
+                ok, detail = check_rule(tables, rule)
             except (KeyError, ValueError) as err:
                 ok, detail = False, str(err)
             status = "ok  " if ok else "FAIL"

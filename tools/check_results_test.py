@@ -6,7 +6,8 @@ Usage:
 
 Builds a temporary results directory with one bench output missing and
 one rule failing, and checks the summary line, the exit status, the
-string and multi-column row keys, and the printed notes.
+string and multi-column row keys, the printed notes and table
+selection.
 """
 
 import json
@@ -29,7 +30,7 @@ TABLES = {
             "10,1000,39.8\n"
             "20,100,0.5\n"
             "\n"
-            "# second table, not addressable\n"
+            "# second table\n"
             "p,n,value\n"
             "30,100,7.0\n",
 }
@@ -89,11 +90,28 @@ class CheckResultsTest(unittest.TestCase):
         self.assertTrue(out.rstrip().endswith(
             "2/2 checks passed, 1 bench outputs missing"))
 
-    def test_first_table_only(self):
+    def test_first_table_by_default(self):
         spec = {"grid": [{"x": [30, 100], "series": "value", "max": 10}]}
         status, out = run_checker(spec, TABLES)
         self.assertEqual(status, 1)
         self.assertIn("x=30, 100 not found in table", out)
+
+    def test_second_table_by_index(self):
+        spec = {"grid": [
+            {"x": [30, 100], "series": "value", "max": 10, "table": 1},
+            {"x": [30, 100], "series": "value", "max": 5, "table": 1},
+            {"x": [10, 100], "series": "value", "max": 10, "table": 1},
+            {"x": [30, 100], "series": "value", "max": 10, "table": 2},
+        ]}
+        status, out = run_checker(spec, TABLES)
+        self.assertEqual(status, 1)
+        self.assertIn("ok   grid: value(30, 100; table 1) = 7 in [-inf, 10]",
+                      out)
+        self.assertIn("FAIL grid: value(30, 100; table 1) = 7 in [-inf, 5]",
+                      out)
+        self.assertIn("x=10, 100 not found in table", out)
+        self.assertIn("table 2 not found (2 in file)", out)
+        self.assertTrue(out.rstrip().endswith("1/4 checks passed"))
 
     def test_all_pass(self):
         spec = {"grid": SPEC["grid"]}
