@@ -5,7 +5,10 @@
 //   heap        - raw binary-heap push/pop ns/op (host-speed calibration,
 //                 the same unit bench/micro_scheduler_overhead uses)
 //   engine      - flat-engine ns/event on a DynamicOuter run
-//   request_ns  - master-side ns/request for the paper's eight strategies
+//   request_ns  - master-side ns/request for the paper's eight strategies,
+//                 the median of kTrials interleaved trials (each trial
+//                 re-samples the heap probe and drains all eight), with
+//                 the interquartile range under request_ns_iqr
 //   reps_per_sec- single-thread replication throughput on fig05-sized
 //                 (outer N/l = 1000) and fig10-sized (matmul N/l = 100)
 //                 workloads
@@ -15,6 +18,7 @@
 // CI can compare against bench/baselines/perf_smoke.json without being
 // fooled by runner speed. --large additionally runs the full
 // N/l = 1000 matrix-multiplication instances (minutes, not for CI).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -53,8 +57,33 @@ double peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
 }
 
+/// Interleaved trials behind every request_ns key.
+constexpr int kTrials = 5;
+
+/// Median and interquartile range of a sample, quartiles by the
+/// "exclusive" method of Python's statistics.quantiles (the one
+/// bench/e2e/compare.py reports).
+struct Spread {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+Spread spread(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto quantile = [&v](double p) {
+    const double last = static_cast<double>(v.size() - 1);
+    const double pos = std::clamp(p * static_cast<double>(v.size() + 1) - 1.0,
+                                  0.0, last);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {quantile(0.5), quantile(0.75) - quantile(0.25)};
+}
+
 /// Raw binary-heap churn, the host-speed unit: ns per push+pop at a
 /// fixed depth (mirrors BM_HeapBaseline in micro_scheduler_overhead).
+/// One trial's sample: 2M ops, re-taken before every request trial.
 double heap_ns_per_op() {
   using Entry = std::pair<double, std::uint64_t>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
@@ -62,7 +91,7 @@ double heap_ns_per_op() {
   std::uint64_t seq = 0;
   double t = 0.0;
   for (int i = 0; i < kDepth; ++i) heap.push({t += 0.7, seq++});
-  constexpr std::uint64_t kOps = 10'000'000;
+  constexpr std::uint64_t kOps = 2'000'000;
   volatile std::uint64_t sink = 0;
   const double start = now_sec();
   for (std::uint64_t i = 0; i < kOps; ++i) {
@@ -191,26 +220,47 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string out_path = args.get("out", "BENCH_PERF.json");
 
-  const double heap = heap_ns_per_op();
-  std::cerr << "# heap baseline: " << heap << " ns/op\n";
+  // Strategy by strategy, trial by trial: a slow stretch of the host
+  // lands in one trial of every key instead of in all trials of one,
+  // and each ratio divides by the heap probe of its own trial.
+  std::vector<std::pair<bool, std::string>> strategies;
+  for (const char* name :
+       {"RandomOuter", "SortedOuter", "DynamicOuter", "DynamicOuter2Phases"}) {
+    strategies.emplace_back(true, name);
+  }
+  for (const char* name : {"RandomMatrix", "SortedMatrix", "DynamicMatrix",
+                           "DynamicMatrix2Phases"}) {
+    strategies.emplace_back(false, name);
+  }
+  std::vector<double> heap_trials;
+  std::vector<std::vector<double>> ns_trials(strategies.size());
+  std::vector<std::vector<double>> ratio_trials(strategies.size());
+  for (int t = 0; t < kTrials; ++t) {
+    const double heap_t = heap_ns_per_op();
+    heap_trials.push_back(heap_t);
+    for (std::size_t s = 0; s < strategies.size(); ++s) {
+      const double ns = request_ns(strategies[s].first, strategies[s].second);
+      ns_trials[s].push_back(ns);
+      ratio_trials[s].push_back(ns / heap_t);
+    }
+  }
+  const Spread heap_spread = spread(heap_trials);
+  const double heap = heap_spread.median;
+  std::cerr << "# heap baseline: " << heap << " ns/op (IQR "
+            << heap_spread.iqr << ")\n";
+  std::vector<std::pair<std::string, Spread>> request;
+  std::vector<std::pair<std::string, Spread>> request_ratio;
+  for (std::size_t s = 0; s < strategies.size(); ++s) {
+    const std::string& name = strategies[s].second;
+    request.emplace_back(name, spread(ns_trials[s]));
+    request_ratio.emplace_back("request." + name, spread(ratio_trials[s]));
+    std::cerr << "# request " << name << ": " << request.back().second.median
+              << " ns (IQR " << request.back().second.iqr << "), ratio "
+              << request_ratio.back().second.median << " (IQR "
+              << request_ratio.back().second.iqr << ")\n";
+  }
   const double engine = flat_engine_ns_per_event();
   std::cerr << "# flat engine: " << engine << " ns/event\n";
-
-  const std::vector<std::string> outer_names = {
-      "RandomOuter", "SortedOuter", "DynamicOuter", "DynamicOuter2Phases"};
-  const std::vector<std::string> matmul_names = {
-      "RandomMatrix", "SortedMatrix", "DynamicMatrix", "DynamicMatrix2Phases"};
-  std::vector<std::pair<std::string, double>> request;
-  for (const auto& name : outer_names) {
-    request.emplace_back(name, request_ns(true, name));
-    std::cerr << "# request " << name << ": " << request.back().second
-              << " ns\n";
-  }
-  for (const auto& name : matmul_names) {
-    request.emplace_back(name, request_ns(false, name));
-    std::cerr << "# request " << name << ": " << request.back().second
-              << " ns\n";
-  }
 
   // fig05-sized (outer N/l = 1000) and fig10-sized (matmul N/l = 100)
   // single-thread replication throughput.
@@ -272,22 +322,29 @@ int main(int argc, char** argv) {
   json.field("schema", "hetsched-perf-smoke/1");
   json.field("hardware_concurrency",
              static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  json.field("trials", static_cast<std::uint64_t>(kTrials));
   json.field("heap_ns_per_op", heap);
+  json.field("heap_ns_per_op_iqr", heap_spread.iqr);
   json.field("flat_engine_ns_per_event", engine);
   json.key("request_ns");
   json.begin_object();
-  for (const auto& [name, ns] : request) json.field(name, ns);
+  for (const auto& [name, st] : request) json.field(name, st.median);
+  json.end_object();
+  json.key("request_ns_iqr");
+  json.begin_object();
+  for (const auto& [name, st] : request) json.field(name, st.iqr);
   json.end_object();
   json.key("reps_per_sec");
   json.begin_object();
   for (const auto& [name, r] : reps) json.field(name, r);
   json.end_object();
   // Host-independent ratios for the CI gate: ns metrics over the heap
-  // baseline; throughput as heap-ops-per-rep (lower = faster).
+  // baseline (request.* the median of the per-trial ratios); throughput
+  // as heap-ops-per-rep (lower = faster).
   json.key("ratios_vs_heap");
   json.begin_object();
   json.field("flat_engine_ns_per_event", engine / heap);
-  for (const auto& [name, ns] : request) json.field("request." + name, ns / heap);
+  for (const auto& [key, st] : request_ratio) json.field(key, st.median);
   for (const auto& [name, r] : reps) {
     json.field("rep_cost." + name, 1e9 / (r * heap));
   }
@@ -296,6 +353,10 @@ int main(int argc, char** argv) {
   // floor (the structural < 1% gate lives in tests/obs/profiler_test).
   json.field("profile.rep_cost.fig10_mm_n100.DynamicMatrix2Phases",
              1e9 / (profiled.reps_per_sec * heap));
+  json.end_object();
+  json.key("ratios_vs_heap_iqr");
+  json.begin_object();
+  for (const auto& [key, st] : request_ratio) json.field(key, st.iqr);
   json.end_object();
   // Per-site wall totals of the profiled run, for eyeballing where a
   // telemetry regression landed (same site taxonomy as the CLI).

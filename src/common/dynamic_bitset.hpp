@@ -45,19 +45,6 @@ class DynamicBitset {
     return was_clear;
   }
 
-  /// ORs `bits` into positions [base, base + 64): bit b of `bits` sets
-  /// position base + b. The window need not be word-aligned (it is
-  /// split across at most two words). Callers must keep every set bit
-  /// below size().
-  void or_shifted(std::size_t base, std::uint64_t bits) noexcept {
-    if (bits == 0) return;
-    words_[base >> 6] |= bits << (base & 63);
-    if ((base & 63) != 0) {
-      const std::uint64_t high = bits >> (64 - (base & 63));
-      if (high != 0) words_[(base >> 6) + 1] |= high;
-    }
-  }
-
   /// Number of set bits.
   std::size_t count() const noexcept;
 
@@ -98,17 +85,5 @@ class DynamicBitset {
   std::size_t n_bits_ = 0;
   std::vector<std::uint64_t> words_;
 };
-
-/// ORs every set bit of `mask` into dst at offset base: dst[base + p]
-/// |= mask[p]. Used to rebuild a worker's owned-block rows
-/// word-parallel when the untainted fast path hands over to exact
-/// per-block accounting.
-inline void or_mask_into_range(DynamicBitset& dst, const DynamicBitset& mask,
-                               std::size_t base) {
-  const std::size_t words = mask.word_count();
-  for (std::size_t w = 0; w < words; ++w) {
-    dst.or_shifted(base + (w << 6), mask.word(w));
-  }
-}
 
 }  // namespace hetsched

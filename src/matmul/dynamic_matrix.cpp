@@ -4,6 +4,19 @@
 #include <cmath>
 #include <stdexcept>
 
+// The request kernel is bit scans and variable shifts, which baseline
+// x86-64 code spells as multi-uop sequences; with GCC on x86-64 Linux a
+// second copy of it built for x86-64-v3 (BMI1/2) is picked at load time
+// on CPUs that have it. The kernel is integer-only, so both copies
+// compute the same answer.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
+    defined(__linux__)
+#define HETSCHED_KERNEL_CLONES \
+  __attribute__((target_clones("default", "arch=x86-64-v3")))
+#else
+#define HETSCHED_KERNEL_CLONES
+#endif
+
 namespace hetsched {
 
 namespace {
@@ -11,14 +24,6 @@ namespace {
 constexpr std::size_t kMaxMaskWords = 16;
 static_assert(kMaxMaskWords * 64 >= MatmulConfig::kMaxN,
               "the stack masks must cover every n validate() accepts");
-
-/// n rows of ceil(n/64) words, every valid bit set (tail bits clear).
-void refill_alive(std::vector<std::uint64_t>& rows, std::uint32_t n) {
-  const std::size_t aw = (n + 63) >> 6;
-  rows.assign(static_cast<std::size_t>(n) * aw, ~0ULL);
-  const std::uint64_t tail = (n & 63) != 0 ? (1ULL << (n & 63)) - 1 : ~0ULL;
-  for (std::size_t r = 0; r < n; ++r) rows[r * aw + aw - 1] = tail;
-}
 }  // namespace
 
 DynamicMatrixStrategy::DynamicMatrixStrategy(MatmulConfig config,
@@ -53,9 +58,6 @@ DynamicMatrixStrategy::DynamicMatrixStrategy(MatmulConfig config,
     }
     state_.push_back(std::move(s));
   }
-  refill_alive(alive_row_, config_.n);
-  refill_alive(alive_col_, config_.n);
-  refill_alive(alive_face_, config_.n);
   // Branchless emission bound of one request: every scan unit (corner
   // + i-slab + j-slab + faces <= 3n + 1 of them) may leave one run per
   // mask word.
@@ -86,9 +88,6 @@ bool DynamicMatrixStrategy::reset(std::uint64_t seed) {
   pool_.reset();
   removed_t_.clear();
   for (auto& w : state_) {
-    w.known_i.clear();
-    w.known_j.clear();
-    w.known_k.clear();
     w.unknown_i.resize(config_.n);
     w.unknown_j.resize(config_.n);
     w.unknown_k.resize(config_.n);
@@ -103,11 +102,7 @@ bool DynamicMatrixStrategy::reset(std::uint64_t seed) {
     w.blocks.owned_a.clear();
     w.blocks.owned_b.clear();
     w.blocks.owned_c.clear();
-    w.blocks_tracked = false;
   }
-  refill_alive(alive_row_, config_.n);
-  refill_alive(alive_col_, config_.n);
-  refill_alive(alive_face_, config_.n);
   rng_ = Rng(derive_stream(seed, "matmul.dynamic"));
   phase2_served_ = 0;
   fallback_served_ = 0;
@@ -116,6 +111,7 @@ bool DynamicMatrixStrategy::reset(std::uint64_t seed) {
   return true;
 }
 
+HETSCHED_KERNEL_CLONES
 bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
                                             Assignment& out) {
   WorkerState& w = state_[worker];
@@ -133,7 +129,15 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
     ++fallback_served_;
     return true;
   }
+  // Masks of one word (n <= 64, e.g. the N/l = 40 figures) get a kernel
+  // whose mask loops the compiler can unroll away.
+  return config_.n <= 64 ? extend<1>(w, worker, out)
+                         : extend<0>(w, worker, out);
+}
 
+template <std::size_t kMaskWords>
+inline bool DynamicMatrixStrategy::extend(
+    WorkerState& w, std::uint32_t worker, Assignment& out) {
   const auto pick = [this](std::vector<std::uint32_t>& unknown) {
     const auto pos = static_cast<std::size_t>(rng_.next_below(unknown.size()));
     const std::uint32_t v = unknown[pos];
@@ -146,58 +150,77 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
   const std::uint32_t k = pick(w.unknown_k);
   const std::uint32_t n = config_.n;
 
-  // Ship the 3*(2y+1) blocks extending I x K, K x J and I x J with the
-  // new indices, in A-extension / B-extension / C-extension order.
-  if (!w.blocks_tracked) {
-    // Untainted worker: ownership is exactly the three cross products,
-    // and every shipped block has a fresh coordinate, so all are new —
-    // emit run-encoded (one BlockRun per occupied mask word) without
-    // the per-block owned writes (the sets are rebuilt from the masks
-    // if this worker ever goes random). Each extension leaves as a
-    // fixed-row group over mask ∪ {extra} ascending, then a fixed-col
-    // group over the other mask: the same block *set* and count as the
-    // former acquisition-order loops, in ascending index order.
-    const auto ship_runs = [&](Operand op, BlockRun::Axis axis,
-                               std::uint32_t fixed, const DynamicBitset& mask,
-                               std::uint32_t extra) {
-      const std::size_t words = mask.word_count();
-      for (std::size_t wd = 0; wd < words; ++wd) {
-        std::uint64_t bits = mask.word(wd);
-        if ((extra >> 6) == wd) bits |= 1ULL << (extra & 63);
-        if (bits == 0) continue;
-        out.block_runs.push_back(
-            BlockRun{op, axis, fixed, static_cast<std::uint32_t>(wd << 6),
-                     bits, static_cast<std::uint32_t>(std::popcount(bits))});
-      }
-    };
-    constexpr std::uint32_t kNoExtra = 0xffffffffu;  // (kNoExtra >> 6) > words
-    ship_runs(Operand::kMatA, BlockRun::Axis::kColVaries, i, w.mask_k, k);
-    ship_runs(Operand::kMatA, BlockRun::Axis::kRowVaries, k, w.mask_i, kNoExtra);
-    ship_runs(Operand::kMatB, BlockRun::Axis::kColVaries, k, w.mask_j, j);
-    ship_runs(Operand::kMatB, BlockRun::Axis::kRowVaries, j, w.mask_k, kNoExtra);
-    ship_runs(Operand::kMatC, BlockRun::Axis::kColVaries, i, w.mask_j, j);
-    ship_runs(Operand::kMatC, BlockRun::Axis::kRowVaries, j, w.mask_i, kNoExtra);
-  } else {
-    // After a random serve the cross-product invariant is gone:
-    // set_if_clear keeps the accounting exact.
-    auto ship = [&](Operand op, DynamicBitset& owned, std::uint32_t r,
-                    std::uint32_t c) {
-      if (owned.set_if_clear(block_index(n, r, c))) {
-        out.blocks.push_back(BlockRef{op, r, c});
-      }
-    };
-    for (const std::uint32_t k2 : w.known_k) ship(Operand::kMatA, w.blocks.owned_a, i, k2);
-    for (const std::uint32_t i2 : w.known_i) ship(Operand::kMatA, w.blocks.owned_a, i2, k);
-    ship(Operand::kMatA, w.blocks.owned_a, i, k);
-
-    for (const std::uint32_t j2 : w.known_j) ship(Operand::kMatB, w.blocks.owned_b, k, j2);
-    for (const std::uint32_t k2 : w.known_k) ship(Operand::kMatB, w.blocks.owned_b, k2, j);
-    ship(Operand::kMatB, w.blocks.owned_b, k, j);
-
-    for (const std::uint32_t j2 : w.known_j) ship(Operand::kMatC, w.blocks.owned_c, i, j2);
-    for (const std::uint32_t i2 : w.known_i) ship(Operand::kMatC, w.blocks.owned_c, i2, j);
-    ship(Operand::kMatC, w.blocks.owned_c, i, j);
+  // The knowledge masks are re-read once per scanned unit otherwise;
+  // one copy to the stack up front keeps the loops below on plain
+  // registers and local words. mk is K + k from the task scan on.
+  const std::uint64_t n64 = n;
+  const std::size_t nmw = kMaskWords != 0 ? kMaskWords : w.mask_k.word_count();
+  std::uint64_t mk[kMaxMaskWords], mi_w[kMaxMaskWords], mj_w[kMaxMaskWords];
+  for (std::size_t wd = 0; wd < nmw; ++wd) {
+    mk[wd] = w.mask_k.word(wd);
+    mi_w[wd] = w.mask_i.word(wd);
+    mj_w[wd] = w.mask_j.word(wd);
   }
+
+  // Ship the blocks extending I x K, K x J and I x J with the new
+  // indices, operand by operand: the new row over its mask plus the new
+  // column, then the new column over the old row mask, each ascending.
+  // Only blocks the worker lacks are sent — all 3*(2y+1) of them unless
+  // a random serve (phase 2, then a requeue lifting the pool back over
+  // the threshold) already delivered some.
+  // A fixed-row group's blocks (r, v) are the owned bits
+  // [r*n, r*n + n): one two-word window per mask word tests and claims
+  // up to 64 of them at once, a word-wide set_if_clear (the same
+  // branchless window as the task scan below).
+  const auto ship_row = [&](Operand op, DynamicBitset& owned, std::uint32_t r,
+                            const std::uint64_t* mask, std::uint32_t extra) {
+    std::uint64_t* const ow = owned.raw_words();
+    const std::size_t ow_words = owned.word_count();
+    for (std::size_t wd = 0; wd < nmw; ++wd) {
+      std::uint64_t bits = mask[wd];
+      if ((extra >> 6) == wd) bits |= 1ULL << (extra & 63);
+      if (bits == 0) continue;
+      const std::uint64_t pos = block_index(n, r, 0) + (wd << 6);
+      const auto q = static_cast<std::size_t>(pos >> 6);
+      const auto sh = static_cast<unsigned>(pos & 63);
+      const std::uint64_t lo = ow[q];
+      const bool two = q + 1 < ow_words;
+      const std::uint64_t hi = two ? ow[q + 1] : 0;
+      const std::uint64_t have = (lo >> sh) | ((hi << 1) << (63 - sh));
+      std::uint64_t fresh = bits & ~have;
+      ow[q] = lo | (fresh << sh);
+      if (two) ow[q + 1] = hi | ((fresh >> 1) >> (63 - sh));
+      const auto vbase = static_cast<std::uint32_t>(wd << 6);
+      while (fresh != 0) {
+        out.blocks.push_back(BlockRef{
+            op, r, vbase + static_cast<std::uint32_t>(std::countr_zero(fresh))});
+        fresh &= fresh - 1;
+      }
+    }
+  };
+  // A fixed-column group's blocks (v, c) are n bits apart: one bit test
+  // each.
+  const auto ship_col = [&](Operand op, DynamicBitset& owned, std::uint32_t c,
+                            const std::uint64_t* mask) {
+    for (std::size_t wd = 0; wd < nmw; ++wd) {
+      std::uint64_t bits = mask[wd];
+      const auto vbase = static_cast<std::uint32_t>(wd << 6);
+      while (bits != 0) {
+        const std::uint32_t v =
+            vbase + static_cast<std::uint32_t>(std::countr_zero(bits));
+        bits &= bits - 1;
+        if (owned.set_if_clear(block_index(n, v, c))) {
+          out.blocks.push_back(BlockRef{op, v, c});
+        }
+      }
+    }
+  };
+  ship_row(Operand::kMatA, w.blocks.owned_a, i, mk, k);
+  ship_col(Operand::kMatA, w.blocks.owned_a, k, mi_w);
+  ship_row(Operand::kMatB, w.blocks.owned_b, k, mj_w, j);
+  ship_col(Operand::kMatB, w.blocks.owned_b, j, mk);
+  ship_row(Operand::kMatC, w.blocks.owned_c, i, mj_w, j);
+  ship_col(Operand::kMatC, w.blocks.owned_c, j, mi_w);
 
   // Allocate all unprocessed tasks of (I+i) x (J+j) x (K+k) that touch
   // a new index — (y+1)^2 + y(y+1) + y^2 = 3y^2 + 3y + 1 candidates,
@@ -211,6 +234,7 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
   // enumeration order documented in the header is what the goldens
   // pin.
   w.mask_k.set(k);  // runs scan K + k
+  mk[k >> 6] |= 1ULL << (k & 63);
   // Raw word pointers hoisted out of the loops, one branchless two-word
   // gather and write-back per (unit, mask word), and the pool
   // bookkeeping settled once per request instead of once per window.
@@ -219,28 +243,6 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
   std::uint64_t* const rem = pool_.raw_removed_words();
   std::uint64_t* const mir = removed_t_.raw_words();
   const std::size_t total_words = pool_.removed_view().word_count();
-  const std::uint64_t n64 = n;
-  // The knowledge masks are re-read once per scanned unit otherwise;
-  // one copy to the stack up front keeps the loops on plain
-  // registers and local words.
-  const std::size_t nmw = w.mask_k.word_count();
-  std::uint64_t mk[kMaxMaskWords], mi_w[kMaxMaskWords], mj_w[kMaxMaskWords];
-  std::uint64_t kfull[kMaxMaskWords];
-  for (std::size_t wd = 0; wd < nmw; ++wd) {
-    mk[wd] = w.mask_k.word(wd);
-    mi_w[wd] = w.mask_i.word(wd);
-    mj_w[wd] = w.mask_j.word(wd);
-    kfull[wd] = ~0ULL;
-  }
-  if ((n & 63) != 0) kfull[nmw - 1] = (1ULL << (n & 63)) - 1;
-  // Exhaustion filters: a clear bit proves the unit cannot hit, so
-  // the slab/face loops iterate mask AND alive and skip the dead
-  // windows without touching the pool words at all. A scan that
-  // observes a unit fully retired clears the matching bits (exact:
-  // the gather just read every present-bit of the unit).
-  const std::uint64_t* arow = alive_row_.data() + std::size_t{i} * nmw;
-  const std::uint64_t* acol = alive_col_.data() + std::size_t{j} * nmw;
-  const std::uint64_t* aface = alive_face_.data() + std::size_t{k} * nmw;
   // Emission goes through a cursor into pre-sized scratch: the slot
   // write is unconditional and the cursor advances by (hits != 0),
   // so the ~50% zero-hit units cost no mispredicting branch. One
@@ -256,13 +258,9 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
     // word indices — no per-bit position split.
     std::uint64_t* const mrow = mir + (ti * n64) * nmw + (tj >> 6);
     const std::uint64_t jbit = 1ULL << (tj & 63);
-    std::uint64_t live_left = 0;
     for (std::size_t wd = 0; wd < nmw; ++wd) {
       const std::uint64_t mask = mk[wd];
-      if (mask == 0) {
-        live_left = 1;  // unexamined window word: assume survivors
-        continue;
-      }
+      if (mask == 0) continue;
       const std::uint64_t wbase = base + (wd << 6);
       const auto q = static_cast<std::size_t>(wbase >> 6);
       const auto sh = static_cast<unsigned>(wbase & 63);
@@ -274,32 +272,28 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
       const std::uint64_t hi = two ? rem[q + 1] : 0;
       const std::uint64_t gone = (lo >> sh) | ((hi << 1) << (63 - sh));
       const std::uint64_t hits = mask & ~gone;
-      live_left |= kfull[wd] & ~(gone | hits);
       // hits == 0 makes every write below an identity; doing them
       // anyway beats a 50/50 data-dependent branch.
       rem[q] = lo | (hits << sh);
       if (two) rem[q + 1] = hi | ((hits >> 1) >> (63 - sh));
-      const auto pc = static_cast<std::uint32_t>(std::popcount(hits));
-      taken += pc;
+      // The scatter visits every hit anyway, so it counts them too:
+      // std::popcount is a library call on baseline x86-64.
+      std::uint32_t pc = 0;
       std::uint64_t* const mw = mrow + (wd << 6) * nmw;
       std::uint64_t rest = hits;
       while (rest != 0) {
         mw[static_cast<std::size_t>(std::countr_zero(rest)) * nmw] |= jbit;
         rest &= rest - 1;
+        ++pc;
       }
+      taken += pc;
       rp[rn] = TaskRun{wbase, hits, 1, pc};
       rn += static_cast<std::size_t>(hits != 0);
     }
-    if (live_left == 0) {
-      alive_row_[ti * nmw + (tj >> 6)] &= ~(1ULL << (tj & 63));
-      alive_col_[tj * nmw + (ti >> 6)] &= ~(1ULL << (ti & 63));
-    }
   };
-  if ((arow[j >> 6] >> (j & 63)) & 1) {
-    take_runs(i, j);  // corner run (i, j, ·)
-  }
+  take_runs(i, j);  // corner run (i, j, ·)
   for (std::size_t wd = 0; wd < nmw; ++wd) {  // i-slab
-    std::uint64_t bits = mj_w[wd] & arow[wd];
+    std::uint64_t bits = mj_w[wd];
     while (bits != 0) {
       take_runs(i,
                 (wd << 6) + static_cast<std::uint64_t>(std::countr_zero(bits)));
@@ -307,7 +301,7 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
     }
   }
   for (std::size_t wd = 0; wd < nmw; ++wd) {  // j-slab
-    std::uint64_t bits = mi_w[wd] & acol[wd];
+    std::uint64_t bits = mi_w[wd];
     while (bits != 0) {
       take_runs((wd << 6) + static_cast<std::uint64_t>(std::countr_zero(bits)),
                 j);
@@ -315,7 +309,7 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
     }
   }
   for (std::size_t wdi = 0; wdi < nmw; ++wdi) {  // k-face
-    std::uint64_t ibits = mi_w[wdi] & aface[wdi];
+    std::uint64_t ibits = mi_w[wdi];
     while (ibits != 0) {
       const std::uint64_t i2 =
           (wdi << 6) + static_cast<std::uint64_t>(std::countr_zero(ibits));
@@ -324,32 +318,25 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
       // gather is one aligned load per mask word — no two-word split.
       std::uint64_t* const fline = mir + (i2 * n64 + k) * nmw;
       const std::uint64_t id_base = i2 * n64 * n64 + k;
-      std::uint64_t live_left = 0;
       for (std::size_t wd = 0; wd < nmw; ++wd) {
         const std::uint64_t mask = mj_w[wd];
-        if (mask == 0) {
-          live_left = 1;  // unexamined window word: assume survivors
-          continue;
-        }
+        if (mask == 0) continue;
         const std::uint64_t gone = fline[wd];
         const std::uint64_t hits = mask & ~gone;
-        live_left |= kfull[wd] & ~(gone | hits);
         fline[wd] = gone | hits;  // identity when hits == 0
-        const auto pc = static_cast<std::uint32_t>(std::popcount(hits));
-        taken += pc;
         const TaskId first = id_base + (static_cast<TaskId>(wd) << 6) * n64;
+        std::uint32_t pc = 0;
         std::uint64_t rest = hits;
         while (rest != 0) {
           const std::uint64_t pos =
               first + static_cast<std::uint64_t>(std::countr_zero(rest)) * n64;
           rem[pos >> 6] |= 1ULL << (pos & 63);
           rest &= rest - 1;
+          ++pc;
         }
+        taken += pc;
         rp[rn] = TaskRun{first, hits, n64, pc};
         rn += static_cast<std::size_t>(hits != 0);
-      }
-      if (live_left == 0) {
-        alive_face_[k * nmw + (i2 >> 6)] &= ~(1ULL << (i2 & 63));
       }
     }
   }
@@ -357,10 +344,6 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
   pool_.commit_serial_removals(taken);
   w.mask_i.set(i);
   w.mask_j.set(j);
-
-  w.known_i.push_back(i);
-  w.known_j.push_back(j);
-  w.known_k.push_back(k);
   notify_fetches(worker, out);
   return true;
 }
@@ -369,23 +352,6 @@ bool DynamicMatrixStrategy::random_request(std::uint32_t worker,
                                            Assignment& out) {
   if (pool_.empty()) return false;
   WorkerState& w = state_[worker];
-  if (!w.blocks_tracked) {
-    // First random serve: materialize the owned-block sets the
-    // untainted ship path skipped. They are exactly I x K, K x J and
-    // I x J so far, one word-parallel mask OR per known row.
-    const std::uint32_t n = config_.n;
-    for (const std::uint32_t i2 : w.known_i) {
-      or_mask_into_range(w.blocks.owned_a, w.mask_k,
-                         static_cast<std::size_t>(i2) * n);
-      or_mask_into_range(w.blocks.owned_c, w.mask_j,
-                         static_cast<std::size_t>(i2) * n);
-    }
-    for (const std::uint32_t k2 : w.known_k) {
-      or_mask_into_range(w.blocks.owned_b, w.mask_j,
-                         static_cast<std::size_t>(k2) * n);
-    }
-    w.blocks_tracked = true;
-  }
   const TaskId id = pool_.pop_random(rng_);
   const auto [i, j, k] = matmul_task_coords(config_.n, id);
   removed_t_.set(

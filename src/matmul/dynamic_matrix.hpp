@@ -9,28 +9,28 @@
 //
 // The enabled tasks of (I+i) x (J+j) x (K+k) are enumerated through a
 // word-parallel frontier instead of per-element pool rescans: the
-// known index sets are kept as n-bit masks alongside the
-// acquisition-order vectors, each contiguous (·,·,k-run) of task ids
-// is intersected with the K + k mask against the pool's removed-set
-// view in one AND-NOT per 64 candidates, and the k-face candidates
-// (I x J x {k}) scan a strategy-owned (i, k, j)-major mirror of the
-// removed set — contiguous j-runs per (i2, k) — against the J mask the
-// same way. Each gathered window leaves the request as one run-encoded
-// grant (TaskRun: occupancy word + stride, see sim/strategy.hpp) and
-// is *retired* word-level on both orientations through raw words
-// (TaskPool::raw_removed_words): one two-word OR clears all its hits
-// on the scanned side, and one bit write per hit scatters the mirror
-// side — the minimum for a two-orientation presence structure — while
-// the pool's count is settled once per request
-// (TaskPool::commit_serial_removals). Both pool layouts expose those
-// raw words, so one kernel serves every request, the compact layout
-// (>= 2^25 tasks, e.g. N/l = 1000) included. Untainted block shipping
-// is run-encoded too (BlockRun per occupied mask word, each extension
-// in ascending index order — same set and count as the former
-// acquisition-order loops). The pool is built with a presence view
-// (common/task_pool.hpp): phase-1 removals are bitset writes only, and
-// the dense layout's swap-remove index is rebuilt once, at the phase-2
-// switch.
+// known index sets are n-bit masks, each contiguous (·,·,k-run) of task
+// ids is intersected with the K + k mask against the pool's
+// removed-set view in one AND-NOT per 64 candidates, and the k-face
+// candidates (I x J x {k}) scan a strategy-owned (i, k, j)-major mirror
+// of the removed set — contiguous j-runs per (i2, k) — against the J
+// mask the same way. Each gathered window leaves the request as one
+// run-encoded grant (TaskRun: occupancy word + stride, see
+// sim/strategy.hpp) and is *retired* word-level on both orientations
+// through raw words (TaskPool::raw_removed_words): one two-word OR
+// clears all its hits on the scanned side, and one bit write per hit
+// scatters the mirror side — the minimum for a two-orientation
+// presence structure — while the pool's count is settled once per
+// request (TaskPool::commit_serial_removals). Both pool layouts expose
+// those raw words, so one kernel serves every request, the compact
+// layout (>= 2^25 tasks, e.g. N/l = 1000) included. Blocks ship one
+// BlockRef each, only if the worker's owned-block set lacks them, each
+// extension in ascending index order: a fixed-row group is tested and
+// claimed one owned-set word at a time, a fixed-column group bit by
+// bit (set_if_clear). The pool is built with a
+// presence view (common/task_pool.hpp): phase-1 removals are bitset
+// writes only, and the dense layout's swap-remove index is rebuilt
+// once, at the phase-2 switch.
 // Enumeration order: the corner run (i, j, ·), then the i-slab
 // runs (i, j2, ·) for j2 in J ascending, then the j-slab runs
 // (i2, j, ·) for i2 in I ascending, then the k-face probes (i2, j2, k)
@@ -79,7 +79,6 @@ class DynamicMatrixStrategy : public Strategy {
 
   bool requeue(const std::vector<TaskId>& tasks) override {
     bool all_inserted = true;
-    const std::size_t aw = (config_.n + 63) >> 6;
     for (const TaskId id : tasks) {
       if (!pool_.insert(id)) {
         all_inserted = false;
@@ -88,12 +87,6 @@ class DynamicMatrixStrategy : public Strategy {
       const auto [i, j, k] = matmul_task_coords(config_.n, id);
       removed_t_.reset(
           (static_cast<std::uint64_t>(i) * config_.n + k) * mir_stride_ + j);
-      // A reinserted task resurrects its row/column/face in the
-      // exhaustion filters: clear bits must stay final only while
-      // removals are monotone.
-      alive_row_[i * aw + (j >> 6)] |= 1ULL << (j & 63);
-      alive_col_[j * aw + (i >> 6)] |= 1ULL << (i & 63);
-      alive_face_[k * aw + (i >> 6)] |= 1ULL << (i & 63);
     }
     return all_inserted;
   }
@@ -113,12 +106,13 @@ class DynamicMatrixStrategy : public Strategy {
 
   /// Size y of worker k's structured index sets (|I| = |J| = |K|).
   std::uint32_t known_extent(std::uint32_t worker) const {
-    return static_cast<std::uint32_t>(state_[worker].known_i.size());
+    return config_.n -
+           static_cast<std::uint32_t>(state_[worker].unknown_i.size());
   }
 
   /// The analysis's x_k: y / N.
   double knowledge_fraction(std::uint32_t worker) const override {
-    return static_cast<double>(state_[worker].known_i.size()) /
+    return static_cast<double>(known_extent(worker)) /
            static_cast<double>(config_.n);
   }
 
@@ -128,30 +122,27 @@ class DynamicMatrixStrategy : public Strategy {
 
  private:
   struct WorkerState {
-    std::vector<std::uint32_t> known_i;  // I
-    std::vector<std::uint32_t> known_j;  // J
-    std::vector<std::uint32_t> known_k;  // K
-    std::vector<std::uint32_t> unknown_i;
+    std::vector<std::uint32_t> unknown_i;  // complement of I (swap-remove)
     std::vector<std::uint32_t> unknown_j;
     std::vector<std::uint32_t> unknown_k;
     DynamicBitset mask_i;  // I as an n-bit mask (frontier scan order)
     DynamicBitset mask_j;  // J likewise
     DynamicBitset mask_k;  // K likewise
     MatmulWorkerBlocks blocks;
-    /// False while the worker has only ever been served data-aware. In
-    /// that regime its owned-block sets are exactly I x K, K x J and
-    /// I x J, so the ship loop skips the per-block owned writes (every
-    /// block is provably new) and the sets are rebuilt word-parallel
-    /// from the masks if the worker is ever served randomly — from
-    /// then on this is true and shipping pays the exact
-    /// set_if_clear accounting.
-    bool blocks_tracked = false;
   };
 
   /// "Once fewer than phase2_tasks tasks remain": strict comparison.
   bool in_phase2() const noexcept { return pool_.size() < phase2_tasks_; }
 
   bool dynamic_request(std::uint32_t worker, Assignment& out);
+  /// Picks (i, j, k), ships the extension blocks and takes the enabled
+  /// tasks. kMaskWords fixes the mask width in words at compile time;
+  /// 0 reads it from the masks. Always inlined, so each compiled copy
+  /// of dynamic_request (see dynamic_matrix.cpp) builds it for its own
+  /// target.
+  template <std::size_t kMaskWords>
+  [[gnu::always_inline]] bool extend(WorkerState& w, std::uint32_t worker,
+                                     Assignment& out);
   bool random_request(std::uint32_t worker, Assignment& out);
 
   MatmulConfig config_;
@@ -172,16 +163,6 @@ class DynamicMatrixStrategy : public Strategy {
   /// scan word-parallel like the (·,·,k)-runs instead of as stride-n
   /// bit probes.
   DynamicBitset removed_t_;
-  /// Exhaustion filters over the request kernel's unit space, one
-  /// ceil(n/64)-word row per index. Bit tj of alive_row_ row ti clear
-  /// <=> cell (ti, tj) was observed fully retired along k, so no
-  /// future scan of it can hit; alive_col_ mirrors that over ti for a
-  /// fixed tj, and alive_face_ tracks the mirror's (i2, k) cells over
-  /// j. These are monotone observations of the shared pool, so they
-  /// are strategy-global, purely advisory (a stale 1 bit only costs a
-  /// rescan) and exact in the other direction — requeue() resurrects
-  /// the affected bits, reset()/the constructor refill them.
-  std::vector<std::uint64_t> alive_row_, alive_col_, alive_face_;
   std::vector<WorkerState> state_;
   Rng rng_;
   std::uint64_t phase2_served_ = 0;

@@ -34,8 +34,6 @@ DynamicOuterStrategy::DynamicOuterStrategy(OuterConfig config,
       w.unknown_i[v] = v;
       w.unknown_j[v] = v;
     }
-    w.known_i.reserve(config_.n);
-    w.known_j.reserve(config_.n);
   }
   // Branchless emission bound of one request: the row scan and the
   // column scan each leave at most one run per mask word.
@@ -65,8 +63,6 @@ bool DynamicOuterStrategy::reset(std::uint64_t seed) {
   pool_.reset();
   removed_t_.clear();
   for (auto& w : state_) {
-    w.known_i.clear();
-    w.known_j.clear();
     w.unknown_i.resize(config_.n);
     w.unknown_j.resize(config_.n);
     for (std::uint32_t v = 0; v < config_.n; ++v) {
@@ -207,9 +203,6 @@ bool DynamicOuterStrategy::dynamic_request(std::uint32_t worker,
   out.task_runs.insert(out.task_runs.end(), rp, rp + rn);
   pool_.commit_serial_removals(taken);
   w.mask_i.set(i);
-
-  w.known_i.push_back(i);
-  w.known_j.push_back(j);
   notify_fetches(worker, out);
   return true;
 }

@@ -6,24 +6,21 @@
 // task the enlarged knowledge {I+i} x {J+j} enables — the "L" of row i
 // against J+j and column j against I.
 //
-// The enabled tasks are enumerated through a word-parallel frontier:
-// the worker's known index sets are kept as n-bit masks alongside the
-// acquisition-order vectors, and the row i candidates come from one
-// AND-NOT of the mask words against the pool's removed-set view
-// (common/task_pool.hpp) instead of per-element pool probes. The
-// stride-n column candidates scan a strategy-owned column-major mirror
-// of the removed set (bit j*n + i) the same way, so they cost one
-// AND-NOT per 64 candidates too. Each gathered window leaves the
-// request as one run-encoded grant (TaskRun: occupancy word + stride,
-// see sim/strategy.hpp). One kernel serves every request: it reads and
-// writes the pool's removed-set and the mirror as raw words
-// (TaskPool::raw_removed_words), retiring each window with one
-// two-word OR on the scanned side and one bit write per hit on the
-// other, and settles the pool's count once per request
-// (TaskPool::commit_serial_removals). Both pool layouts expose those
-// raw words, so the compact layout (>= 2^25 tasks) takes the same
-// path. The pool is built with a presence view: phase-1 removals are
-// bitset writes only, and the dense layout's swap-remove index is
+// The enabled tasks are enumerated through a word-parallel frontier: the
+// worker's known index sets are kept as n-bit masks, and the row i candidates
+// come from one AND-NOT of the mask words against the pool's removed-set view
+// (common/task_pool.hpp) instead of per-element pool probes. The stride-n
+// column candidates scan a strategy-owned column-major mirror of the removed
+// set (bit j*n + i) the same way, so they cost one AND-NOT per 64 candidates
+// too. Each gathered window leaves the request as one run-encoded grant
+// (TaskRun: occupancy word + stride, see sim/strategy.hpp). One kernel serves
+// every request: it reads and writes the pool's removed-set and the mirror as
+// raw words (TaskPool::raw_removed_words), retiring each window with one
+// two-word OR on the scanned side and one bit write per hit on the other, and
+// settles the pool's count once per request (TaskPool::commit_serial_removals).
+// Both pool layouts expose those raw words, so the compact layout (>= 2^25
+// tasks) takes the same path. The pool is built with a presence view: phase-1
+// removals are bitset writes only, and the dense layout's swap-remove index is
 // rebuilt once, at the phase-2 switch.
 //
 // Two-phase variant: once fewer than `phase2_tasks` tasks remain
@@ -94,12 +91,13 @@ class DynamicOuterStrategy : public Strategy {
 
   /// Number of (row, column) pairs worker k has learned in phase 1.
   std::uint32_t known_rows(std::uint32_t worker) const {
-    return static_cast<std::uint32_t>(state_[worker].known_i.size());
+    return config_.n -
+           static_cast<std::uint32_t>(state_[worker].unknown_i.size());
   }
 
   /// The analysis's x_k: |I| / N.
   double knowledge_fraction(std::uint32_t worker) const override {
-    return static_cast<double>(state_[worker].known_i.size()) /
+    return static_cast<double>(known_rows(worker)) /
            static_cast<double>(config_.n);
   }
 
@@ -109,8 +107,6 @@ class DynamicOuterStrategy : public Strategy {
 
  private:
   struct WorkerState {
-    std::vector<std::uint32_t> known_i;    // I, in acquisition order
-    std::vector<std::uint32_t> known_j;    // J
     std::vector<std::uint32_t> unknown_i;  // complement of I (swap-remove)
     std::vector<std::uint32_t> unknown_j;
     DynamicBitset mask_i;  // I as an n-bit mask (frontier scan order)

@@ -69,49 +69,16 @@ struct TaskRun {
   friend bool operator==(const TaskRun&, const TaskRun&) = default;
 };
 
-/// Block-transfer analogue of TaskRun: one operand, one fixed
-/// coordinate, and a 64-bit occupancy word over the other coordinate.
-/// Bit b set means the block whose varying coordinate is `base + b` is
-/// shipped. Expansion order is ascending bit index.
-struct BlockRun {
-  enum class Axis : std::uint8_t {
-    kColVaries,  // expands to BlockRef{operand, fixed, base + b}
-    kRowVaries,  // expands to BlockRef{operand, base + b, fixed}
-  };
-
-  Operand operand = Operand::kVecA;
-  Axis axis = Axis::kColVaries;
-  std::uint32_t fixed = 0;     // the coordinate shared by every block
-  std::uint32_t base = 0;      // varying coordinate at bit 0
-  std::uint64_t bits = 0;      // bit b set => block with coord base + b
-  std::uint32_t count = 0;     // popcount(bits), cached
-
-  /// Calls fn(BlockRef) for every set bit, ascending.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    std::uint64_t rest = bits;
-    while (rest != 0) {
-      const std::uint32_t v =
-          base + static_cast<std::uint32_t>(std::countr_zero(rest));
-      fn(axis == Axis::kColVaries ? BlockRef{operand, fixed, v}
-                                  : BlockRef{operand, v, fixed});
-      rest &= rest - 1;
-    }
-  }
-
-  friend bool operator==(const BlockRun&, const BlockRun&) = default;
-};
-
 /// The master's answer to one work request. Engines own one instance
 /// as a scratch buffer reused across requests: clear() drops the
-/// contents but keeps all four vectors' heap blocks, which is what
+/// contents but keeps all three vectors' heap blocks, which is what
 /// makes the steady-state request loop allocation-free.
 ///
-/// Grants travel on two channels: the scalar `tasks`/`blocks` vectors
-/// (random service, single-task grants, tainted-block shipping) and the
-/// run vectors (the word-parallel data-aware frontiers, which discover
-/// enabled tasks one mask word at a time). A producer uses one channel
-/// per category per request, never both; the iteration facade visits
+/// Blocks travel as scalar BlockRefs. Tasks travel on two channels: the
+/// scalar `tasks` vector (random service, single-task grants) and the
+/// `task_runs` vector (the word-parallel data-aware frontiers, which
+/// discover enabled tasks one mask word at a time). A producer uses one
+/// task channel per request, never both; the iteration facade visits
 /// scalars first, then runs, which therefore always matches the legacy
 /// per-task order. Consumers that only need totals use task_count() /
 /// block_count() and never expand.
@@ -119,18 +86,15 @@ struct Assignment {
   std::vector<BlockRef> blocks;     // transfers charged to this request
   std::vector<TaskId> tasks;        // tasks the worker must now compute
   std::vector<TaskRun> task_runs;   // run-encoded task grants
-  std::vector<BlockRun> block_runs; // run-encoded block transfers
 
   bool empty() const noexcept {
-    return blocks.empty() && tasks.empty() && task_runs.empty() &&
-           block_runs.empty();
+    return blocks.empty() && tasks.empty() && task_runs.empty();
   }
 
   void clear() noexcept {
     blocks.clear();
     tasks.clear();
     task_runs.clear();
-    block_runs.clear();
   }
 
   /// Total tasks granted, across both channels.
@@ -140,12 +104,8 @@ struct Assignment {
     return n;
   }
 
-  /// Total blocks transferred, across both channels.
-  std::uint64_t block_count() const noexcept {
-    std::uint64_t n = blocks.size();
-    for (const BlockRun& r : block_runs) n += r.count;
-    return n;
-  }
+  /// Total blocks transferred.
+  std::uint64_t block_count() const noexcept { return blocks.size(); }
 
   /// Calls fn(TaskId) for every granted task: scalars first, then runs
   /// in order, each expanded ascending — the legacy per-task order.
@@ -155,26 +115,21 @@ struct Assignment {
     for (const TaskRun& r : task_runs) r.for_each(fn);
   }
 
-  /// Calls fn(BlockRef) for every transferred block, scalars first.
+  /// Calls fn(BlockRef) for every transferred block.
   template <typename Fn>
   void for_each_block(Fn&& fn) const {
     for (const BlockRef& b : blocks) fn(b);
-    for (const BlockRun& r : block_runs) r.for_each(fn);
   }
 
-  /// Expands both run channels into the scalar vectors (appended in
-  /// facade order) and clears the run vectors. Used by the allocating
-  /// wrapper and by rare engine paths (crash/straggler splits) that
-  /// need indexed access; hot paths stay in run space.
+  /// Expands the task runs into the scalar vector (appended in facade
+  /// order) and clears them. Used by the allocating wrapper and by rare
+  /// engine paths (crash/straggler splits) that need indexed access;
+  /// hot paths stay in run space.
   void flatten() {
     for (const TaskRun& r : task_runs) {
       r.for_each([this](TaskId t) { tasks.push_back(t); });
     }
     task_runs.clear();
-    for (const BlockRun& r : block_runs) {
-      r.for_each([this](const BlockRef& b) { blocks.push_back(b); });
-    }
-    block_runs.clear();
   }
 };
 

@@ -128,49 +128,5 @@ TEST(DynamicBitset, WordViewReadsStoredWordsAndClearZeroesThem) {
   EXPECT_EQ(bits.count(), 1u);
 }
 
-TEST(OrShifted, MatchesPerBitSetsAcrossAlignments) {
-  const std::uint64_t bits = 0x8000'0401'0000'0081ull;
-  for (std::size_t base : {0ull, 1ull, 63ull, 64ull, 100ull}) {
-    DynamicBitset batched(256);
-    DynamicBitset scalar(256);
-    batched.or_shifted(base, bits);
-    for (std::size_t b = 0; b < 64; ++b) {
-      if ((bits >> b) & 1) scalar.set(base + b);
-    }
-    EXPECT_EQ(batched, scalar) << "base " << base;
-  }
-}
-
-TEST(OrShifted, PreservesExistingBitsAndSurvivesClear) {
-  DynamicBitset set(128);
-  set.set(3);
-  set.or_shifted(60, 0b1011);  // bits 60, 61, 63 straddle the word edge
-  EXPECT_TRUE(set.test(3));
-  EXPECT_TRUE(set.test(60));
-  EXPECT_TRUE(set.test(61));
-  EXPECT_FALSE(set.test(62));
-  EXPECT_TRUE(set.test(63));
-  EXPECT_EQ(set.count(), 4u);
-  set.clear();  // a following OR must start from zero
-  set.or_shifted(62, 0b1);
-  EXPECT_EQ(set.count(), 1u);
-  EXPECT_TRUE(set.test(62));
-}
-
-TEST(OrMaskIntoRange, WritesMaskAtOffset) {
-  DynamicBitset mask(100);
-  mask.set(0);
-  mask.set(37);
-  mask.set(99);
-  DynamicBitset dst(400);
-  dst.set(1);  // pre-existing bit outside the range must survive
-  or_mask_into_range(dst, mask, 150);
-  EXPECT_EQ(dst.count(), 4u);
-  EXPECT_TRUE(dst.test(1));
-  EXPECT_TRUE(dst.test(150));
-  EXPECT_TRUE(dst.test(150 + 37));
-  EXPECT_TRUE(dst.test(150 + 99));
-}
-
 }  // namespace
 }  // namespace hetsched

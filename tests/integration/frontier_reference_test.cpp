@@ -356,6 +356,40 @@ std::vector<TaskId> matmul_expected_order(Pool& pooled, const MatmulMirror& m,
   return expected;
 }
 
+// Block sequence of one matmul data-aware request to a worker that has
+// only been served data-aware: per operand, the new row over the old
+// mask plus the new column, then the new column over the old row mask,
+// each ascending — A_{i, K+k}, A_{I, k}, B_{k, J+j}, B_{K, j},
+// C_{i, J+j}, C_{I, j}; 3 * (2y + 1) blocks in all.
+std::vector<BlockRef> matmul_expected_blocks(const MatmulMirror& m,
+                                             std::uint32_t i, std::uint32_t j,
+                                             std::uint32_t k) {
+  const auto sorted = [](std::vector<std::uint32_t> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  const auto plus = [](std::vector<std::uint32_t> v, std::uint32_t extra) {
+    v.push_back(extra);
+    return v;
+  };
+  std::vector<BlockRef> expected;
+  const auto row = [&](Operand op, std::uint32_t r,
+                       const std::vector<std::uint32_t>& cols) {
+    for (const std::uint32_t c : cols) expected.push_back(BlockRef{op, r, c});
+  };
+  const auto col = [&](Operand op, const std::vector<std::uint32_t>& rows,
+                       std::uint32_t c) {
+    for (const std::uint32_t r : rows) expected.push_back(BlockRef{op, r, c});
+  };
+  row(Operand::kMatA, i, sorted(plus(m.known_k, k)));
+  col(Operand::kMatA, sorted(m.known_i), k);
+  row(Operand::kMatB, k, sorted(plus(m.known_j, j)));
+  col(Operand::kMatB, sorted(m.known_k), j);
+  row(Operand::kMatC, i, sorted(plus(m.known_j, j)));
+  col(Operand::kMatC, sorted(m.known_i), j);
+  return expected;
+}
+
 // Expands an assignment's task channels in facade order and checks the
 // run-level invariants the protocol promises: runs carry a correct
 // cached popcount, no empty runs, and the data-aware path emits tasks
@@ -438,14 +472,17 @@ TEST(FrontierReference, MatmulRunExpansionMatchesLegacyOrder) {
         // dry unknown set would switch the worker to the fallback path.
         while (!pooled.empty() && !mirror[w].unknown_i.empty()) {
           MatmulMirror& m = mirror[w];
-          // Untainted data-aware service ships exactly 3 * (2y + 1)
-          // blocks; the run channel must account them all.
+          // Data-aware service ships exactly 3 * (2y + 1) blocks, in
+          // the six ascending groups of matmul_expected_blocks.
           const auto y = static_cast<std::uint64_t>(m.known_i.size());
           ASSERT_TRUE(strategy.on_request(w, out));
           ASSERT_EQ(out.block_count(), 3 * (2 * y + 1));
           const std::uint32_t i = mirror_pick(rng, m.unknown_i);
           const std::uint32_t j = mirror_pick(rng, m.unknown_j);
           const std::uint32_t k = mirror_pick(rng, m.unknown_k);
+          std::vector<BlockRef> blocks;
+          out.for_each_block([&](const BlockRef& b) { blocks.push_back(b); });
+          ASSERT_EQ(blocks, matmul_expected_blocks(m, i, j, k));
           const std::vector<TaskId> expected =
               matmul_expected_order(pooled, m, n, i, j, k);
           m.known_i.push_back(i);
@@ -531,8 +568,7 @@ TEST(FrontierReference, MatmulRunExpansionOrderAfterRequeue) {
     assigned.insert(assigned.end(), actual.begin(), actual.end());
   };
 
-  // Enough serves that the requeued ids land inside later windows
-  // (the exhaustion filters must resurrect their rows/columns/faces).
+  // Enough serves that the requeued ids land inside later windows.
   for (int r = 0; r < 16; ++r) serve(static_cast<std::uint32_t>(r % 2));
 
   std::vector<TaskId> requeued;

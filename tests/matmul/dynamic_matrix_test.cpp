@@ -221,6 +221,135 @@ TEST(DynamicMatrix, RequeueFallbackCountsSeparatelyFromPhase2) {
   EXPECT_TRUE(trace.phase_switches().empty());
 }
 
+// The only path on which a data-aware request finds blocks the worker
+// already owns: a random phase-2 serve, then a requeue that lifts the
+// pool back over the threshold. The next data-aware request must ship
+// exactly the extension blocks the worker lacks, each once, and still
+// take every pooled task the extension enables.
+TEST(DynamicMatrix2Phases, RequeueReentryShipsOnlyUnownedExtensionBlocks) {
+  const std::uint32_t n = 8;
+  const std::uint64_t threshold = 200;
+  DynamicMatrixStrategy strategy(MatmulConfig{n}, 2, 3, threshold);
+  std::set<TaskId> pooled;
+  for (TaskId id = 0; id < TaskId{n} * n * n; ++id) pooled.insert(id);
+  std::vector<TaskId> handed_out;
+  // Worker 0's owned blocks (shadow) and its index sets I, J, K.
+  std::set<std::uint64_t> owned;
+  std::set<std::uint32_t> known_i, known_j, known_k;
+  const auto key = [n](const BlockRef& b) {
+    return (static_cast<std::uint64_t>(b.operand) * n + b.row) * n + b.col;
+  };
+  const auto serve = [&](std::uint32_t w) {
+    auto a = strategy.on_request(w);
+    if (!a.has_value()) {
+      ADD_FAILURE() << "worker " << w << " was retired";
+      return Assignment{};
+    }
+    for (const TaskId t : a->tasks) {
+      EXPECT_EQ(pooled.erase(t), 1u);
+      handed_out.push_back(t);
+    }
+    return *a;
+  };
+
+  // 1. Drain to phase 2, round-robin. Worker 0 is served data-aware
+  // only, so its A blocks span (I + i) x (K + k) and its B blocks
+  // (K + k) x (J + j): the index sets follow from what it was shipped.
+  std::uint32_t w = 0;
+  while (strategy.current_phase() == 1) {
+    const Assignment a = serve(w);
+    if (w == 0) {
+      for (const BlockRef& b : a.blocks) {
+        EXPECT_TRUE(owned.insert(key(b)).second);
+        if (b.operand == Operand::kMatA) {
+          known_i.insert(b.row);
+          known_k.insert(b.col);
+        } else if (b.operand == Operand::kMatB) {
+          known_j.insert(b.col);
+        }
+      }
+    }
+    w ^= 1;
+  }
+  const std::uint32_t y = strategy.known_extent(0);
+  ASSERT_EQ(known_i.size(), y);
+  ASSERT_EQ(known_j.size(), y);
+  ASSERT_EQ(known_k.size(), y);
+
+  // 2. One random task for worker 0, with its missing blocks.
+  const Assignment random = serve(0);
+  ASSERT_EQ(random.tasks.size(), 1u);
+  ASSERT_EQ(strategy.phase2_tasks_served(), 1u);
+  for (const BlockRef& b : random.blocks) {
+    EXPECT_TRUE(owned.insert(key(b)).second);
+  }
+
+  // 3. Requeue handed-out tasks until the pool is back at the threshold.
+  std::vector<TaskId> requeued;
+  while (pooled.size() < threshold) {
+    requeued.push_back(handed_out[requeued.size()]);
+    pooled.insert(requeued.back());
+  }
+  ASSERT_TRUE(strategy.requeue(requeued));
+  ASSERT_EQ(strategy.unassigned_tasks(), pooled.size());
+  ASSERT_EQ(strategy.current_phase(), 1);
+
+  // 4. Data-aware re-entry. With y = n - 1 the fresh indices are the
+  // single unknown ones.
+  ASSERT_EQ(y, n - 1);
+  const auto fresh = [](const std::set<std::uint32_t>& known) {
+    std::uint32_t v = 0;
+    while (known.count(v) != 0) ++v;
+    return v;
+  };
+  const std::uint32_t i = fresh(known_i);
+  const std::uint32_t j = fresh(known_j);
+  const std::uint32_t k = fresh(known_k);
+  std::set<std::uint32_t> all_i = known_i, all_j = known_j, all_k = known_k;
+  all_i.insert(i);
+  all_j.insert(j);
+  all_k.insert(k);
+  std::set<std::uint64_t> expected_blocks;
+  std::uint32_t extension = 0;
+  const auto extend = [&](Operand op, std::uint32_t r, std::uint32_t c) {
+    ++extension;
+    const std::uint64_t id = key(BlockRef{op, r, c});
+    if (owned.count(id) == 0) expected_blocks.insert(id);
+  };
+  for (const std::uint32_t k2 : all_k) extend(Operand::kMatA, i, k2);
+  for (const std::uint32_t i2 : known_i) extend(Operand::kMatA, i2, k);
+  for (const std::uint32_t j2 : all_j) extend(Operand::kMatB, k, j2);
+  for (const std::uint32_t k2 : known_k) extend(Operand::kMatB, k2, j);
+  for (const std::uint32_t j2 : all_j) extend(Operand::kMatC, i, j2);
+  for (const std::uint32_t i2 : known_i) extend(Operand::kMatC, i2, j);
+  ASSERT_EQ(extension, 3 * (2 * y + 1));
+  std::set<TaskId> expected_tasks;
+  for (const std::uint32_t ti : all_i) {
+    for (const std::uint32_t tj : all_j) {
+      for (const std::uint32_t tk : all_k) {
+        const TaskId id = matmul_task_id(n, ti, tj, tk);
+        if ((ti == i || tj == j || tk == k) && pooled.count(id) != 0) {
+          expected_tasks.insert(id);
+        }
+      }
+    }
+  }
+
+  const Assignment reentry = serve(0);
+  EXPECT_EQ(strategy.phase2_tasks_served(), 1u);
+  EXPECT_EQ(strategy.fallback_tasks_served(), 0u);
+  EXPECT_EQ(strategy.known_extent(0), n);
+  std::set<std::uint64_t> shipped;
+  for (const BlockRef& b : reentry.blocks) {
+    EXPECT_TRUE(shipped.insert(key(b)).second) << "block shipped twice";
+  }
+  EXPECT_EQ(shipped, expected_blocks);
+  EXPECT_LT(shipped.size(), extension);  // set_if_clear refused some
+  EXPECT_EQ(std::set<TaskId>(reentry.tasks.begin(), reentry.tasks.end()),
+            expected_tasks);
+  EXPECT_EQ(reentry.tasks.size(), expected_tasks.size());
+}
+
 TEST(DynamicMatrix2Phases, PhaseSwitchAnnouncedOncePerRep) {
   DynamicMatrixStrategy strategy(MatmulConfig{8}, 1, 7, 485);
   RecordingTrace trace;
