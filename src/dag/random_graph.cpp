@@ -37,7 +37,8 @@ TaskGraph build_random_graph(const RandomGraphConfig& config,
 
     for (std::uint32_t t = 0; t < count; ++t) {
       DagTask task;
-      task.kind = "L" + std::to_string(layer);
+      task.kind = "L";
+      task.kind += std::to_string(layer);
       task.work = rng.uniform(config.work_lo, config.work_hi);
 
       const std::uint32_t n_inputs =

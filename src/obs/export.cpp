@@ -1,28 +1,8 @@
 #include "obs/export.hpp"
 
-#include "common/csv.hpp"
 #include "common/json.hpp"
 
 namespace hetsched {
-
-void write_timeseries_csv(std::ostream& out, const TimeSeriesSampler& sampler,
-                          std::uint64_t dropped_events) {
-  if (dropped_events > 0) {
-    out << "# dropped_events=" << dropped_events << '\n';
-  }
-  std::vector<std::string> columns;
-  columns.reserve(sampler.channel_names().size() + 1);
-  columns.push_back("time");
-  for (const auto& name : sampler.channel_names()) columns.push_back(name);
-  CsvWriter csv(out, std::move(columns));
-  for (const auto& sample : sampler.samples()) {
-    std::vector<double> cells;
-    cells.reserve(sample.values.size() + 1);
-    cells.push_back(sample.time);
-    cells.insert(cells.end(), sample.values.begin(), sample.values.end());
-    csv.row(cells);
-  }
-}
 
 void write_timeseries_jsonl(std::ostream& out,
                             const TimeSeriesSampler& sampler,

@@ -1,9 +1,9 @@
-// Time-series exporters: CSV for plotting, JSON-lines for pipelines.
+// Time-series exporter: JSON-lines for pipelines.
 //
-// Both formats carry the sampler's channel names verbatim, so a series
-// round-trips without a side schema; the JSONL stream opens with a
-// meta record and can be terminated by a metrics-snapshot record
-// (write_metrics_json) to make one self-describing file per run.
+// The stream carries the sampler's channel names verbatim, so a series
+// round-trips without a side schema. It opens with a meta record and
+// can be terminated by a metrics-snapshot record (write_metrics_json)
+// to make one self-describing file per run.
 #pragma once
 
 #include <cstdint>
@@ -12,13 +12,6 @@
 #include "obs/sampler.hpp"
 
 namespace hetsched {
-
-/// Header "time,<ch1>,<ch2>,..." then one row per sample. A nonzero
-/// `dropped_events` (RecordingTrace cap hit during the run) is recorded
-/// as a leading "# dropped_events=N" comment so downstream plots know
-/// the series' source trace was truncated.
-void write_timeseries_csv(std::ostream& out, const TimeSeriesSampler& sampler,
-                          std::uint64_t dropped_events = 0);
 
 /// First line {"type":"meta","interval":dt,"channels":[...],
 /// "dropped_events":N} then one {"type":"sample","t":...,"v":[...]}

@@ -9,33 +9,16 @@ AdaptiveOuterStrategy::AdaptiveOuterStrategy(OuterConfig config,
                                              std::uint64_t seed,
                                              double threshold,
                                              std::uint32_t window)
-    : config_(config),
-      pool_(config.total_tasks()),
-      rng_(derive_stream(seed, "outer.adaptive")),
+    : ReferenceOuterStrategy(config, workers, seed, "outer.adaptive"),
       threshold_(threshold),
       window_(window == 0 ? 2 * workers : window) {
-  validate(config_);
-  if (workers == 0) {
-    throw std::invalid_argument("AdaptiveOuterStrategy: need >= 1 worker");
-  }
   if (!(threshold > 0.0)) {
     throw std::invalid_argument(
         "AdaptiveOuterStrategy: threshold must be positive");
   }
-  state_.resize(workers);
-  for (auto& w : state_) {
-    w.owned_a = DynamicBitset(config_.n);
-    w.owned_b = DynamicBitset(config_.n);
-    w.unknown_i.resize(config_.n);
-    w.unknown_j.resize(config_.n);
-    for (std::uint32_t v = 0; v < config_.n; ++v) {
-      w.unknown_i[v] = v;
-      w.unknown_j[v] = v;
-    }
-  }
 }
 
-void AdaptiveOuterStrategy::record_step(std::size_t tasks_gained) {
+void AdaptiveOuterStrategy::on_step(std::size_t tasks_gained) {
   recent_gains_.push_back(static_cast<std::uint32_t>(tasks_gained));
   recent_sum_ += tasks_gained;
   if (recent_gains_.size() > window_) {
@@ -55,65 +38,8 @@ void AdaptiveOuterStrategy::record_step(std::size_t tasks_gained) {
   }
   if (average < threshold_) {
     switched_ = true;
-    tasks_at_switch_ = pool_.size();
+    tasks_at_switch_ = unassigned_tasks();
   }
-}
-
-bool AdaptiveOuterStrategy::on_request(std::uint32_t worker, Assignment& out) {
-  out.clear();
-  if (pool_.empty()) return false;
-  if (switched_) return random_request(worker, out);
-  return dynamic_request(worker, out);
-}
-
-bool AdaptiveOuterStrategy::dynamic_request(std::uint32_t worker, Assignment& out) {
-  WorkerState& w = state_[worker];
-  if (w.unknown_i.empty() || w.unknown_j.empty()) {
-    return random_request(worker, out);
-  }
-  const auto pick = [this](std::vector<std::uint32_t>& unknown) {
-    const auto pos = static_cast<std::size_t>(rng_.next_below(unknown.size()));
-    const std::uint32_t v = unknown[pos];
-    unknown[pos] = unknown.back();
-    unknown.pop_back();
-    return v;
-  };
-  const std::uint32_t i = pick(w.unknown_i);
-  const std::uint32_t j = pick(w.unknown_j);
-
-  out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
-  out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
-  w.owned_a.set(i);
-  w.owned_b.set(j);
-
-  auto try_take = [&](std::uint32_t ti, std::uint32_t tj) {
-    const TaskId id = outer_task_id(config_.n, ti, tj);
-    if (pool_.remove(id)) out.tasks.push_back(id);
-  };
-  for (const std::uint32_t j2 : w.known_j) try_take(i, j2);
-  for (const std::uint32_t i2 : w.known_i) try_take(i2, j);
-  try_take(i, j);
-
-  w.known_i.push_back(i);
-  w.known_j.push_back(j);
-  record_step(out.tasks.size());
-  return true;
-}
-
-bool AdaptiveOuterStrategy::random_request(std::uint32_t worker, Assignment& out) {
-  if (pool_.empty()) return false;
-  WorkerState& w = state_[worker];
-  const TaskId id = pool_.pop_random(rng_);
-  const auto [i, j] = outer_task_coords(config_.n, id);
-
-  if (w.owned_a.set_if_clear(i)) {
-    out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
-  }
-  if (w.owned_b.set_if_clear(j)) {
-    out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
-  }
-  out.tasks.push_back(id);
-  return true;
 }
 
 }  // namespace hetsched

@@ -17,17 +17,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <vector>
 
-#include "common/dynamic_bitset.hpp"
-#include "common/rng.hpp"
-#include "common/swap_remove_pool.hpp"
-#include "outer/outer_problem.hpp"
-#include "sim/strategy.hpp"
+#include "outer/reference_outer.hpp"
 
 namespace hetsched {
 
-class AdaptiveOuterStrategy final : public Strategy {
+class AdaptiveOuterStrategy final : public ReferenceOuterStrategy {
  public:
   /// threshold: switch when the windowed tasks-per-step average drops
   /// below this; window: number of recent data-aware steps averaged
@@ -37,20 +32,6 @@ class AdaptiveOuterStrategy final : public Strategy {
                         std::uint32_t window = 0);
 
   std::string name() const override { return "AdaptiveOuter"; }
-  std::uint64_t total_tasks() const override { return config_.total_tasks(); }
-  std::uint64_t unassigned_tasks() const override { return pool_.size(); }
-  std::uint32_t workers() const override {
-    return static_cast<std::uint32_t>(state_.size());
-  }
-
-  using Strategy::on_request;
-  bool on_request(std::uint32_t worker, Assignment& out) override;
-
-  bool requeue(const std::vector<TaskId>& tasks) override {
-    bool all_inserted = true;
-    for (const TaskId id : tasks) all_inserted &= pool_.insert(id);
-    return all_inserted;
-  }
 
   /// Whether the strategy has switched to the random phase.
   bool switched() const noexcept { return switched_; }
@@ -60,23 +41,9 @@ class AdaptiveOuterStrategy final : public Strategy {
   std::uint64_t tasks_at_switch() const noexcept { return tasks_at_switch_; }
 
  private:
-  struct WorkerState {
-    std::vector<std::uint32_t> known_i;
-    std::vector<std::uint32_t> known_j;
-    std::vector<std::uint32_t> unknown_i;
-    std::vector<std::uint32_t> unknown_j;
-    DynamicBitset owned_a;
-    DynamicBitset owned_b;
-  };
+  bool extends(std::uint32_t) const override { return !switched_; }
+  void on_step(std::size_t tasks_gained) override;
 
-  bool dynamic_request(std::uint32_t worker, Assignment& out);
-  bool random_request(std::uint32_t worker, Assignment& out);
-  void record_step(std::size_t tasks_gained);
-
-  OuterConfig config_;
-  SwapRemovePool pool_;
-  std::vector<WorkerState> state_;
-  Rng rng_;
   double threshold_;
   std::uint32_t window_;
   std::deque<std::uint32_t> recent_gains_;  // tasks per recent step

@@ -58,34 +58,18 @@ BoundedLruOuterStrategy::BoundedLruOuterStrategy(OuterConfig config,
                                                  std::uint32_t workers,
                                                  std::uint64_t seed,
                                                  std::uint32_t capacity)
-    : config_(config),
-      pool_(config.total_tasks()),
-      rng_(derive_stream(seed, "outer.bounded")) {
-  validate(config_);
-  if (workers == 0) {
-    throw std::invalid_argument("BoundedLruOuterStrategy: need >= 1 worker");
-  }
+    : ReferenceOuterStrategy(config, workers, seed, "outer.bounded") {
   if (capacity < 2) {
     throw std::invalid_argument(
         "BoundedLruOuterStrategy: capacity must be >= 2 blocks");
   }
-  caches_.assign(workers, LruCache(2 * config_.n, capacity));
-  state_.resize(workers);
-  for (auto& w : state_) {
-    w.unknown_i.resize(config_.n);
-    w.unknown_j.resize(config_.n);
-    for (std::uint32_t v = 0; v < config_.n; ++v) {
-      w.unknown_i[v] = v;
-      w.unknown_j[v] = v;
-    }
-  }
+  caches_.assign(workers, LruCache(2 * config.n, capacity));
 }
 
-void BoundedLruOuterStrategy::fetch(std::uint32_t worker, Operand op,
-                                    std::uint32_t index,
-                                    Assignment& out) {
+void BoundedLruOuterStrategy::ship(std::uint32_t worker, Operand op,
+                                   std::uint32_t index, Assignment& out) {
   const std::uint32_t slot =
-      op == Operand::kVecA ? a_slot(index) : b_slot(index);
+      op == Operand::kVecA ? index : config().n + index;
   LruCache& cache = caches_[worker];
   if (cache.contains(slot)) {
     cache.touch(slot);
@@ -93,57 +77,6 @@ void BoundedLruOuterStrategy::fetch(std::uint32_t worker, Operand op,
   }
   if (cache.insert(slot)) ++refetches_;
   out.blocks.push_back(BlockRef{op, index, 0});
-}
-
-bool BoundedLruOuterStrategy::on_request(std::uint32_t worker, Assignment& out) {
-  out.clear();
-  if (pool_.empty()) return false;
-  WorkerState& w = state_[worker];
-  const LruCache& cache = caches_[worker];
-  const bool room = cache.size() + 2 <= cache.capacity();
-  if (room && !w.unknown_i.empty() && !w.unknown_j.empty()) {
-    return dynamic_request(worker, out);
-  }
-  return bounded_request(worker, out);
-}
-
-bool BoundedLruOuterStrategy::dynamic_request(std::uint32_t worker, Assignment& out) {
-  WorkerState& w = state_[worker];
-  const auto pick = [this](std::vector<std::uint32_t>& unknown) {
-    const auto pos = static_cast<std::size_t>(rng_.next_below(unknown.size()));
-    const std::uint32_t v = unknown[pos];
-    unknown[pos] = unknown.back();
-    unknown.pop_back();
-    return v;
-  };
-  const std::uint32_t i = pick(w.unknown_i);
-  const std::uint32_t j = pick(w.unknown_j);
-
-  fetch(worker, Operand::kVecA, i, out);
-  fetch(worker, Operand::kVecB, j, out);
-
-  auto try_take = [&](std::uint32_t ti, std::uint32_t tj) {
-    const TaskId id = outer_task_id(config_.n, ti, tj);
-    if (pool_.remove(id)) out.tasks.push_back(id);
-  };
-  for (const std::uint32_t j2 : w.known_j) try_take(i, j2);
-  for (const std::uint32_t i2 : w.known_i) try_take(i2, j);
-  try_take(i, j);
-
-  w.known_i.push_back(i);
-  w.known_j.push_back(j);
-  return true;
-}
-
-bool BoundedLruOuterStrategy::bounded_request(std::uint32_t worker, Assignment& out) {
-  if (pool_.empty()) return false;
-  const TaskId id = pool_.pop_random(rng_);
-  const auto [i, j] = outer_task_coords(config_.n, id);
-
-  fetch(worker, Operand::kVecA, i, out);
-  fetch(worker, Operand::kVecB, j, out);
-  out.tasks.push_back(id);
-  return true;
 }
 
 }  // namespace hetsched

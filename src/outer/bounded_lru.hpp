@@ -19,34 +19,17 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.hpp"
-#include "common/swap_remove_pool.hpp"
-#include "outer/outer_problem.hpp"
-#include "sim/strategy.hpp"
+#include "outer/reference_outer.hpp"
 
 namespace hetsched {
 
-class BoundedLruOuterStrategy final : public Strategy {
+class BoundedLruOuterStrategy final : public ReferenceOuterStrategy {
  public:
   /// capacity: per-worker cache size in blocks, >= 2.
   BoundedLruOuterStrategy(OuterConfig config, std::uint32_t workers,
                           std::uint64_t seed, std::uint32_t capacity);
 
   std::string name() const override { return "BoundedLruOuter"; }
-  std::uint64_t total_tasks() const override { return config_.total_tasks(); }
-  std::uint64_t unassigned_tasks() const override { return pool_.size(); }
-  std::uint32_t workers() const override {
-    return static_cast<std::uint32_t>(caches_.size());
-  }
-
-  using Strategy::on_request;
-  bool on_request(std::uint32_t worker, Assignment& out) override;
-
-  bool requeue(const std::vector<TaskId>& tasks) override {
-    bool all_inserted = true;
-    for (const TaskId id : tasks) all_inserted &= pool_.insert(id);
-    return all_inserted;
-  }
 
   /// Fetches of blocks the worker had held before (eviction cost).
   std::uint64_t refetches() const noexcept { return refetches_; }
@@ -88,28 +71,17 @@ class BoundedLruOuterStrategy final : public Strategy {
     std::uint32_t capacity_;
   };
 
-  struct WorkerState {
-    std::vector<std::uint32_t> known_i;
-    std::vector<std::uint32_t> known_j;
-    std::vector<std::uint32_t> unknown_i;
-    std::vector<std::uint32_t> unknown_j;
-  };
-
-  std::uint32_t a_slot(std::uint32_t i) const { return i; }
-  std::uint32_t b_slot(std::uint32_t j) const { return config_.n + j; }
-
-  bool dynamic_request(std::uint32_t worker, Assignment& out);
-  bool bounded_request(std::uint32_t worker, Assignment& out);
+  /// Extends while the next a_i and b_j fit without eviction.
+  bool extends(std::uint32_t worker) const override {
+    const LruCache& cache = caches_[worker];
+    return cache.size() + 2 <= cache.capacity();
+  }
 
   /// Fetches a slot into the worker's cache, charging the assignment.
-  void fetch(std::uint32_t worker, Operand op, std::uint32_t index,
-             Assignment& assignment);
+  void ship(std::uint32_t worker, Operand op, std::uint32_t index,
+            Assignment& out) override;
 
-  OuterConfig config_;
-  SwapRemovePool pool_;
   std::vector<LruCache> caches_;
-  std::vector<WorkerState> state_;
-  Rng rng_;
   std::uint64_t refetches_ = 0;
 };
 

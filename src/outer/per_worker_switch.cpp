@@ -9,14 +9,9 @@ namespace hetsched {
 PerWorkerSwitchOuterStrategy::PerWorkerSwitchOuterStrategy(
     OuterConfig config, const std::vector<double>& speeds, std::uint64_t seed,
     double beta)
-    : config_(config),
-      pool_(config.total_tasks()),
-      rng_(derive_stream(seed, "outer.per_worker")) {
-  validate(config_);
-  if (speeds.empty()) {
-    throw std::invalid_argument(
-        "PerWorkerSwitchOuterStrategy: need at least 1 worker");
-  }
+    : ReferenceOuterStrategy(config,
+                             static_cast<std::uint32_t>(speeds.size()), seed,
+                             "outer.per_worker") {
   if (!(beta > 0.0)) {
     throw std::invalid_argument(
         "PerWorkerSwitchOuterStrategy: beta must be positive");
@@ -30,18 +25,8 @@ PerWorkerSwitchOuterStrategy::PerWorkerSwitchOuterStrategy(
     total += s;
   }
 
-  state_.resize(speeds.size());
   switch_rows_.resize(speeds.size());
   for (std::size_t k = 0; k < speeds.size(); ++k) {
-    auto& w = state_[k];
-    w.owned_a = DynamicBitset(config_.n);
-    w.owned_b = DynamicBitset(config_.n);
-    w.unknown_i.resize(config_.n);
-    w.unknown_j.resize(config_.n);
-    for (std::uint32_t v = 0; v < config_.n; ++v) {
-      w.unknown_i[v] = v;
-      w.unknown_j[v] = v;
-    }
     // Lemma 3's per-worker switch point: x_k^2 = beta rs - (beta^2/2) rs^2.
     // The expression is valid only for beta <= 1/rs (see
     // OuterAnalysis::validity_cap); a very fast worker saturates at the
@@ -51,65 +36,8 @@ PerWorkerSwitchOuterStrategy::PerWorkerSwitchOuterStrategy(
     const double x2 =
         std::clamp(beta_k * rs - 0.5 * beta_k * beta_k * rs * rs, 0.0, 1.0);
     switch_rows_[k] = static_cast<std::uint32_t>(
-        std::ceil(std::sqrt(x2) * static_cast<double>(config_.n)));
+        std::ceil(std::sqrt(x2) * static_cast<double>(config.n)));
   }
-}
-
-bool PerWorkerSwitchOuterStrategy::on_request(std::uint32_t worker, Assignment& out) {
-  out.clear();
-  if (pool_.empty()) return false;
-  const WorkerState& w = state_[worker];
-  if (w.known_i.size() >= switch_rows_[worker] || w.unknown_i.empty() ||
-      w.unknown_j.empty()) {
-    return random_request(worker, out);
-  }
-  return dynamic_request(worker, out);
-}
-
-bool PerWorkerSwitchOuterStrategy::dynamic_request(std::uint32_t worker, Assignment& out) {
-  WorkerState& w = state_[worker];
-  const auto pick = [this](std::vector<std::uint32_t>& unknown) {
-    const auto pos = static_cast<std::size_t>(rng_.next_below(unknown.size()));
-    const std::uint32_t v = unknown[pos];
-    unknown[pos] = unknown.back();
-    unknown.pop_back();
-    return v;
-  };
-  const std::uint32_t i = pick(w.unknown_i);
-  const std::uint32_t j = pick(w.unknown_j);
-
-  out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
-  out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
-  w.owned_a.set(i);
-  w.owned_b.set(j);
-
-  auto try_take = [&](std::uint32_t ti, std::uint32_t tj) {
-    const TaskId id = outer_task_id(config_.n, ti, tj);
-    if (pool_.remove(id)) out.tasks.push_back(id);
-  };
-  for (const std::uint32_t j2 : w.known_j) try_take(i, j2);
-  for (const std::uint32_t i2 : w.known_i) try_take(i2, j);
-  try_take(i, j);
-
-  w.known_i.push_back(i);
-  w.known_j.push_back(j);
-  return true;
-}
-
-bool PerWorkerSwitchOuterStrategy::random_request(std::uint32_t worker, Assignment& out) {
-  if (pool_.empty()) return false;
-  WorkerState& w = state_[worker];
-  const TaskId id = pool_.pop_random(rng_);
-  const auto [i, j] = outer_task_coords(config_.n, id);
-
-  if (w.owned_a.set_if_clear(i)) {
-    out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
-  }
-  if (w.owned_b.set_if_clear(j)) {
-    out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
-  }
-  out.tasks.push_back(id);
-  return true;
 }
 
 }  // namespace hetsched

@@ -12,15 +12,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/dynamic_bitset.hpp"
-#include "common/rng.hpp"
-#include "common/swap_remove_pool.hpp"
-#include "outer/outer_problem.hpp"
-#include "sim/strategy.hpp"
+#include "outer/reference_outer.hpp"
 
 namespace hetsched {
 
-class PerWorkerSwitchOuterStrategy final : public Strategy {
+class PerWorkerSwitchOuterStrategy final : public ReferenceOuterStrategy {
  public:
   /// `speeds` are the actual worker speeds (this variant is speed-aware
   /// by design); beta as in the two-phase analysis.
@@ -29,20 +25,6 @@ class PerWorkerSwitchOuterStrategy final : public Strategy {
                                std::uint64_t seed, double beta);
 
   std::string name() const override { return "DynamicOuterPerWorkerSwitch"; }
-  std::uint64_t total_tasks() const override { return config_.total_tasks(); }
-  std::uint64_t unassigned_tasks() const override { return pool_.size(); }
-  std::uint32_t workers() const override {
-    return static_cast<std::uint32_t>(state_.size());
-  }
-
-  using Strategy::on_request;
-  bool on_request(std::uint32_t worker, Assignment& out) override;
-
-  bool requeue(const std::vector<TaskId>& tasks) override {
-    bool all_inserted = true;
-    for (const TaskId id : tasks) all_inserted &= pool_.insert(id);
-    return all_inserted;
-  }
 
   /// Worker k's switch threshold on |I_k| (block count).
   std::uint32_t switch_rows(std::uint32_t worker) const {
@@ -50,23 +32,11 @@ class PerWorkerSwitchOuterStrategy final : public Strategy {
   }
 
  private:
-  struct WorkerState {
-    std::vector<std::uint32_t> known_i;
-    std::vector<std::uint32_t> known_j;
-    std::vector<std::uint32_t> unknown_i;
-    std::vector<std::uint32_t> unknown_j;
-    DynamicBitset owned_a;
-    DynamicBitset owned_b;
-  };
+  bool extends(std::uint32_t worker) const override {
+    return known_rows(worker) < switch_rows_[worker];
+  }
 
-  bool dynamic_request(std::uint32_t worker, Assignment& out);
-  bool random_request(std::uint32_t worker, Assignment& out);
-
-  OuterConfig config_;
-  SwapRemovePool pool_;
-  std::vector<WorkerState> state_;
   std::vector<std::uint32_t> switch_rows_;
-  Rng rng_;
 };
 
 }  // namespace hetsched

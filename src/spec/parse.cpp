@@ -99,8 +99,11 @@ class Parser {
   }
 
   std::string key_label(std::string_view key) const {
-    return "[" + std::string(section_name(section_)) + "] " +
-           std::string(key);
+    std::string label = "[";
+    label += section_name(section_);
+    label += "] ";
+    label += key;
+    return label;
   }
 
   void parse_line(std::string_view line) {

@@ -110,7 +110,7 @@ TEST(TaskGraph, CountKind) {
   TaskGraph g;
   for (int t = 0; t < 3; ++t) {
     DagTask task;
-    task.kind = t == 1 ? "B" : "A";
+    task.kind += t == 1 ? "B" : "A";
     task.work = 1.0;
     g.add_task(std::move(task));
   }

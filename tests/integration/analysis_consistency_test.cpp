@@ -50,8 +50,11 @@ INSTANTIATE_TEST_SUITE_P(
                       GridCase{20, 60, 0.08}, GridCase{20, 120, 0.06},
                       GridCase{40, 80, 0.06}, GridCase{80, 80, 0.06}),
     [](const auto& info) {
-      return "p" + std::to_string(info.param.p) + "_n" +
-             std::to_string(info.param.n);
+      std::string name = "p";
+      name += std::to_string(info.param.p);
+      name += "_n";
+      name += std::to_string(info.param.n);
+      return name;
     });
 
 class MatmulConsistencyTest : public ::testing::TestWithParam<GridCase> {};
@@ -76,8 +79,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(GridCase{10, 16, 0.15}, GridCase{20, 20, 0.10},
                       GridCase{40, 24, 0.08}, GridCase{60, 30, 0.08}),
     [](const auto& info) {
-      return "p" + std::to_string(info.param.p) + "_n" +
-             std::to_string(info.param.n);
+      std::string name = "p";
+      name += std::to_string(info.param.p);
+      name += "_n";
+      name += std::to_string(info.param.n);
+      return name;
     });
 
 TEST(Consistency, ExperimentIsFullyDeterministic) {

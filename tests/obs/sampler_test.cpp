@@ -150,32 +150,10 @@ TEST(SamplerExport, JsonlRoundTrip) {
   }
 }
 
-TEST(SamplerExport, CsvRoundTrip) {
-  TimeSeriesSampler sampler(1.0);
-  double v = 0.0;
-  sampler.add_channel("v", [&v] { return v; });
-  for (int i = 0; i <= 2; ++i) {
-    v = static_cast<double>(i) + 0.5;
-    sampler.advance_to(static_cast<double>(i));
-  }
-  std::ostringstream out;
-  write_timeseries_csv(out, sampler);
-  const auto lines = split_lines(out.str());
-  ASSERT_EQ(lines.size(), 1u + sampler.num_samples());
-  EXPECT_EQ(lines[0], "time,v");
-  for (std::size_t row = 0; row < sampler.num_samples(); ++row) {
-    double t = -1.0, val = -1.0;
-    ASSERT_EQ(std::sscanf(lines[row + 1].c_str(), "%lf,%lf", &t, &val), 2)
-        << lines[row + 1];
-    EXPECT_DOUBLE_EQ(t, sampler.sample_time(row));
-    EXPECT_DOUBLE_EQ(val, sampler.sample_value(row, 0));
-  }
-}
-
-// Trace truncation is surfaced in both exporters' metadata so a series
+// Trace truncation is surfaced in the exporter's meta record so a series
 // whose source recording hit the event cap can never masquerade as
-// complete (satellite of docs/observability.md#trace-truncation).
-TEST(SamplerExport, DroppedEventsSurfaceInBothFormats) {
+// complete (docs/observability.md, "Bounding trace memory").
+TEST(SamplerExport, DroppedEventsSurfaceInJsonlMeta) {
   TimeSeriesSampler sampler(1.0);
   double v = 0.0;
   sampler.add_channel("v", [&v] { return v; });
@@ -184,14 +162,6 @@ TEST(SamplerExport, DroppedEventsSurfaceInBothFormats) {
   std::ostringstream jsonl;
   write_timeseries_jsonl(jsonl, sampler, /*dropped_events=*/7);
   EXPECT_NE(jsonl.str().find("\"dropped_events\":7"), std::string::npos);
-
-  std::ostringstream csv;
-  write_timeseries_csv(csv, sampler, /*dropped_events=*/7);
-  EXPECT_EQ(csv.str().find("# dropped_events=7\n"), 0u);
-  // Zero drops keep the CSV comment-free (plot scripts skip no lines).
-  std::ostringstream clean;
-  write_timeseries_csv(clean, sampler, /*dropped_events=*/0);
-  EXPECT_EQ(clean.str().find('#'), std::string::npos);
 }
 
 }  // namespace

@@ -1,17 +1,134 @@
-// Tests for the per-worker-switch and memory-bounded variants.
+// Tests for the per-worker-switch, adaptive and memory-bounded variants.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
+#include "outer/adaptive_outer.hpp"
 #include "outer/bounded_lru.hpp"
 #include "outer/dynamic_outer.hpp"
 #include "outer/per_worker_switch.hpp"
 #include "platform/platform.hpp"
 #include "sim/engine.hpp"
+#include "sim/trace.hpp"
 
 namespace hetsched {
 namespace {
+
+// Request sequence of one drain: FNV-1a over every answer (worker,
+// blocks, tasks) plus the request and block counts.
+struct Drain {
+  std::uint64_t hash = 14695981039346656037ull;
+  std::uint64_t requests = 0;
+  std::uint64_t blocks = 0;
+
+  void mix(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (v >> (8 * b)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  }
+};
+
+// Serves workers round-robin through the scratch request path until
+// every worker has retired.
+Drain drain_round_robin(Strategy& strategy) {
+  Drain d;
+  Assignment out;
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    for (std::uint32_t w = 0; w < strategy.workers(); ++w) {
+      if (!strategy.on_request(w, out)) continue;
+      progress = true;
+      ++d.requests;
+      d.blocks += out.block_count();
+      d.mix(w);
+      d.mix(out.block_count());
+      out.for_each_block([&](const BlockRef& b) {
+        d.mix(static_cast<std::uint64_t>(b.operand));
+        d.mix(b.row);
+        d.mix(b.col);
+      });
+      d.mix(out.task_count());
+      out.for_each_task([&](TaskId t) { d.mix(t); });
+    }
+  }
+  return d;
+}
+
+// The results/abl_* outputs depend on these exact request sequences
+// (RNG draws, block order, task order), so any change to them fails
+// here first. n = 40, 8 workers, seed 5 exercises both the data-aware
+// and the random phase of each strategy.
+TEST(VariantSequence, PerWorkerSwitchIsPinned) {
+  const std::vector<double> speeds{10, 20, 30, 40, 50, 60, 70, 80};
+  PerWorkerSwitchOuterStrategy strategy(OuterConfig{40}, speeds, 5, 4.0);
+  const Drain d = drain_round_robin(strategy);
+  EXPECT_EQ(d.requests, 242u);
+  EXPECT_EQ(d.blocks, 432u);
+  EXPECT_EQ(d.hash, 12311154549140517269ull);
+}
+
+TEST(VariantSequence, AdaptiveIsPinned) {
+  AdaptiveOuterStrategy strategy(OuterConfig{40}, 8, 5);
+  const Drain d = drain_round_robin(strategy);
+  EXPECT_EQ(d.requests, 240u);
+  EXPECT_EQ(d.blocks, 448u);
+  EXPECT_EQ(d.hash, 6074066407525154688ull);
+  EXPECT_TRUE(strategy.switched());
+  EXPECT_EQ(strategy.tasks_at_switch(), 31u);
+}
+
+TEST(VariantSequence, BoundedLruIsPinned) {
+  BoundedLruOuterStrategy strategy(OuterConfig{40}, 8, 5, 24);
+  const Drain d = drain_round_robin(strategy);
+  EXPECT_EQ(d.requests, 851u);
+  EXPECT_EQ(d.blocks, 1213u);
+  EXPECT_EQ(d.hash, 5519747877031869880ull);
+  EXPECT_EQ(strategy.refetches(), 617u);
+}
+
+// Counts completions per task id.
+class CompletionCounter final : public TraceSink {
+ public:
+  explicit CompletionCounter(std::uint64_t tasks) : done_(tasks, 0) {}
+  void on_assignment(std::uint32_t, double, const Assignment&) override {}
+  void on_completion(std::uint32_t, double, TaskId task) override {
+    ++done_.at(task);
+  }
+  void on_retire(std::uint32_t, double) override {}
+  const std::vector<std::uint32_t>& done() const { return done_; }
+
+ private:
+  std::vector<std::uint32_t> done_;
+};
+
+// Crashes worker 1 mid-run and checks the requeued tasks are served
+// again: every task completes exactly once.
+void expect_crash_recovers(Strategy& strategy) {
+  const Platform platform({10.0, 30.0, 60.0});
+  SimConfig config;
+  config.faults.push_back(WorkerFault{2.0, 1, 0.0});
+  CompletionCounter counter(strategy.total_tasks());
+  const SimResult result = simulate(strategy, platform, config, &counter);
+  EXPECT_GT(result.requeued_tasks, 0u);
+  EXPECT_EQ(result.total_tasks_done, strategy.total_tasks());
+  for (std::size_t id = 0; id < counter.done().size(); ++id) {
+    EXPECT_EQ(counter.done()[id], 1u) << "task " << id;
+  }
+}
+
+TEST(PerWorkerSwitch, CrashRequeueCompletesEveryTaskOnce) {
+  PerWorkerSwitchOuterStrategy strategy(OuterConfig{20}, {10.0, 30.0, 60.0},
+                                        3, 4.0);
+  expect_crash_recovers(strategy);
+}
+
+TEST(BoundedLru, CrashRequeueCompletesEveryTaskOnce) {
+  BoundedLruOuterStrategy strategy(OuterConfig{20}, 3, 3, 8);
+  expect_crash_recovers(strategy);
+}
 
 TEST(PerWorkerSwitch, ThresholdsFollowSpeeds) {
   const std::vector<double> speeds{10.0, 90.0};
