@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <stdexcept>
@@ -17,9 +16,6 @@
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "core/figure.hpp"
-#include "obs/export.hpp"
-#include "obs/instrument.hpp"
-#include "sim/trace_export.hpp"
 
 namespace hetsched::bench {
 
@@ -58,56 +54,6 @@ inline std::vector<std::uint32_t> to_u32(const std::vector<std::int64_t>& v) {
 /// The worker-count grid used by the paper's p-sweeps (Figures 1-10).
 inline std::vector<std::int64_t> default_p_grid() {
   return {10, 20, 50, 100, 150, 200, 250, 300};
-}
-
-/// Shared observability flags for figure benches. When --trace-out=
-/// and/or --metrics-out= is passed, runs one instrumented repetition
-/// (repetition 0's seed, so it reproduces the figure's first draw) of
-/// the named strategy and dumps a chrome://tracing / Perfetto file and
-/// a JSON-lines metrics/time-series file. Optional knobs:
-///   --traj-strategy=<name>   (default: the kernel's 2-phase strategy)
-///   --traj-p=<workers>       (default 100)
-///   --sample-interval=<dt>   (simulated time units; default auto)
-/// Returns true when anything was written.
-inline bool maybe_dump_trajectory(const CliArgs& args, Kernel kernel,
-                                  std::uint32_t n, const Scenario& scenario,
-                                  std::uint64_t seed) {
-  const std::string trace_out = args.get("trace-out", "");
-  const std::string metrics_out = args.get("metrics-out", "");
-  if (trace_out.empty() && metrics_out.empty()) return false;
-
-  ExperimentConfig config;
-  config.kernel = kernel;
-  config.n = n;
-  config.scenario = scenario;
-  config.seed = seed;
-  config.p = static_cast<std::uint32_t>(args.get_int("traj-p", 100));
-  config.strategy = args.get("traj-strategy",
-                             kernel == Kernel::kOuter ? "DynamicOuter2Phases"
-                                                      : "DynamicMatrix2Phases");
-
-  InstrumentOptions options;
-  options.sample_interval = args.get_double("sample-interval", 0.0);
-  InstrumentedRep rep;
-  run_instrumented_rep(config, derive_stream(seed, "rep.0"), options, rep);
-
-  if (!trace_out.empty()) {
-    std::ofstream out(trace_out);
-    if (!out) throw std::runtime_error("cannot open " + trace_out);
-    export_chrome_trace(out, rep.recording, Platform(rep.outcome.speeds),
-                        &rep.sampler);
-    std::cerr << "# trajectory: chrome trace -> " << trace_out
-              << " (load in chrome://tracing or ui.perfetto.dev)\n";
-  }
-  if (!metrics_out.empty()) {
-    std::ofstream out(metrics_out);
-    if (!out) throw std::runtime_error("cannot open " + metrics_out);
-    write_timeseries_jsonl(out, rep.sampler);
-    write_metrics_json(out, rep.registry);
-    out << '\n';
-    std::cerr << "# trajectory: metrics JSONL -> " << metrics_out << "\n";
-  }
-  return true;
 }
 
 }  // namespace hetsched::bench

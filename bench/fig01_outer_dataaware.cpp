@@ -20,7 +20,5 @@ int main(int argc, char** argv) {
       Kernel::kOuter, n, ps, paper_default_scenario(),
       {"RandomOuter", "SortedOuter", "DynamicOuter"}, false, seed, reps);
   print_sweep_csv(points, "p", std::cout);
-  bench::maybe_dump_trajectory(args, Kernel::kOuter, n,
-                               paper_default_scenario(), seed);
   return 0;
 }

@@ -28,7 +28,5 @@ int main(int argc, char** argv) {
                                             paper_default_scenario(), seed,
                                             reps);
   print_sweep_csv(points, "phase1_fraction", std::cout);
-  bench::maybe_dump_trajectory(args, Kernel::kOuter, n,
-                               paper_default_scenario(), seed);
   return 0;
 }

@@ -22,7 +22,5 @@ int main(int argc, char** argv) {
       {"DynamicOuter2Phases", "DynamicOuter", "RandomOuter", "SortedOuter"},
       true, seed, reps);
   print_sweep_csv(points, "p", std::cout);
-  bench::maybe_dump_trajectory(args, Kernel::kOuter, n,
-                               paper_default_scenario(), seed);
   return 0;
 }

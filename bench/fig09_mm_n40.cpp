@@ -21,7 +21,5 @@ int main(int argc, char** argv) {
       {"DynamicMatrix2Phases", "DynamicMatrix", "RandomMatrix", "SortedMatrix"},
       true, seed, reps);
   print_sweep_csv(points, "p", std::cout);
-  bench::maybe_dump_trajectory(args, Kernel::kMatmul, n,
-                               paper_default_scenario(), seed);
   return 0;
 }

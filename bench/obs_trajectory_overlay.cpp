@@ -6,8 +6,8 @@
 // (matmul) prediction, then summary lines: the maximum absolute
 // deviation over the comparable region, the observed phase-switch
 // point vs e^{-beta} for the 2-phase strategies, and the wall-time
-// overhead of the metrics stack versus an un-instrumented run (the
-// acceptance gate: < 5%).
+// overhead of the instrumented rep (sampler + trace sink) versus an
+// un-instrumented run (the acceptance gate: < 5%).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -16,6 +16,7 @@
 
 #include "bench/bench_util.hpp"
 #include "common/csv.hpp"
+#include "obs/instrument.hpp"
 #include "obs/overlay.hpp"
 #include "obs/progress.hpp"
 
@@ -24,9 +25,9 @@ namespace {
 using namespace hetsched;
 
 // Times a batch of reps with the first `instrumented_reps` of them
-// running under the metrics stack (fig01 with --trace-out instruments
-// exactly one rep; `instrumented_reps == reps` gives the worst-case
-// per-rep cost).
+// instrumented (a figure run plus `hetsched_cli run --trace-out` on the
+// same config instruments exactly one rep; `instrumented_reps == reps`
+// gives the worst-case per-rep cost).
 double time_reps(const ExperimentConfig& config, std::uint32_t reps,
                  std::uint32_t instrumented_reps) {
   const auto start = std::chrono::steady_clock::now();
@@ -35,7 +36,7 @@ double time_reps(const ExperimentConfig& config, std::uint32_t reps,
         derive_stream(config.seed, "overhead." + std::to_string(r));
     if (r < instrumented_reps) {
       InstrumentOptions options;
-      options.record_events = false;  // measure the metrics+sampler cost
+      options.record_events = false;  // measure the sink+sampler cost
       InstrumentedRep rep;
       run_instrumented_rep(config, rep_seed, options, rep);
     } else {
@@ -139,11 +140,11 @@ int main(int argc, char** argv) {
 
   if (overhead_reps > 0) {
     // Warm both paths, then measure two things:
-    //  - the figure protocol (what fig01 --trace-out actually does:
-    //    one instrumented rep out of `overhead_reps`), which carries
-    //    the < 5% acceptance gate, and
+    //  - the figure protocol (one instrumented rep, as `hetsched_cli
+    //    run --trace-out` records, out of `overhead_reps`), which
+    //    carries the < 5% acceptance gate, and
     //  - the worst case of instrumenting every rep, reported for
-    //    transparency about the per-rep cost of the metrics stack.
+    //    transparency about the per-rep cost of instrumentation.
     time_reps(config, 1, 0);
     time_reps(config, 1, 1);
     constexpr int kRounds = 7;
@@ -165,7 +166,7 @@ int main(int argc, char** argv) {
 
     // Flight-recorder telemetry (wall-clock profiler + progress
     // heartbeats) is always-on-capable, so it carries a stricter gate
-    // than the metrics stack: < 1% on the figure protocol. Its per-rep
+    // than the instrumented rep: < 1% on the figure protocol. Its per-rep
     // cost is O(1) clock reads by construction
     // (tests/obs/profiler_test.cpp pins the count with a counting
     // clock); this measures the same thing in wall time.

@@ -107,10 +107,8 @@ RepOutcome run_single(const ExperimentConfig& config, std::uint64_t rep_seed,
   }
 
   TraceSink* trace = nullptr;
-  MetricsRegistry* metrics = nullptr;
   if (instr != nullptr) {
     trace = instr->trace;
-    metrics = instr->metrics;
     if (instr->on_ready) instr->on_ready(*strategy, platform);
   }
 
@@ -127,14 +125,12 @@ RepOutcome run_single(const ExperimentConfig& config, std::uint64_t rep_seed,
       sim_config.lookahead = config.lookahead;
       sim_config.perturbation = config.scenario.perturbation;
       sim_config.faults = config.faults;
-      sim_config.metrics = metrics;
       outcome.sim = simulate_timed(*strategy, platform, sim_config, trace);
     } else {
       SimConfig sim_config;
       sim_config.seed = rep_seed;
       sim_config.perturbation = config.scenario.perturbation;
       sim_config.faults = config.faults;
-      sim_config.metrics = metrics;
       outcome.sim = simulate(*strategy, platform, sim_config, trace);
     }
   }

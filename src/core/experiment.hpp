@@ -47,7 +47,7 @@ struct ExperimentConfig {
   /// Engine selection: false = overlap-assuming flat engine (the
   /// paper's model), true = comm-timed engine (serial uplink +
   /// lookahead prefetch). Both run through the same EventCore, so
-  /// faults/perturbation/metrics/trace behave identically.
+  /// faults/perturbation/trace behave identically.
   bool timed = false;
   /// Comm-timed engine knobs; ignored when `timed` is false.
   CommModel comm{};
@@ -105,12 +105,9 @@ struct ExperimentResult {
 /// Optional observation plumbing for one repetition (src/obs builds on
 /// this; see docs/observability.md). Everything may stay null/empty.
 struct RepInstrumentation {
-  /// Receives every engine event (sim/trace.hpp). A MetricsTrace here
-  /// feeds a registry and a TimeSeriesSampler at once.
+  /// Receives every engine event (sim/trace.hpp); run_instrumented_rep
+  /// puts a sink here that drives a TimeSeriesSampler and records.
   TraceSink* trace = nullptr;
-  /// When set, the engine publishes per-worker busy/idle/comm gauges
-  /// and run totals into it at the end of the rep.
-  MetricsRegistry* metrics = nullptr;
   /// Called after the platform draw and strategy construction, before
   /// the simulation starts — the place to register sampler channels
   /// probing live strategy state.

@@ -222,7 +222,6 @@ DagSimResult simulate_dag(const TaskGraph& graph, const Platform& platform,
   options.error_prefix = "simulate_dag";
   options.perturbation = config.perturbation;
   options.faults = config.faults;
-  options.metrics = config.metrics;
   options.trace = trace;
 
   DagEngine engine(graph, policy, result);
@@ -235,7 +234,7 @@ DagSimResult simulate_dag(const TaskGraph& graph, const Platform& platform,
   while (first_idle < p && engine.has_ready()) engine.assign(first_idle++, 0.0);
   for (std::uint32_t k = first_idle; k < p; ++k) engine.mark_idle(k);
 
-  core.run();
+  core.run_loop(engine);
   SimResult stats = core.finish();
 
   result.makespan = stats.makespan;

@@ -11,8 +11,8 @@
 // experimental apparatus as the flat engine: scripted WorkerFault
 // crashes (the victim's in-flight task returns to the ready set and its
 // tile cache is lost) and stragglers, per-task speed perturbation,
-// MetricsRegistry gauges and TraceSink events (assignments carry the
-// task plus one BlockRef per tile actually transferred).
+// and TraceSink events (assignments carry the task plus one BlockRef
+// per tile actually transferred).
 //
 // Policies provided:
 //   RandomDagPolicy       - uniformly random ready task (the baseline)
@@ -34,8 +34,6 @@
 #include "sim/event_core.hpp"
 
 namespace hetsched {
-
-class MetricsRegistry;  // obs/metrics.hpp
 
 /// What a policy sees when choosing among ready tasks.
 struct DagPolicyContext {
@@ -93,9 +91,6 @@ struct DagSimConfig {
   /// in-flight task to the ready set (dependencies stay satisfied) and
   /// drops its tile cache; survivors re-fetch what they miss.
   std::vector<WorkerFault> faults{};
-  /// Optional metrics sink; same gauge/counter names as the flat
-  /// engine ("blocks" count tile transfers).
-  MetricsRegistry* metrics = nullptr;
 };
 
 /// Unified with the other engines; `blocks_received` counts tile

@@ -131,13 +131,11 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
   }
   // Masks of one word (n <= 64, e.g. the N/l = 40 figures) get a kernel
   // whose mask loops the compiler can unroll away.
-  return config_.n <= 64 ? extend<1>(w, worker, out)
-                         : extend<0>(w, worker, out);
+  return config_.n <= 64 ? extend<1>(w, out) : extend<0>(w, out);
 }
 
 template <std::size_t kMaskWords>
-inline bool DynamicMatrixStrategy::extend(
-    WorkerState& w, std::uint32_t worker, Assignment& out) {
+inline bool DynamicMatrixStrategy::extend(WorkerState& w, Assignment& out) {
   const auto pick = [this](std::vector<std::uint32_t>& unknown) {
     const auto pos = static_cast<std::size_t>(rng_.next_below(unknown.size()));
     const std::uint32_t v = unknown[pos];
@@ -344,7 +342,6 @@ inline bool DynamicMatrixStrategy::extend(
   pool_.commit_serial_removals(taken);
   w.mask_i.set(i);
   w.mask_j.set(j);
-  notify_fetches(worker, out);
   return true;
 }
 
@@ -359,7 +356,6 @@ bool DynamicMatrixStrategy::random_request(std::uint32_t worker,
 
   charge_matmul_task_blocks(config_.n, i, j, k, w.blocks, out);
   out.tasks.push_back(id);
-  notify_fetches(worker, out);
   return true;
 }
 

@@ -141,8 +141,7 @@ class DynamicMatrixStrategy : public Strategy {
   /// of dynamic_request (see dynamic_matrix.cpp) builds it for its own
   /// target.
   template <std::size_t kMaskWords>
-  [[gnu::always_inline]] bool extend(WorkerState& w, std::uint32_t worker,
-                                     Assignment& out);
+  [[gnu::always_inline]] bool extend(WorkerState& w, Assignment& out);
   bool random_request(std::uint32_t worker, Assignment& out);
 
   MatmulConfig config_;

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <unordered_map>
 
 #include "common/json.hpp"
 #include "core/experiment.hpp"
@@ -80,12 +81,6 @@ struct JVal {
   double num_or(const std::string& key, double fallback) const {
     const JVal* v = find(key);
     return v != nullptr && v->type == Type::kNum ? v->num : fallback;
-  }
-  std::uint64_t u64_or(const std::string& key, std::uint64_t fallback) const {
-    const JVal* v = find(key);
-    return v != nullptr && v->type == Type::kNum
-               ? static_cast<std::uint64_t>(v->num)
-               : fallback;
   }
   std::string str_or(const std::string& key, std::string fallback) const {
     const JVal* v = find(key);
@@ -302,6 +297,49 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
+// Counts and ids travel as JSON numbers (doubles), which hold every
+// integer up to 2^53 exactly; anything else in such a field is corrupt.
+bool is_count(const JVal& v) {
+  return v.type == JVal::Type::kNum && v.num >= 0.0 &&
+         v.num <= 9007199254740992.0 && v.num == std::floor(v.num);
+}
+
+// Checked field reads for one trace record; errors name the line.
+struct RecordReader {
+  const JVal& record;
+  std::size_t line_no;
+
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::runtime_error("trace line " + std::to_string(line_no) + ": " +
+                             what);
+  }
+  /// Non-negative integer <= 2^53; an absent field reads as 0.
+  std::uint64_t count(const char* key) const {
+    const JVal* v = record.find(key);
+    if (v == nullptr) return 0;
+    if (!is_count(*v)) {
+      fail(std::string("\"") + key + "\" must be an integer in [0, 2^53]");
+    }
+    return static_cast<std::uint64_t>(v->num);
+  }
+  std::uint32_t u32(const char* key) const {
+    const std::uint64_t v = count(key);
+    if (v > std::numeric_limits<std::uint32_t>::max()) {
+      fail(std::string("\"") + key + "\" exceeds 2^32 - 1");
+    }
+    return static_cast<std::uint32_t>(v);
+  }
+  /// Required worker index in [0, p).
+  std::uint32_t worker(const char* key, std::uint32_t p) const {
+    const JVal* v = record.find(key);
+    if (v == nullptr || !is_count(*v) || v->num >= static_cast<double>(p)) {
+      fail(std::string("\"") + key + "\" must be a worker index in [0, " +
+           std::to_string(p) + ")");
+    }
+    return static_cast<std::uint32_t>(v->num);
+  }
+};
+
 // ---------------------------------------------------------------------
 // Core analysis over the normalized view.
 
@@ -339,19 +377,16 @@ struct Interval {
 std::vector<Interval> build_intervals(const TraceMeta& meta,
                                       const NormTrace& trace,
                                       std::uint32_t p, bool dag) {
-  std::vector<double> assign_time;
-  std::vector<std::uint64_t> assign_task_index;
+  // Keyed by task id rather than indexed by it: ids come from the file.
+  std::unordered_map<std::uint64_t, double> assign_time;
   if (dag) {
     // DAG assignments are single-task; map task -> latest assign time
     // (crash requeues reassign the same id; the latest hand-out is the
     // one that completed).
     for (const auto& ev : trace.assigns) {
       for (const std::uint64_t task : ev.tasks) {
-        if (task >= assign_time.size()) {
-          assign_time.resize(task + 1,
-                             -std::numeric_limits<double>::infinity());
-        }
-        assign_time[task] = std::max(assign_time[task], ev.time);
+        const auto [it, inserted] = assign_time.try_emplace(task, ev.time);
+        if (!inserted) it->second = std::max(it->second, ev.time);
       }
     }
   }
@@ -362,9 +397,8 @@ std::vector<Interval> build_intervals(const TraceMeta& meta,
     double start;
     if (dag) {
       double assigned = prev_end[ev.worker];
-      if (ev.task < assign_time.size() &&
-          std::isfinite(assign_time[ev.task])) {
-        assigned = std::max(assigned, assign_time[ev.task]);
+      if (const auto it = assign_time.find(ev.task); it != assign_time.end()) {
+        assigned = std::max(assigned, it->second);
       }
       start = std::min(ev.time, assigned);
       start = std::max(start, prev_end[ev.worker]);
@@ -663,6 +697,9 @@ void write_trace_jsonl(std::ostream& out, const RecordingTrace& trace,
     json.field("makespan", meta.makespan);
     json.field("bandwidth", meta.bandwidth);
     json.field("dropped_events", trace.dropped_events());
+    json.field("requeued_tasks", meta.requeued_tasks);
+    json.field("crashed_workers", meta.crashed_workers);
+    json.field("link_busy_time", meta.link_busy_time);
     if (meta.graph_critical_path >= 0.0) {
       json.field("graph_critical_path", meta.graph_critical_path);
     }
@@ -691,6 +728,7 @@ void write_trace_jsonl(std::ostream& out, const RecordingTrace& trace,
     json.field("id", static_cast<std::uint64_t>(k));
     json.field("tasks", stats.tasks);
     json.field("blocks", stats.blocks);
+    json.field("messages", stats.messages);
     json.field("busy", stats.busy);
     json.field("finish", stats.finish);
     json.field("starved", stats.starved);
@@ -801,65 +839,80 @@ TraceAnalysis analyze_trace_stream(std::istream& in,
       throw std::runtime_error("trace line " + std::to_string(line_no) + ": " +
                                err.what());
     }
+    const RecordReader r{record, line_no};
     const std::string type = record.str_or("type", "");
     if (type == "meta") {
+      if (saw_meta) r.fail("second meta record");
       saw_meta = true;
       meta.engine = record.str_or("engine", "flat");
       meta.kernel = record.str_or("kernel", "");
       meta.strategy = record.str_or("strategy", "");
-      meta.n = static_cast<std::uint32_t>(record.u64_or("n", 0));
-      meta.p = static_cast<std::uint32_t>(record.u64_or("p", 0));
+      meta.n = r.u32("n");
+      meta.p = r.u32("p");
       meta.makespan = record.num_or("makespan", 0.0);
       meta.bandwidth = record.num_or("bandwidth", 100.0);
-      meta.dropped_events = record.u64_or("dropped_events", 0);
+      meta.dropped_events = r.count("dropped_events");
+      meta.requeued_tasks = r.count("requeued_tasks");
+      meta.crashed_workers = r.count("crashed_workers");
+      meta.link_busy_time = record.num_or("link_busy_time", 0.0);
       meta.graph_critical_path = record.num_or("graph_critical_path", -1.0);
       meta.makespan_lower_bound = record.num_or("makespan_lower_bound", -1.0);
-      if (const JVal* speeds = record.find("speeds");
-          speeds != nullptr && speeds->type == JVal::Type::kArr) {
-        meta.speeds.clear();
-        for (const JVal& s : speeds->arr) meta.speeds.push_back(s.num);
+      // The speeds bound p by the file's own content, so no vector the
+      // analysis sizes by p can outgrow what the file describes.
+      const JVal* speeds = record.find("speeds");
+      if (speeds == nullptr || speeds->type != JVal::Type::kArr ||
+          speeds->arr.size() != meta.p) {
+        r.fail("meta.speeds must list one speed per worker (p = " +
+               std::to_string(meta.p) + ")");
+      }
+      for (const JVal& s : speeds->arr) {
+        if (s.type != JVal::Type::kNum || !(s.num > 0.0)) {
+          r.fail("meta.speeds must be positive numbers");
+        }
+        meta.speeds.push_back(s.num);
       }
       if (const JVal* channels = record.find("channels");
           channels != nullptr && channels->type == JVal::Type::kArr) {
-        trace.channels.clear();
         for (const JVal& c : channels->arr) trace.channels.push_back(c.str);
       }
-    } else if (type == "worker") {
-      const std::size_t id = static_cast<std::size_t>(record.u64_or("id", 0));
+      continue;
+    }
+    if (!saw_meta) r.fail("the meta record must come first");
+    if (type == "worker") {
+      const std::uint32_t id = r.worker("id", meta.p);
       if (meta.workers.size() <= id) meta.workers.resize(id + 1);
       auto& stats = meta.workers[id];
-      stats.tasks = record.u64_or("tasks", 0);
-      stats.blocks = record.u64_or("blocks", 0);
+      stats.tasks = r.count("tasks");
+      stats.blocks = r.count("blocks");
+      stats.messages = r.count("messages");
       stats.busy = record.num_or("busy", 0.0);
       stats.finish = record.num_or("finish", 0.0);
       stats.starved = record.num_or("starved", 0.0);
     } else if (type == "assign") {
       NormAssign a;
-      a.worker = static_cast<std::uint32_t>(record.u64_or("w", 0));
+      a.worker = r.worker("w", meta.p);
       a.time = record.num_or("t", 0.0);
-      a.blocks = record.u64_or("blocks", 0);
+      a.blocks = r.count("blocks");
       if (const JVal* tasks = record.find("tasks");
           tasks != nullptr && tasks->type == JVal::Type::kArr) {
         a.tasks.reserve(tasks->arr.size());
         for (const JVal& t : tasks->arr) {
+          if (!is_count(t)) r.fail("task ids must be integers in [0, 2^53]");
           a.tasks.push_back(static_cast<std::uint64_t>(t.num));
         }
       }
       trace.assigns.push_back(std::move(a));
     } else if (type == "complete") {
       trace.completes.push_back(
-          {static_cast<std::uint32_t>(record.u64_or("w", 0)),
-           record.num_or("t", 0.0), record.u64_or("task", 0)});
+          {r.worker("w", meta.p), record.num_or("t", 0.0), r.count("task")});
     } else if (type == "retire") {
-      trace.retires.push_back(
-          {static_cast<std::uint32_t>(record.u64_or("w", 0)),
-           record.num_or("t", 0.0)});
+      trace.retires.push_back({r.worker("w", meta.p), record.num_or("t", 0.0)});
     } else if (type == "phase_switch") {
       trace.phase_switches.push_back(
-          {record.num_or("t", 0.0), record.u64_or("remaining", 0)});
+          {record.num_or("t", 0.0), r.count("remaining")});
     } else if (type == "fallback") {
       trace.fallbacks.push_back(
-          {record.num_or("t", 0.0), record.u64_or("remaining", 0)});
+          {record.num_or("t", 0.0), r.count("remaining")});
     } else if (type == "sample") {
       trace.sample_times.push_back(record.num_or("t", 0.0));
       std::vector<double> values;
@@ -902,6 +955,9 @@ void write_analysis_json(std::ostream& out, const TraceAnalysis& analysis) {
   json.field("p", static_cast<std::uint64_t>(analysis.meta.p));
   json.field("makespan", analysis.meta.makespan);
   json.field("dropped_events", analysis.meta.dropped_events);
+  json.field("requeued_tasks", analysis.meta.requeued_tasks);
+  json.field("crashed_workers", analysis.meta.crashed_workers);
+  json.field("link_busy_time", analysis.meta.link_busy_time);
   if (analysis.meta.graph_critical_path >= 0.0) {
     json.field("graph_critical_path", analysis.meta.graph_critical_path);
   }

@@ -12,16 +12,24 @@
 //   {"type":"meta", "schema":"hetsched-trace/1", "engine":"flat|timed|dag",
 //    "kernel":"outer|matmul|", "strategy":..., "n":..., "p":...,
 //    "makespan":..., "bandwidth":..., "dropped_events":...,
+//    "requeued_tasks":..., "crashed_workers":..., "link_busy_time":...,
 //    "speeds":[...], optional "graph_critical_path", "makespan_lower_bound",
 //    optional "channels":[...]}
-//   {"type":"worker","id":k,"tasks":..,"blocks":..,"busy":..,"finish":..,
-//    "starved":..}                          (exact engine stats, one per worker)
+//   {"type":"worker","id":k,"tasks":..,"blocks":..,"messages":..,"busy":..,
+//    "finish":..,"starved":..}             (exact engine stats, one per worker)
 //   {"type":"assign","w":k,"t":time,"tasks":[ids...],"blocks":count}
 //   {"type":"complete","w":k,"t":time,"task":id}
 //   {"type":"retire","w":k,"t":time}
 //   {"type":"phase_switch","t":time,"remaining":count}
 //   {"type":"fallback","t":time,"remaining":count}
 //   {"type":"sample","t":time,"v":[...]}    (parallel to meta.channels)
+//
+// This file is the one per-run record: every run total and per-worker
+// engine stat lives in its meta and worker records, and event counts
+// (assignments, batch sizes, retirements) are counts over its records.
+// The meta record comes first; fields added after the format shipped
+// (requeued_tasks, crashed_workers, link_busy_time, messages) read as 0
+// when absent.
 //
 // The analyzer consumes either the in-memory objects (analyze_trace)
 // or the file (analyze_trace_stream, via a built-in mini JSON parser —
@@ -54,6 +62,10 @@ struct TraceMeta {
   /// (CommModel::bandwidth; the flat engine's convention).
   double bandwidth = 100.0;
   std::uint64_t dropped_events = 0;
+  // SimResult run totals (0 in the flat engine without faults).
+  std::uint64_t requeued_tasks = 0;
+  std::uint64_t crashed_workers = 0;
+  double link_busy_time = 0.0;  // timed engine only
   std::vector<double> speeds;  // per-worker engine speeds
 
   /// Exact per-worker engine stats (WorkerSimStats subset). When
@@ -62,6 +74,7 @@ struct TraceMeta {
   struct WorkerStats {
     std::uint64_t tasks = 0;
     std::uint64_t blocks = 0;
+    std::uint64_t messages = 0;  // timed engine only
     double busy = 0.0;
     double finish = 0.0;
     double starved = 0.0;
@@ -144,13 +157,15 @@ struct TraceAnalysis {
   std::vector<std::string> warnings;
 };
 
-/// Analyzes in-memory objects (the CLI uses this right after a run).
+/// Analyzes in-memory objects (tests pin it against the stream path).
 TraceAnalysis analyze_trace(const RecordingTrace& trace, const TraceMeta& meta,
                             const TimeSeriesSampler* sampler = nullptr,
                             const AnalyzeOptions& options = {});
 
 /// Parses a "hetsched-trace/1" JSONL stream and analyzes it. Throws
-/// std::runtime_error on malformed input (bad JSON, missing meta).
+/// std::runtime_error naming the line on malformed input: bad JSON, a
+/// record before (or a second) meta, a worker index outside [0, p), or
+/// a count or task id that is not an integer in [0, 2^53].
 TraceAnalysis analyze_trace_stream(std::istream& in,
                                    const AnalyzeOptions& options = {});
 

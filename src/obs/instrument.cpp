@@ -3,11 +3,59 @@
 #include <algorithm>
 #include <memory>
 
-#include "obs/metrics_trace.hpp"
-
 namespace hetsched {
 
 namespace {
+
+// Sits between the engine and the recording: advances the sampler,
+// counts completions for the completed_fraction channel and keeps the
+// first phase switch, then forwards every hook. Completions (plus the
+// rare phase switch and fallback) drive the sampling clock: they are
+// the densest event stream, and every assignment/retirement shares a
+// timestamp with some completion in a demand-driven run, so advancing
+// there loses no resolution.
+class SamplingTrace final : public TraceSink {
+ public:
+  SamplingTrace(InstrumentedRep& out, bool record_events)
+      : out_(out), downstream_(record_events ? &out.recording : nullptr) {}
+
+  std::uint64_t tasks_completed() const noexcept { return tasks_completed_; }
+
+  void on_assignment(std::uint32_t worker, double now,
+                     const Assignment& assignment) override {
+    if (downstream_ != nullptr) {
+      downstream_->on_assignment(worker, now, assignment);
+    }
+  }
+  void on_completion(std::uint32_t worker, double now, TaskId task) override {
+    out_.sampler.advance_to(now);
+    ++tasks_completed_;
+    if (downstream_ != nullptr) downstream_->on_completion(worker, now, task);
+  }
+  void on_retire(std::uint32_t worker, double now) override {
+    if (downstream_ != nullptr) downstream_->on_retire(worker, now);
+  }
+  void on_phase_switch(double now, std::uint64_t tasks_remaining) override {
+    out_.sampler.advance_to(now);
+    if (!out_.phase_switched) {
+      out_.phase_switched = true;
+      out_.phase_switch_time = now;
+      out_.phase_switch_tasks_remaining = tasks_remaining;
+    }
+    if (downstream_ != nullptr) {
+      downstream_->on_phase_switch(now, tasks_remaining);
+    }
+  }
+  void on_fallback(double now, std::uint64_t tasks_remaining) override {
+    out_.sampler.advance_to(now);
+    if (downstream_ != nullptr) downstream_->on_fallback(now, tasks_remaining);
+  }
+
+ private:
+  InstrumentedRep& out_;
+  TraceSink* downstream_;
+  std::uint64_t tasks_completed_ = 0;
+};
 
 double auto_interval(const ExperimentConfig& config,
                      const Platform& platform) {
@@ -24,15 +72,10 @@ void run_instrumented_rep(const ExperimentConfig& config,
                           const InstrumentOptions& options,
                           InstrumentedRep& out) {
   out.recording.set_max_events(options.max_trace_events);
-  const std::uint32_t blocks_per_task =
-      config.kernel == Kernel::kOuter ? 2u : 3u;
-  MetricsTrace metrics_trace(
-      &out.registry, &out.sampler,
-      options.record_events ? &out.recording : nullptr, blocks_per_task);
+  SamplingTrace sink(out, options.record_events);
 
   RepInstrumentation instr;
-  instr.trace = &metrics_trace;
-  instr.metrics = &out.registry;
+  instr.trace = &sink;
   instr.on_ready = [&](Strategy& strategy, const Platform& platform) {
     out.sampler.set_interval(options.sample_interval > 0.0
                                  ? options.sample_interval
@@ -42,9 +85,9 @@ void run_instrumented_rep(const ExperimentConfig& config,
       return static_cast<double>(s->unassigned_tasks()) /
              static_cast<double>(s->total_tasks());
     });
-    const MetricsTrace* mt = &metrics_trace;
-    out.sampler.add_channel("completed_fraction", [s, mt] {
-      return static_cast<double>(mt->tasks_completed()) /
+    const SamplingTrace* st = &sink;
+    out.sampler.add_channel("completed_fraction", [s, st] {
+      return static_cast<double>(st->tasks_completed()) /
              static_cast<double>(s->total_tasks());
     });
     out.sampler.add_channel(
@@ -81,15 +124,30 @@ void run_instrumented_rep(const ExperimentConfig& config,
   instr.on_done = [&](const SimResult& sim) { out.sampler.finish(sim.makespan); };
 
   out.outcome = run_single(config, rep_seed, &instr);
-  // Surface trace truncation next to the data it biases: exporters and
-  // the analyzer read this counter (and RecordingTrace::dropped_events)
-  // to warn that attribution over the stored events is incomplete.
-  out.registry.counter("trace.dropped_events")
-      .add(out.recording.dropped_events());
-  out.phase_switched = metrics_trace.phase_switched();
-  out.phase_switch_time = metrics_trace.phase_switch_time();
-  out.phase_switch_tasks_remaining =
-      metrics_trace.phase_switch_tasks_remaining();
+}
+
+TraceMeta trace_meta(const ExperimentConfig& config,
+                     const InstrumentedRep& rep) {
+  const SimResult& sim = rep.outcome.sim;
+  TraceMeta meta;
+  meta.engine = config.timed ? "timed" : "flat";
+  meta.kernel = to_string(config.kernel);
+  meta.strategy = config.strategy;
+  meta.n = config.n;
+  meta.p = config.p;
+  meta.makespan = sim.makespan;
+  meta.bandwidth = config.comm.bandwidth;
+  meta.requeued_tasks = sim.requeued_tasks;
+  meta.crashed_workers = sim.crashed_workers;
+  meta.link_busy_time = sim.link_busy_time;
+  meta.speeds = rep.outcome.speeds;
+  meta.workers.reserve(sim.workers.size());
+  for (const auto& w : sim.workers) {
+    meta.workers.push_back({w.tasks_done, w.blocks_received,
+                            w.messages_received, w.busy_time, w.finish_time,
+                            w.starved_time});
+  }
+  return meta;
 }
 
 }  // namespace hetsched

@@ -1,25 +1,23 @@
 // One-call instrumented repetition: platform draw -> strategy ->
 // simulation, with the full observability stack attached.
 //
-// This is the entry point the CLI (--trace-out/--metrics-out), the
-// figure benches, and the ODE-overlay tests share: it wires a
-// MetricsTrace into the engine, registers the standard trajectory
-// channels (unmarked-task fraction, knowledge x_k statistics, phase),
-// bounds the recorded event stream, and leaves every product — the
-// registry, the sampled series, the raw event recording, and the
+// This is the entry point the CLI (--trace-out/--events-out), the
+// trajectory-overlay bench and the ODE-overlay tests share: it attaches
+// a sink that drives the sampler from the engine's clock, registers the
+// standard trajectory channels (unmarked-task fraction, knowledge x_k
+// statistics, phase), bounds the recorded event stream, and leaves
+// every product — the sampled series, the raw event recording and the
 // RepOutcome — in one struct ready for the exporters.
 //
 // Engine-agnostic: run_single routes to the flat or comm-timed engine
 // per ExperimentConfig::timed, and both publish through the shared
-// EventCore, so the same stack instruments either (the timed engine
-// additionally emits "sim.link_busy_time" and per-worker
-// "worker.<k>.starved_time" gauges).
+// EventCore, so the same stack instruments either.
 #pragma once
 
 #include <cstdint>
 
 #include "core/experiment.hpp"
-#include "obs/metrics.hpp"
+#include "obs/analyze.hpp"
 #include "obs/sampler.hpp"
 #include "sim/trace.hpp"
 
@@ -32,24 +30,20 @@ struct InstrumentOptions {
   /// RecordingTrace cap (see RecordingTrace::set_max_events);
   /// 0 = unbounded, which on a (N/l)^3 matmul run means gigabytes.
   std::size_t max_trace_events = 1u << 20;
-  /// Skip the raw event recording entirely (metrics + series only).
+  /// Skip the raw event recording entirely (series only).
   bool record_events = true;
 };
 
-/// Results of one instrumented repetition. Non-copyable (the registry
-/// owns mutexes); create one per run and pass it by reference.
+/// Results of one instrumented repetition; create one per run and pass
+/// it by reference.
 struct InstrumentedRep {
-  MetricsRegistry registry;
   TimeSeriesSampler sampler;
   RecordingTrace recording;
   RepOutcome outcome;
+  /// First two-phase switch of the rep (phase_switch_time -1 if none).
   bool phase_switched = false;
   double phase_switch_time = -1.0;
   std::uint64_t phase_switch_tasks_remaining = 0;
-
-  InstrumentedRep() = default;
-  InstrumentedRep(const InstrumentedRep&) = delete;
-  InstrumentedRep& operator=(const InstrumentedRep&) = delete;
 };
 
 /// Runs repetition `rep_seed` of `config` fully instrumented. The
@@ -61,5 +55,10 @@ void run_instrumented_rep(const ExperimentConfig& config,
                           std::uint64_t rep_seed,
                           const InstrumentOptions& options,
                           InstrumentedRep& out);
+
+/// The hetsched-trace/1 meta record of `rep`: run identity, the
+/// SimResult run totals and the exact per-worker engine stats.
+TraceMeta trace_meta(const ExperimentConfig& config,
+                     const InstrumentedRep& rep);
 
 }  // namespace hetsched

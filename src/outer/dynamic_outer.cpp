@@ -203,7 +203,6 @@ bool DynamicOuterStrategy::dynamic_request(std::uint32_t worker,
   out.task_runs.insert(out.task_runs.end(), rp, rp + rn);
   pool_.commit_serial_removals(taken);
   w.mask_i.set(i);
-  notify_fetches(worker, out);
   return true;
 }
 
@@ -222,7 +221,6 @@ bool DynamicOuterStrategy::random_request(std::uint32_t worker,
     out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
   }
   out.tasks.push_back(id);
-  notify_fetches(worker, out);
   return true;
 }
 

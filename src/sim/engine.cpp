@@ -261,8 +261,6 @@ SimResult simulate(Strategy& strategy, const Platform& platform,
   options.error_prefix = "simulate";
   options.perturbation = config.perturbation;
   options.faults = config.faults;
-  options.metrics = config.metrics;
-  options.metrics_comm_bandwidth = config.metrics_comm_bandwidth;
   options.trace = trace;
 
   // Per-task events only where someone observes them: a trace wants

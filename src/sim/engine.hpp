@@ -8,7 +8,7 @@
 // dyn.20 scenarios) exact.
 //
 // The event loop itself — heap, deterministic tie-breaking, faults,
-// perturbation, trace/metrics publication — lives in sim/event_core.hpp
+// perturbation, trace publication — lives in sim/event_core.hpp
 // and is shared with simulate_timed and the DAG engine; this engine
 // only adds the "pull work from the strategy until it retires you"
 // refill behaviour. WorkerFault, WorkerSimStats and SimResult are
@@ -20,14 +20,11 @@
 
 #include "platform/platform.hpp"
 #include "platform/speed_model.hpp"
-#include "sim/comm_model.hpp"
 #include "sim/event_core.hpp"
 #include "sim/strategy.hpp"
 #include "sim/trace.hpp"
 
 namespace hetsched {
-
-class MetricsRegistry;  // obs/metrics.hpp
 
 struct SimConfig {
   /// Stream seed for the engine's own randomness (speed perturbation).
@@ -37,15 +34,6 @@ struct SimConfig {
   /// Scripted crashes / slowdowns. Crash injection requires the
   /// strategy to support Strategy::requeue.
   std::vector<WorkerFault> faults{};
-  /// Optional metrics sink: when set, the engine publishes per-worker
-  /// busy/idle/comm gauges and run totals at the end of the run
-  /// (names under "sim." and "worker.<k>.", see docs/observability.md).
-  MetricsRegistry* metrics = nullptr;
-  /// Blocks per time unit used to *estimate* per-worker comm time for
-  /// the metrics gauges. Communication stays fully overlapped (free) in
-  /// this engine — the estimate is reporting-only. Derived from the
-  /// default CommModel uplink so the two defaults cannot drift apart.
-  double metrics_comm_bandwidth = CommModel{}.bandwidth;
 };
 
 /// Runs `strategy` to completion on `platform`. Workers issue their

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "sim/event_core.hpp"
 
 namespace hetsched {
@@ -173,8 +172,6 @@ TimedSimResult simulate_timed(Strategy& strategy, const Platform& platform,
   options.error_prefix = "simulate_timed";
   options.perturbation = config.perturbation;
   options.faults = config.faults;
-  options.metrics = config.metrics;
-  options.metrics_comm_bandwidth = config.comm.bandwidth;
   options.trace = trace;
 
   TimedEngine engine(strategy, config);
@@ -188,17 +185,8 @@ TimedSimResult simulate_timed(Strategy& strategy, const Platform& platform,
   } detach_guard{strategy};
 
   for (std::uint32_t k = 0; k < p; ++k) engine.pump_requests(k, 0.0);
-  core.run();
-  TimedSimResult result = core.finish();
-  if (config.metrics != nullptr) {
-    MetricsRegistry& m = *config.metrics;
-    m.gauge("sim.link_busy_time").set(result.link_busy_time);
-    for (std::uint32_t k = 0; k < p; ++k) {
-      m.gauge("worker." + std::to_string(k) + ".starved_time")
-          .set(result.workers[k].starved_time);
-    }
-  }
-  return result;
+  core.run_loop(engine);
+  return core.finish();
 }
 
 }  // namespace hetsched

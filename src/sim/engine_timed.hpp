@@ -13,7 +13,7 @@
 //
 // Built on sim/event_core.hpp: message arrivals are just another event
 // kind, so this engine supports the same scripted faults, per-task
-// speed perturbation, metrics gauges and trace sinks as the flat
+// speed perturbation and trace sinks as the flat
 // engine, with identical semantics. A crashed worker's runnable,
 // in-transit and in-flight tasks are requeued through the strategy
 // (link time already spent on in-transit messages stays spent — the
@@ -32,8 +32,6 @@
 
 namespace hetsched {
 
-class MetricsRegistry;  // obs/metrics.hpp
-
 struct TimedSimConfig {
   std::uint64_t seed = 1;
   CommModel comm{};
@@ -42,10 +40,6 @@ struct TimedSimConfig {
   PerturbationModel perturbation{};
   /// Scripted crashes / slowdowns; same semantics as SimConfig::faults.
   std::vector<WorkerFault> faults{};
-  /// Optional metrics sink; same names as the flat engine plus
-  /// "sim.link_busy_time" and "worker.<k>.starved_time". The comm_time
-  /// gauge uses the real CommModel bandwidth — no separate estimate.
-  MetricsRegistry* metrics = nullptr;
 };
 
 /// Unified with the flat engine's stats: the timed-only fields

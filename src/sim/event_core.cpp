@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/metrics.hpp"
-
 namespace hetsched {
 
 double SimResult::finish_spread() const {
@@ -82,8 +80,6 @@ EventCore::EventCore(const Platform& platform, const EventCoreOptions& options,
                      EventCoreClient& client)
     : client_(client),
       trace_(options.trace),
-      metrics_(options.metrics),
-      metrics_comm_bandwidth_(options.metrics_comm_bandwidth),
       error_prefix_(options.error_prefix),
       perturbation_(options.perturbation),
       perturb_rng_(derive_stream(options.seed, options.perturb_stream)) {
@@ -98,7 +94,7 @@ EventCore::EventCore(const Platform& platform, const EventCoreOptions& options,
   // Faults used to be heap events pushed at construction, so their
   // sequence numbers (0..F-1) were smaller than any engine event's and
   // a fault won every time tie. A stable sort by time plus the
-  // `<= top().time` merge in run() reproduces exactly that order;
+  // `<= top().time` merge in run_loop() reproduces exactly that order;
   // starting seq_ past the fault count keeps engine-event sequence
   // numbers identical to the single-heap layout.
   faults_ = options.faults;
@@ -184,42 +180,10 @@ void EventCore::apply_fault(const WorkerFault& fault) {
   client_.on_speed_change(fault.worker, fault.time);
 }
 
-void EventCore::publish_metrics() {
-  MetricsRegistry& m = *metrics_;
-  m.counter("sim.tasks_done").add(result_.total_tasks_done);
-  m.counter("sim.blocks").add(result_.total_blocks);
-  m.counter("sim.requeued_tasks").add(result_.requeued_tasks);
-  m.counter("sim.crashed_workers").add(result_.crashed_workers);
-  m.gauge("sim.makespan").set(result_.makespan);
-  std::string name;
-  name.reserve(32);
-  const auto worker_gauge = [&](const std::string& prefix,
-                                const char* suffix) -> Gauge& {
-    name.assign(prefix);
-    name.append(suffix);
-    return m.gauge(name);
-  };
-  for (std::uint32_t k = 0; k < num_workers(); ++k) {
-    const WorkerSimStats& s = result_.workers[k];
-    const std::string prefix = "worker." + std::to_string(k) + ".";
-    worker_gauge(prefix, "busy_time").set(s.busy_time);
-    // A demand-driven worker only waits between its last completion
-    // and the global end of the run (or after a crash).
-    worker_gauge(prefix, "idle_time")
-        .set(std::max(0.0, result_.makespan - s.busy_time));
-    worker_gauge(prefix, "comm_time")
-        .set(static_cast<double>(s.blocks_received) /
-             metrics_comm_bandwidth_);
-    worker_gauge(prefix, "blocks").set(static_cast<double>(s.blocks_received));
-    worker_gauge(prefix, "tasks").set(static_cast<double>(s.tasks_done));
-  }
-}
-
 SimResult EventCore::finish() {
   for (std::uint32_t k = 0; k < num_workers(); ++k) {
     result_.workers[k].final_speed = workers_[k].speed;
   }
-  if (metrics_ != nullptr) publish_metrics();
   return std::move(result_);
 }
 

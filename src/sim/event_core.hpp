@@ -9,7 +9,7 @@
 // in-flight task, crash epoch), scripted `WorkerFault` handling
 // (crash -> requeue through the client, straggler -> speed scaling),
 // `PerturbationModel` application after each completion, and optional
-// `TraceSink` / `MetricsRegistry` publication — while the engines keep
+// `TraceSink` publication — while the engines keep
 // only what genuinely differs: how a worker obtains its next task.
 //
 // An engine is an `EventCoreClient`: the core drives the clock and
@@ -40,8 +40,6 @@
 #include "sim/trace.hpp"
 
 namespace hetsched {
-
-class MetricsRegistry;  // obs/metrics.hpp
 
 /// A scripted worker fault. factor == 0 kills the worker at `time`
 /// (its queued and in-flight tasks are requeued through the client);
@@ -191,11 +189,6 @@ struct EventCoreOptions {
   const char* error_prefix = "simulate";
   PerturbationModel perturbation{};
   std::vector<WorkerFault> faults{};
-  MetricsRegistry* metrics = nullptr;
-  /// Blocks per time unit used to *estimate* per-worker comm time for
-  /// the metrics gauges (reporting-only in the free-overlap engine;
-  /// the timed engine passes its real CommModel bandwidth).
-  double metrics_comm_bandwidth = 100.0;
   TraceSink* trace = nullptr;
 };
 
@@ -218,7 +211,8 @@ class EventCore {
   };
 
   /// Validates faults and stages their events; initial work must then
-  /// be primed by the engine (start_task / push_message) before run().
+  /// be primed by the engine (start_task / push_message) before
+  /// run_loop().
   EventCore(const Platform& platform, const EventCoreOptions& options,
             EventCoreClient& client);
 
@@ -298,14 +292,12 @@ class EventCore {
   /// emits the trace retirement event.
   void retire_worker(std::uint32_t k, double now);
 
-  /// Drains the event heap (and the staged fault list) to completion,
-  /// dispatching callbacks through the EventCoreClient vtable.
-  void run() { run_loop(client_); }
-
-  /// Same loop, templated on the concrete client type: an engine that
-  /// passes itself (declared `final`) gets its per-event callbacks
-  /// devirtualized and inlined into the loop — worth ~10-20 ns/event
-  /// on batch-size-1 workloads. Behaviour is identical to run().
+  /// Drains the event heap (and the staged fault list) to completion.
+  /// Templated on the concrete client type: every engine passes itself
+  /// (declared `final`), so its per-event callbacks are devirtualized
+  /// and inlined into the loop — worth ~10-20 ns/event on
+  /// batch-size-1 workloads. Faults still reach the client through
+  /// the EventCoreClient vtable (apply_fault is out of line).
   template <typename Client>
   void run_loop(Client& client) {
     while (!events_.empty() || next_fault_ < faults_.size()) {
@@ -356,8 +348,7 @@ class EventCore {
     }
   }
 
-  /// Copies final speeds into the stats, publishes metrics (when a
-  /// registry was attached), and returns the result.
+  /// Copies final speeds into the stats and returns the result.
   SimResult finish();
 
  private:
@@ -427,12 +418,9 @@ class EventCore {
 
   void crash_worker(std::uint32_t k, double now);
   void apply_fault(const WorkerFault& fault);
-  void publish_metrics();
 
   EventCoreClient& client_;
   TraceSink* trace_;
-  MetricsRegistry* metrics_;
-  double metrics_comm_bandwidth_;
   const char* error_prefix_;
   PerturbationModel perturbation_;
   Rng perturb_rng_;

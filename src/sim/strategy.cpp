@@ -4,13 +4,6 @@
 
 namespace hetsched {
 
-void Strategy::notify_fetches_slow(std::uint32_t worker,
-                                   const Assignment& assignment) {
-  assignment.for_each_block([&](const BlockRef& block) {
-    obs_sink_->on_data_fetch(worker, *obs_clock_, block);
-  });
-}
-
 void Strategy::notify_phase_switch(std::uint64_t tasks_remaining) {
   if (!has_observer()) return;
   obs_sink_->on_phase_switch(*obs_clock_, tasks_remaining);

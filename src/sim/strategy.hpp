@@ -198,7 +198,7 @@ class Strategy {
   }
 
   // -- Observability -------------------------------------------------
-  // The probes below let the metrics subsystem (src/obs) sample the
+  // The probes below let the observability layer (src/obs) sample the
   // quantities the paper's ODE model predicts without knowing the
   // concrete strategy type. Defaults mean "not applicable".
 
@@ -219,7 +219,7 @@ class Strategy {
   /// Attaches an observation sink and a simulated clock owned by the
   /// driving engine (valid for the duration of the run; the engine
   /// detaches both on exit). Strategies publish strategy-level events
-  /// — phase switches, per-block fetches — through the sink.
+  /// — phase switches and fallbacks — through the sink.
   void attach_observer(TraceSink* sink, const double* clock) noexcept {
     obs_sink_ = sink;
     obs_clock_ = clock;
@@ -229,13 +229,6 @@ class Strategy {
   bool has_observer() const noexcept {
     return obs_sink_ != nullptr && obs_clock_ != nullptr;
   }
-  /// Emits on_data_fetch for every block of `assignment`. The no-op
-  /// case is decided inline so detached hot paths pay one predictable
-  /// branch instead of a cross-TU call per request.
-  void notify_fetches(std::uint32_t worker, const Assignment& assignment) {
-    if (has_observer()) notify_fetches_slow(worker, assignment);
-  }
-  void notify_fetches_slow(std::uint32_t worker, const Assignment& assignment);
   /// Emits on_phase_switch at the current simulated time.
   void notify_phase_switch(std::uint64_t tasks_remaining);
   /// Emits on_fallback at the current simulated time (a data-aware

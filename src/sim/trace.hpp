@@ -1,6 +1,6 @@
 // Optional observation hooks for the simulation engine.
 //
-// Tests, examples, and the metrics subsystem (src/obs) subscribe to
+// Tests, examples, and the observability layer (src/obs) subscribe to
 // assignment/completion events to check engine invariants (no task
 // computed twice, blocks counted once, ...) and to sample trajectories
 // without the engine knowing about them.
@@ -45,16 +45,6 @@ class TraceSink {
   virtual void on_fallback(double now, std::uint64_t tasks_remaining) {
     (void)now;
     (void)tasks_remaining;
-  }
-
-  /// One block shipped master -> worker as part of serving a request.
-  /// Finer-grained companion of on_assignment (which carries the whole
-  /// batch); default no-op.
-  virtual void on_data_fetch(std::uint32_t worker, double now,
-                             const BlockRef& block) {
-    (void)worker;
-    (void)now;
-    (void)block;
   }
 };
 

@@ -7,11 +7,12 @@
 
 #include <algorithm>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "dag/cholesky.hpp"
 #include "dag/dag_engine.hpp"
-#include "obs/metrics.hpp"
+#include "obs/analyze.hpp"
 #include "platform/platform.hpp"
 #include "sim/trace.hpp"
 
@@ -153,21 +154,50 @@ TEST(DagFaultInjection, RejectsMalformedFaultsViaSharedValidation) {
                std::invalid_argument);
 }
 
-TEST(DagFaultInjection, MetricsPublishedThroughSharedCore) {
+// Written to the event file and read back, a crash + straggler DAG run
+// keeps its totals and every worker's engine stats exactly.
+TEST(DagFaultInjection, EventFileRoundTripsRunTotals) {
   const CholeskyGraph ch = build_cholesky_graph(6);
-  Platform platform({30.0, 60.0});
+  Platform platform({30.0, 60.0, 45.0});
   CriticalPathDagPolicy policy;
-  MetricsRegistry registry;
-  DagSimConfig config = with_faults({WorkerFault{0.05, 0, 0.0}});
-  config.metrics = &registry;
-  const DagSimResult result = simulate_dag(ch.graph, platform, policy, config);
-  EXPECT_EQ(registry.counter("sim.tasks_done").value(),
-            result.total_tasks_done);
-  EXPECT_EQ(registry.counter("sim.blocks").value(), result.total_transfers);
-  EXPECT_EQ(registry.counter("sim.crashed_workers").value(), 1u);
-  EXPECT_EQ(registry.gauge("sim.makespan").value(), result.makespan);
-  EXPECT_EQ(registry.gauge("worker.1.tasks").value(),
-            static_cast<double>(result.workers[1].tasks_done));
+  RecordingTrace trace;
+  const DagSimConfig config =
+      with_faults({WorkerFault{0.02, 2, 0.5}, WorkerFault{0.05, 0, 0.0}});
+  const DagSimResult result =
+      simulate_dag(ch.graph, platform, policy, config, &trace);
+  ASSERT_EQ(result.crashed_workers, 1u);
+
+  TraceMeta meta;
+  meta.engine = "dag";
+  meta.strategy = policy.name();
+  meta.n = ch.tiles;
+  meta.p = 3;
+  meta.makespan = result.makespan;
+  meta.speeds = platform.speeds();
+  meta.requeued_tasks = result.requeued_tasks;
+  meta.crashed_workers = result.crashed_workers;
+  for (const auto& w : result.workers) {
+    meta.workers.push_back({w.tasks_done, w.blocks_received,
+                            w.messages_received, w.busy_time, w.finish_time,
+                            w.starved_time});
+  }
+  std::stringstream file;
+  write_trace_jsonl(file, trace, meta);
+  const TraceMeta got = analyze_trace_stream(file).meta;
+
+  EXPECT_EQ(got.requeued_tasks, result.requeued_tasks);
+  EXPECT_EQ(got.crashed_workers, 1u);
+  EXPECT_EQ(got.link_busy_time, 0.0);
+  ASSERT_EQ(got.workers.size(), result.workers.size());
+  for (std::size_t k = 0; k < result.workers.size(); ++k) {
+    const WorkerSimStats& want = result.workers[k];
+    EXPECT_EQ(got.workers[k].tasks, want.tasks_done) << k;
+    EXPECT_EQ(got.workers[k].blocks, want.blocks_received) << k;
+    EXPECT_EQ(got.workers[k].messages, want.messages_received) << k;
+    EXPECT_EQ(got.workers[k].busy, want.busy_time) << k;
+    EXPECT_EQ(got.workers[k].finish, want.finish_time) << k;
+    EXPECT_EQ(got.workers[k].starved, want.starved_time) << k;
+  }
 }
 
 TEST(DagFaultInjection, FaultedRunsAreDeterministic) {

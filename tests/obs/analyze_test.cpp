@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
@@ -18,8 +19,8 @@
 namespace hetsched {
 namespace {
 
-// One traced flat/timed repetition plus the meta record the CLI would
-// write next to it (tools/hetsched_cli.cpp --events-out).
+// One traced flat/timed repetition plus the meta record the CLI writes
+// next to it (hetsched_cli run --events-out).
 struct TracedRun {
   InstrumentedRep rep;
   TraceMeta meta;
@@ -31,18 +32,7 @@ void run_traced(const ExperimentConfig& config, TracedRun& out,
   options.max_trace_events = max_events;
   run_instrumented_rep(config, derive_stream(config.seed, "rep.0"), options,
                        out.rep);
-  out.meta.engine = config.timed ? "timed" : "flat";
-  out.meta.kernel = to_string(config.kernel);
-  out.meta.strategy = config.strategy;
-  out.meta.n = config.n;
-  out.meta.p = config.p;
-  out.meta.makespan = out.rep.outcome.sim.makespan;
-  out.meta.bandwidth = config.comm.bandwidth;
-  out.meta.speeds = out.rep.outcome.speeds;
-  for (const auto& w : out.rep.outcome.sim.workers) {
-    out.meta.workers.push_back({w.tasks_done, w.blocks_received, w.busy_time,
-                                w.finish_time, w.starved_time});
-  }
+  out.meta = trace_meta(config, out.rep);
 }
 
 ExperimentConfig small_outer_config() {
@@ -220,8 +210,9 @@ TEST(AnalyzeTrace, CholeskyDagTraceProducesAllSections) {
   meta.makespan_lower_bound =
       DagSimResult::makespan_lower_bound(cholesky.graph, platform);
   for (const auto& w : result.workers) {
-    meta.workers.push_back({w.tasks_done, w.blocks_received, w.busy_time,
-                            w.finish_time, w.starved_time});
+    meta.workers.push_back({w.tasks_done, w.blocks_received,
+                            w.messages_received, w.busy_time, w.finish_time,
+                            w.starved_time});
   }
 
   const TraceAnalysis analysis = analyze_trace(trace, meta);
@@ -288,6 +279,89 @@ TEST(AnalyzeTraceStream, MalformedInputThrows) {
     std::istringstream in("");
     EXPECT_THROW(analyze_trace_stream(in), std::runtime_error);
   }
+  // Out-of-range indices and counts must be rejected, naming the line,
+  // before any vector is sized or indexed by them.
+  const std::string meta =
+      "{\"type\":\"meta\",\"engine\":\"flat\",\"kernel\":\"outer\","
+      "\"n\":2,\"p\":2,\"makespan\":1,\"speeds\":[1,2]}\n";
+  const std::string dag_meta =
+      "{\"type\":\"meta\",\"engine\":\"dag\",\"p\":1,\"speeds\":[1]}\n";
+  const std::string complete = "{\"type\":\"complete\",\"t\":1,";
+  const std::vector<std::string> cases = {
+      // Meta must come first, and only once.
+      complete + "\"w\":0,\"task\":0}\n" + meta,
+      meta + meta,
+      // Worker indices outside [0, p), or not integers.
+      meta + complete + "\"w\":4294967295,\"task\":0}\n",
+      meta + complete + "\"w\":-1,\"task\":0}\n",
+      meta + complete + "\"w\":2,\"task\":0}\n",
+      meta + complete + "\"w\":0.5,\"task\":0}\n",
+      meta + complete + "\"task\":0}\n",
+      meta + "{\"type\":\"worker\",\"id\":1e18,\"tasks\":1}\n",
+      meta + "{\"type\":\"worker\",\"id\":-1}\n",
+      meta + "{\"type\":\"assign\",\"w\":9,\"t\":0,\"tasks\":[0]}\n",
+      meta + "{\"type\":\"retire\",\"w\":\"0\",\"t\":1}\n",
+      // Counts and task ids: non-negative integers up to 2^53.
+      meta + complete + "\"w\":0,\"task\":-3}\n",
+      meta + complete + "\"w\":0,\"task\":1e300}\n",
+      meta + "{\"type\":\"assign\",\"w\":0,\"t\":0,\"tasks\":[-1]}\n",
+      meta + "{\"type\":\"assign\",\"w\":0,\"t\":0,\"tasks\":[0],"
+             "\"blocks\":-2}\n",
+      meta + "{\"type\":\"phase_switch\",\"t\":0,\"remaining\":-1}\n",
+      meta + "{\"type\":\"fallback\",\"t\":0,\"remaining\":1.5}\n",
+      meta + "{\"type\":\"worker\",\"id\":0,\"messages\":-1}\n",
+      "{\"type\":\"meta\",\"p\":1,\"speeds\":[1],"
+      "\"requeued_tasks\":-1}\n",
+      "{\"type\":\"meta\",\"p\":1,\"speeds\":[1],"
+      "\"crashed_workers\":1e17}\n",
+      // p must be bounded by the file's own speeds list.
+      "{\"type\":\"meta\",\"p\":4294967295,\"speeds\":[1]}\n",
+      "{\"type\":\"meta\",\"p\":1e18,\"speeds\":[1]}\n",
+      "{\"type\":\"meta\",\"p\":2}\n",
+      "{\"type\":\"meta\",\"p\":1,\"speeds\":[0]}\n",
+      // A DAG task id from the file never sizes a vector.
+      dag_meta + "{\"type\":\"assign\",\"w\":0,\"t\":0,"
+                 "\"tasks\":[1e16]}\n",
+  };
+  for (const std::string& text : cases) {
+    std::istringstream in(text);
+    try {
+      analyze_trace_stream(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& err) {
+      EXPECT_NE(std::string(err.what()).find("trace line "), std::string::npos)
+          << err.what();
+    }
+  }
+  // In range, the same records are accepted; a huge DAG task id is
+  // looked up, not used as an index.
+  {
+    std::istringstream in(
+        dag_meta +
+        "{\"type\":\"assign\",\"w\":0,\"t\":0,\"tasks\":[9007199254740992]}\n"
+        "{\"type\":\"complete\",\"w\":0,\"t\":1,\"task\":9007199254740992}\n");
+    const TraceAnalysis analysis = analyze_trace_stream(in);
+    ASSERT_EQ(analysis.critical_path.size(), 1u);
+    EXPECT_EQ(analysis.critical_path[0].start, 0.0);
+  }
+}
+
+// Files written before the run totals and per-worker message counts
+// joined the format read those fields as 0.
+TEST(AnalyzeTraceStream, OlderFilesReadNewFieldsAsZero) {
+  std::istringstream in(
+      "{\"type\":\"meta\",\"engine\":\"flat\",\"p\":1,\"speeds\":[2]}\n"
+      "{\"type\":\"worker\",\"id\":0,\"tasks\":1,\"blocks\":2,"
+      "\"busy\":0.5,\"finish\":0.5,\"starved\":0}\n"
+      "{\"type\":\"complete\",\"w\":0,\"t\":0.5,\"task\":0}\n");
+  const TraceAnalysis analysis = analyze_trace_stream(in);
+  EXPECT_EQ(analysis.meta.requeued_tasks, 0u);
+  EXPECT_EQ(analysis.meta.crashed_workers, 0u);
+  EXPECT_EQ(analysis.meta.link_busy_time, 0.0);
+  ASSERT_EQ(analysis.meta.workers.size(), 1u);
+  EXPECT_EQ(analysis.meta.workers[0].messages, 0u);
+  EXPECT_EQ(analysis.meta.workers[0].blocks, 2u);
+  EXPECT_TRUE(analysis.warnings.empty());
 }
 
 }  // namespace

@@ -228,12 +228,5 @@ TEST(Engine, NormalizedVolumeDividesByBound) {
   EXPECT_DOUBLE_EQ(result.normalized_volume(10.0), 2.0);
 }
 
-TEST(Engine, MetricsCommBandwidthDerivedFromCommModel) {
-  // Satellite of the EventCore refactor: the flat engine's comm_time
-  // gauge estimate is derived from CommModel's default bandwidth, so
-  // the two cannot drift apart.
-  EXPECT_EQ(SimConfig{}.metrics_comm_bandwidth, CommModel{}.bandwidth);
-}
-
 }  // namespace
 }  // namespace hetsched

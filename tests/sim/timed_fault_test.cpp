@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <string>
 
-#include "obs/metrics.hpp"
+#include "core/experiment.hpp"
+#include "obs/analyze.hpp"
+#include "obs/instrument.hpp"
 #include "outer/outer_factory.hpp"
 #include "platform/platform.hpp"
 #include "sim/engine.hpp"
@@ -142,28 +145,55 @@ TEST(TimedFaultInjection, RejectsMalformedFaultsViaSharedValidation) {
                std::invalid_argument);
 }
 
-TEST(TimedFaultInjection, MetricsPublishedIncludingTimedExtras) {
-  auto strategy = make_outer_strategy("DynamicOuter", OuterConfig{16}, 2, 10);
-  Platform platform({30.0, 60.0});
-  MetricsRegistry registry;
-  TimedSimConfig config = with_faults({WorkerFault{0.2, 0, 0.0}});
-  config.metrics = &registry;
-  const TimedSimResult result = simulate_timed(*strategy, platform, config);
-  // Shared EventCore counters/gauges...
-  EXPECT_EQ(registry.counter("sim.tasks_done").value(),
-            result.total_tasks_done);
-  EXPECT_EQ(registry.counter("sim.requeued_tasks").value(),
-            result.requeued_tasks);
-  EXPECT_EQ(registry.counter("sim.crashed_workers").value(), 1u);
-  EXPECT_EQ(registry.gauge("sim.makespan").value(), result.makespan);
-  // ...plus the timed-only ones.
-  EXPECT_EQ(registry.gauge("sim.link_busy_time").value(),
-            result.link_busy_time);
-  for (std::uint32_t k = 0; k < 2; ++k) {
-    EXPECT_EQ(
-        registry.gauge("worker." + std::to_string(k) + ".starved_time").value(),
-        result.workers[k].starved_time);
+// The event file is the run's one record: written and read back, it
+// reproduces a crash + straggler timed run's totals and every worker's
+// engine stats exactly.
+TEST(TimedFaultInjection, EventFileRoundTripsRunTotals) {
+  ExperimentConfig config;
+  config.kernel = Kernel::kOuter;
+  config.strategy = "DynamicOuter";
+  config.n = 16;
+  config.p = 3;
+  config.seed = 10;
+  config.timed = true;
+  config.faults = {WorkerFault{0.1, 1, 0.5}, WorkerFault{0.2, 0, 0.0}};
+  InstrumentedRep rep;
+  run_instrumented_rep(config, derive_stream(config.seed, "rep.0"), {}, rep);
+  const SimResult& sim = rep.outcome.sim;
+  ASSERT_EQ(sim.crashed_workers, 1u);
+  ASSERT_GT(sim.requeued_tasks, 0u);
+  ASSERT_GT(sim.link_busy_time, 0.0);
+
+  std::stringstream file;
+  write_trace_jsonl(file, rep.recording, trace_meta(config, rep),
+                    &rep.sampler);
+  const TraceAnalysis analysis = analyze_trace_stream(file);
+  const TraceMeta& meta = analysis.meta;
+  EXPECT_EQ(meta.requeued_tasks, sim.requeued_tasks);
+  EXPECT_EQ(meta.crashed_workers, sim.crashed_workers);
+  EXPECT_EQ(meta.link_busy_time, sim.link_busy_time);
+  ASSERT_EQ(meta.workers.size(), sim.workers.size());
+  std::uint64_t messages = 0;
+  for (std::size_t k = 0; k < sim.workers.size(); ++k) {
+    const WorkerSimStats& want = sim.workers[k];
+    const TraceMeta::WorkerStats& got = meta.workers[k];
+    EXPECT_EQ(got.tasks, want.tasks_done) << k;
+    EXPECT_EQ(got.blocks, want.blocks_received) << k;
+    EXPECT_EQ(got.messages, want.messages_received) << k;
+    EXPECT_EQ(got.busy, want.busy_time) << k;
+    EXPECT_EQ(got.finish, want.finish_time) << k;
+    EXPECT_EQ(got.starved, want.starved_time) << k;
+    messages += got.messages;
   }
+  EXPECT_GT(messages, 0u);
+
+  // The analysis report's run section carries the totals on.
+  std::ostringstream json;
+  write_analysis_json(json, analysis);
+  EXPECT_NE(json.str().find("\"requeued_tasks\": " +
+                            std::to_string(sim.requeued_tasks)),
+            std::string::npos);
+  EXPECT_NE(json.str().find("\"crashed_workers\": 1"), std::string::npos);
 }
 
 TEST(TimedFaultInjection, FlatAndTimedAgreeOnFaultAccounting) {

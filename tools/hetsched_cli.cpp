@@ -41,7 +41,6 @@
 #include "dag/cholesky.hpp"
 #include "dag/dag_engine.hpp"
 #include "obs/analyze.hpp"
-#include "obs/export.hpp"
 #include "obs/instrument.hpp"
 #include "obs/profiler.hpp"
 #include "obs/progress.hpp"
@@ -76,16 +75,14 @@ int usage() {
       "             observability (re-runs repetition 0 instrumented):\n"
       "             [--trace-out=FILE]   chrome-tracing JSON with per-worker\n"
       "                                  Gantt rows, phase-switch markers and\n"
-      "                                  metric counter tracks; open the file\n"
+      "                                  sampled counters; open the file\n"
       "                                  in chrome://tracing (\"Load\") or at\n"
       "                                  https://ui.perfetto.dev (\"Open trace\n"
       "                                  file\")\n"
-      "             [--metrics-out=FILE] JSON-lines: meta record, one sample\n"
-      "                                  record per sampling instant, final\n"
-      "                                  metrics snapshot record\n"
       "             [--events-out=FILE]  self-describing hetsched-trace/1\n"
-      "                                  JSONL (meta + worker stats + every\n"
-      "                                  event + samples) for `analyze`\n"
+      "                                  JSONL (meta + run totals + worker\n"
+      "                                  stats + every event + samples) for\n"
+      "                                  `analyze`\n"
       "             [--sample-interval=DT] sampling cadence in simulated time\n"
       "                                  units (default: ~192 samples/run)\n"
       "             telemetry (wall clock only; never perturbs results):\n"
@@ -180,18 +177,14 @@ ProgressSetup make_progress(const CliArgs& args) {
   return setup;
 }
 
-// Re-runs repetition 0 of `config` with the metrics stack attached and
-// writes the requested artifacts: a chrome-tracing / Perfetto JSON file
-// (--trace-out), a JSON-lines time series + metrics snapshot
-// (--metrics-out), and/or a self-describing hetsched-trace/1 event file
-// (--events-out) ready for `hetsched_cli analyze`.
+// Re-runs repetition 0 of `config` instrumented and writes the
+// requested artifacts: a chrome-tracing / Perfetto JSON file
+// (--trace-out) and/or the self-describing hetsched-trace/1 event file
+// (--events-out), the run's one record, ready for `hetsched_cli analyze`.
 void dump_observability(const CliArgs& args, const ExperimentConfig& config) {
   const std::string trace_path = args.get("trace-out", "");
-  const std::string metrics_path = args.get("metrics-out", "");
   const std::string events_path = args.get("events-out", "");
-  if (trace_path.empty() && metrics_path.empty() && events_path.empty()) {
-    return;
-  }
+  if (trace_path.empty() && events_path.empty()) return;
 
   InstrumentOptions options;
   options.sample_interval = args.get_double("sample-interval", 0.0);
@@ -207,32 +200,11 @@ void dump_observability(const CliArgs& args, const ExperimentConfig& config) {
     std::cerr << "wrote trace to " << trace_path
               << " (load in chrome://tracing or https://ui.perfetto.dev)\n";
   }
-  if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path);
-    if (!out) throw std::runtime_error("cannot open " + metrics_path);
-    write_timeseries_jsonl(out, rep.sampler, rep.recording.dropped_events());
-    write_metrics_json(out, rep.registry);
-    out << "\n";
-    std::cerr << "wrote metrics time series to " << metrics_path << "\n";
-  }
   if (!events_path.empty()) {
     std::ofstream out(events_path);
     if (!out) throw std::runtime_error("cannot open " + events_path);
-    TraceMeta meta;
-    meta.engine = config.timed ? "timed" : "flat";
-    meta.kernel = to_string(config.kernel);
-    meta.strategy = config.strategy;
-    meta.n = config.n;
-    meta.p = config.p;
-    meta.makespan = rep.outcome.sim.makespan;
-    meta.bandwidth = config.comm.bandwidth;
-    meta.speeds = rep.outcome.speeds;
-    meta.workers.reserve(rep.outcome.sim.workers.size());
-    for (const auto& w : rep.outcome.sim.workers) {
-      meta.workers.push_back({w.tasks_done, w.blocks_received, w.busy_time,
-                              w.finish_time, w.starved_time});
-    }
-    write_trace_jsonl(out, rep.recording, meta, &rep.sampler);
+    write_trace_jsonl(out, rep.recording, trace_meta(config, rep),
+                      &rep.sampler);
     std::cerr << "wrote event trace to " << events_path
               << " (analyze with: hetsched_cli analyze --trace=" << events_path
               << ")\n";
@@ -240,6 +212,11 @@ void dump_observability(const CliArgs& args, const ExperimentConfig& config) {
 }
 
 int cmd_run(const CliArgs& args) {
+  if (args.has("metrics-out")) {
+    std::cerr << "run: --metrics-out was removed; --events-out writes the "
+                 "run's record (totals, worker stats, events, samples)\n";
+    return 2;
+  }
   const ScenarioSpec spec = load_spec(args, run_spec_defaults());
   CompiledCampaign compiled = compile_spec(spec);
   if (compiled.entries.size() != 1) {
@@ -435,10 +412,13 @@ int cmd_dag(const CliArgs& args) {
     meta.graph_critical_path = graph.critical_path();
     meta.makespan_lower_bound =
         DagSimResult::makespan_lower_bound(graph, platform);
+    meta.requeued_tasks = result.requeued_tasks;
+    meta.crashed_workers = result.crashed_workers;
     meta.workers.reserve(result.workers.size());
     for (const auto& w : result.workers) {
-      meta.workers.push_back({w.tasks_done, w.blocks_received, w.busy_time,
-                              w.finish_time, w.starved_time});
+      meta.workers.push_back({w.tasks_done, w.blocks_received,
+                              w.messages_received, w.busy_time, w.finish_time,
+                              w.starved_time});
     }
     write_trace_jsonl(out, trace, meta);
     std::cerr << "wrote event trace to " << events_path
