@@ -2,17 +2,19 @@
 // the numbers future PRs regress against.
 //
 // Sections:
-//   heap        - raw binary-heap push/pop ns/op (host-speed calibration,
-//                 the same unit bench/micro_scheduler_overhead uses)
-//   engine      - flat-engine ns/event on a DynamicOuter run
-//   request_ns  - master-side ns/request for the paper's eight strategies,
-//                 the median of kTrials interleaved trials (each trial
-//                 re-samples the heap probe and drains all eight), with
-//                 the interquartile range under request_ns_iqr
+//   heap        - raw binary-heap push/pop ns/op (host-speed calibration)
+//   engines     - ns/event of the flat, timed and DAG engines
+//   request_ns  - master-side ns/request for the paper's eight strategies
+//                 (interquartile range under request_ns_iqr)
 //   reps_per_sec- single-thread replication throughput on fig05-sized
 //                 (outer N/l = 1000) and fig10-sized (matmul N/l = 100)
 //                 workloads
 //   large_pool  - peak RSS with a 10^9-id task pool resident
+//
+// The engine and request probes run in kTrials interleaved trials, each
+// of which re-samples the heap probe; every key is the median of its
+// trials, and every ratio the median of its per-trial ratios (IQRs
+// under ratios_vs_heap_iqr).
 //
 // Every ns metric is also reported as a ratio over the heap baseline so
 // CI can compare against bench/baselines/perf_smoke.json without being
@@ -22,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <queue>
 #include <sstream>
@@ -34,12 +37,15 @@
 #include "bench/bench_util.hpp"
 #include "common/json.hpp"
 #include "common/task_pool.hpp"
+#include "dag/cholesky.hpp"
+#include "dag/dag_engine.hpp"
 #include "matmul/matmul_factory.hpp"
 #include "obs/profiler.hpp"
 #include "obs/progress.hpp"
 #include "outer/outer_factory.hpp"
 #include "platform/platform.hpp"
 #include "sim/engine.hpp"
+#include "sim/engine_timed.hpp"
 
 namespace {
 
@@ -57,7 +63,7 @@ double peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
 }
 
-/// Interleaved trials behind every request_ns key.
+/// Interleaved trials behind every engine and request_ns key.
 constexpr int kTrials = 5;
 
 /// Median and interquartile range of a sample, quartiles by the
@@ -82,8 +88,9 @@ Spread spread(std::vector<double> v) {
 }
 
 /// Raw binary-heap churn, the host-speed unit: ns per push+pop at a
-/// fixed depth (mirrors BM_HeapBaseline in micro_scheduler_overhead).
-/// One trial's sample: 2M ops, re-taken before every request trial.
+/// fixed depth: the event loop is a binary heap at heart, so this is
+/// "one event's worth of machinery" on this host.
+/// One trial's sample: 2M ops, re-taken at the start of every trial.
 double heap_ns_per_op() {
   using Entry = std::pair<double, std::uint64_t>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
@@ -104,21 +111,68 @@ double heap_ns_per_op() {
   return (now_sec() - start) * 1e9 / static_cast<double>(kOps);
 }
 
-/// Flat-engine ns/event (one TaskDone event per task).
-double flat_engine_ns_per_event() {
-  Platform platform({10, 15, 20, 25, 30, 40, 50, 80});
+/// One engine run: its timed seconds (set-up excluded) and its events.
+struct EngineSample {
+  double sec = 0.0;
   std::uint64_t events = 0;
+};
+
+/// Engine ns/event: re-run `simulate_once(seed)` on fresh seeds until
+/// the probe's budget is spent.
+template <typename SimulateOnce>
+double engine_ns_per_event(SimulateOnce simulate_once) {
   double elapsed = 0.0;
-  std::uint64_t seed = 0;
-  while (elapsed < 0.5) {
-    auto strategy =
-        make_outer_strategy("DynamicOuter", OuterConfig{60}, 8, ++seed);
-    const double start = now_sec();
-    const SimResult result = simulate(*strategy, platform);
-    elapsed += now_sec() - start;
-    events += result.total_tasks_done;
+  std::uint64_t events = 0;
+  for (std::uint64_t seed = 1; elapsed < 0.25; ++seed) {
+    const EngineSample sample = simulate_once(seed);
+    elapsed += sample.sec;
+    events += sample.events;
   }
   return elapsed * 1e9 / static_cast<double>(events);
+}
+
+const Platform& engine_platform() {
+  static const Platform platform({10, 15, 20, 25, 30, 40, 50, 80});
+  return platform;
+}
+
+/// Flat engine, DynamicOuter at N/l = 60: one event per task.
+double flat_engine_ns_per_event() {
+  return engine_ns_per_event([](std::uint64_t seed) {
+    auto strategy =
+        make_outer_strategy("DynamicOuter", OuterConfig{60}, 8, seed);
+    const double start = now_sec();
+    const SimResult result = simulate(*strategy, engine_platform());
+    return EngineSample{now_sec() - start, result.total_tasks_done};
+  });
+}
+
+/// Comm-timed engine on the same workload: one event per task plus one
+/// arrival per message.
+double timed_engine_ns_per_event() {
+  return engine_ns_per_event([](std::uint64_t seed) {
+    auto strategy =
+        make_outer_strategy("DynamicOuter", OuterConfig{60}, 8, seed);
+    const double start = now_sec();
+    const TimedSimResult result = simulate_timed(*strategy, engine_platform());
+    const double sec = now_sec() - start;
+    std::uint64_t events = result.total_tasks_done;
+    for (const auto& w : result.workers) events += w.messages_received;
+    return EngineSample{sec, events};
+  });
+}
+
+/// DAG engine, 16-tile Cholesky under CriticalPathDagPolicy: one event
+/// per task.
+double dag_engine_ns_per_event() {
+  static const CholeskyGraph cholesky = build_cholesky_graph(16);
+  return engine_ns_per_event([](std::uint64_t seed) {
+    const double start = now_sec();
+    CriticalPathDagPolicy policy;
+    const DagSimResult result =
+        simulate_dag(cholesky.graph, engine_platform(), policy, seed);
+    return EngineSample{now_sec() - start, result.total_tasks_done};
+  });
 }
 
 /// Master-side ns/request: drain a fresh instance to exhaustion through
@@ -220,47 +274,55 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string out_path = args.get("out", "BENCH_PERF.json");
 
-  // Strategy by strategy, trial by trial: a slow stretch of the host
-  // lands in one trial of every key instead of in all trials of one,
-  // and each ratio divides by the heap probe of its own trial.
-  std::vector<std::pair<bool, std::string>> strategies;
-  for (const char* name :
-       {"RandomOuter", "SortedOuter", "DynamicOuter", "DynamicOuter2Phases"}) {
-    strategies.emplace_back(true, name);
-  }
-  for (const char* name : {"RandomMatrix", "SortedMatrix", "DynamicMatrix",
+  // Probe by probe, trial by trial: a slow stretch of the host lands in
+  // one trial of every key instead of in all trials of one, and each
+  // ratio divides by the heap probe of its own trial.
+  struct Probe {
+    std::string name;       // top-level engine key, or request_ns key
+    std::string ratio_key;  // ratios_vs_heap key
+    std::function<double()> measure;
+  };
+  std::vector<Probe> probes = {
+      {"flat_engine_ns_per_event", "flat_engine_ns_per_event",
+       flat_engine_ns_per_event},
+      {"timed_engine_ns_per_event", "timed_engine_ns_per_event",
+       timed_engine_ns_per_event},
+      {"dag_engine_ns_per_event", "dag_engine_ns_per_event",
+       dag_engine_ns_per_event}};
+  const std::size_t engine_count = probes.size();
+  for (const char* name : {"RandomOuter", "SortedOuter", "DynamicOuter",
+                           "DynamicOuter2Phases", "RandomMatrix",
+                           "SortedMatrix", "DynamicMatrix",
                            "DynamicMatrix2Phases"}) {
-    strategies.emplace_back(false, name);
+    const bool outer = std::string(name).find("Outer") != std::string::npos;
+    probes.push_back({name, std::string("request.") + name,
+                      [outer, name] { return request_ns(outer, name); }});
   }
   std::vector<double> heap_trials;
-  std::vector<std::vector<double>> ns_trials(strategies.size());
-  std::vector<std::vector<double>> ratio_trials(strategies.size());
+  std::vector<std::vector<double>> ns_trials(probes.size());
+  std::vector<std::vector<double>> ratio_trials(probes.size());
   for (int t = 0; t < kTrials; ++t) {
     const double heap_t = heap_ns_per_op();
     heap_trials.push_back(heap_t);
-    for (std::size_t s = 0; s < strategies.size(); ++s) {
-      const double ns = request_ns(strategies[s].first, strategies[s].second);
-      ns_trials[s].push_back(ns);
-      ratio_trials[s].push_back(ns / heap_t);
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+      const double ns = probes[p].measure();
+      ns_trials[p].push_back(ns);
+      ratio_trials[p].push_back(ns / heap_t);
     }
   }
   const Spread heap_spread = spread(heap_trials);
   const double heap = heap_spread.median;
   std::cerr << "# heap baseline: " << heap << " ns/op (IQR "
             << heap_spread.iqr << ")\n";
-  std::vector<std::pair<std::string, Spread>> request;
-  std::vector<std::pair<std::string, Spread>> request_ratio;
-  for (std::size_t s = 0; s < strategies.size(); ++s) {
-    const std::string& name = strategies[s].second;
-    request.emplace_back(name, spread(ns_trials[s]));
-    request_ratio.emplace_back("request." + name, spread(ratio_trials[s]));
-    std::cerr << "# request " << name << ": " << request.back().second.median
-              << " ns (IQR " << request.back().second.iqr << "), ratio "
-              << request_ratio.back().second.median << " (IQR "
-              << request_ratio.back().second.iqr << ")\n";
+  std::vector<Spread> ns;
+  std::vector<Spread> ratio;
+  for (std::size_t p = 0; p < probes.size(); ++p) {
+    ns.push_back(spread(ns_trials[p]));
+    ratio.push_back(spread(ratio_trials[p]));
+    std::cerr << "# " << probes[p].ratio_key << ": " << ns[p].median
+              << " ns (IQR " << ns[p].iqr << "), ratio " << ratio[p].median
+              << " (IQR " << ratio[p].iqr << ")\n";
   }
-  const double engine = flat_engine_ns_per_event();
-  std::cerr << "# flat engine: " << engine << " ns/event\n";
 
   // fig05-sized (outer N/l = 1000) and fig10-sized (matmul N/l = 100)
   // single-thread replication throughput.
@@ -325,26 +387,33 @@ int main(int argc, char** argv) {
   json.field("trials", static_cast<std::uint64_t>(kTrials));
   json.field("heap_ns_per_op", heap);
   json.field("heap_ns_per_op_iqr", heap_spread.iqr);
-  json.field("flat_engine_ns_per_event", engine);
+  for (std::size_t p = 0; p < engine_count; ++p) {
+    json.field(probes[p].name, ns[p].median);
+  }
   json.key("request_ns");
   json.begin_object();
-  for (const auto& [name, st] : request) json.field(name, st.median);
+  for (std::size_t p = engine_count; p < probes.size(); ++p) {
+    json.field(probes[p].name, ns[p].median);
+  }
   json.end_object();
   json.key("request_ns_iqr");
   json.begin_object();
-  for (const auto& [name, st] : request) json.field(name, st.iqr);
+  for (std::size_t p = engine_count; p < probes.size(); ++p) {
+    json.field(probes[p].name, ns[p].iqr);
+  }
   json.end_object();
   json.key("reps_per_sec");
   json.begin_object();
   for (const auto& [name, r] : reps) json.field(name, r);
   json.end_object();
   // Host-independent ratios for the CI gate: ns metrics over the heap
-  // baseline (request.* the median of the per-trial ratios); throughput
-  // as heap-ops-per-rep (lower = faster).
+  // baseline (each the median of its per-trial ratios); throughput as
+  // heap-ops-per-rep (lower = faster).
   json.key("ratios_vs_heap");
   json.begin_object();
-  json.field("flat_engine_ns_per_event", engine / heap);
-  for (const auto& [key, st] : request_ratio) json.field(key, st.median);
+  for (std::size_t p = 0; p < probes.size(); ++p) {
+    json.field(probes[p].ratio_key, ratio[p].median);
+  }
   for (const auto& [name, r] : reps) {
     json.field("rep_cost." + name, 1e9 / (r * heap));
   }
@@ -356,7 +425,9 @@ int main(int argc, char** argv) {
   json.end_object();
   json.key("ratios_vs_heap_iqr");
   json.begin_object();
-  for (const auto& [key, st] : request_ratio) json.field(key, st.iqr);
+  for (std::size_t p = 0; p < probes.size(); ++p) {
+    json.field(probes[p].ratio_key, ratio[p].iqr);
+  }
   json.end_object();
   // Per-site wall totals of the profiled run, for eyeballing where a
   // telemetry regression landed (same site taxonomy as the CLI).
