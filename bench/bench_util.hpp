@@ -25,15 +25,6 @@ inline void print_header(const std::string& figure, const std::string& what,
   std::cout << "# " << params << "\n";
 }
 
-/// Provenance line for replication-engine timing. Benches whose data
-/// stream must stay machine-parseable (JSON) pass std::cerr.
-inline void print_perf(const std::string& what, const ExperimentResult& result,
-                       std::ostream& out = std::cout) {
-  out << "# perf: " << what << " wall_time_sec=" << result.wall_time_sec
-      << " reps_per_sec=" << result.reps_per_sec
-      << " rep_parallelism=" << result.rep_parallelism << "\n";
-}
-
 /// Narrow-checked CLI conversion: negative or >= 2^32 values must fail
 /// loudly instead of wrapping into bogus p/n grids.
 inline std::vector<std::uint32_t> to_u32(const std::vector<std::int64_t>& v) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <istream>
 #include <limits>
+#include <numeric>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -45,15 +46,18 @@ struct NormMarker {  // phase switch / fallback
   std::uint64_t remaining;
 };
 
+constexpr const char* kUnmarkedChannel = "unmarked_fraction";
+
 struct NormTrace {
   std::vector<NormAssign> assigns;
   std::vector<NormComplete> completes;
   std::vector<NormRetire> retires;
   std::vector<NormMarker> phase_switches;
   std::vector<NormMarker> fallbacks;
-  std::vector<std::string> channels;
+  // The sampled unmarked_fraction series, the only channel the
+  // analysis reads; both empty when the trace has no such channel.
   std::vector<double> sample_times;
-  std::vector<std::vector<double>> sample_values;
+  std::vector<double> unmarked;
 };
 
 // ---------------------------------------------------------------------
@@ -509,48 +513,47 @@ void extract_critical_path(TraceAnalysis& out,
   if (intervals.empty()) return;
 
   const double eps = std::max(1e-12, makespan * 1e-9);
-  // Last finisher anchors the chain.
-  std::size_t cur = 0;
-  for (std::size_t i = 1; i < intervals.size(); ++i) {
-    if (intervals[i].finish > intervals[cur].finish) cur = i;
-  }
+  // Interval indices by (finish, index): each predecessor is a binary
+  // search, not a scan.
+  const auto finish_of = [&](std::size_t i) { return intervals[i].finish; };
+  std::vector<std::size_t> by_finish(intervals.size());
+  std::iota(by_finish.begin(), by_finish.end(), std::size_t{0});
+  std::ranges::stable_sort(by_finish, {}, finish_of);
+  // The first of the last finishers anchors the chain.
+  std::size_t cur = *std::ranges::lower_bound(
+      by_finish, finish_of(by_finish.back()), {}, finish_of);
 
   std::vector<TraceAnalysis::CriticalHop> chain;
   const std::size_t max_hops = intervals.size();
   while (chain.size() < max_hops) {
     const Interval& iv = intervals[cur];
-    TraceAnalysis::CriticalHop hop;
-    hop.worker = iv.worker;
-    hop.task = iv.task;
-    hop.start = iv.start;
-    hop.finish = iv.finish;
-    hop.wait = 0.0;
-    if (iv.start <= eps) {
-      chain.push_back(hop);
-      break;
-    }
-    // Predecessor: the latest interval finishing at or before this
-    // hop's start. A back-to-back one on the same worker gives a
-    // compute hop (wait 0); otherwise the chain jumps workers and the
-    // gap is attributed as wait for the releasing completion.
+    // Predecessor: the latest interval other than this hop finishing
+    // at or before its start (none once the chain reaches t = 0);
+    // among ties, the last one on this hop's worker, else the first. A
+    // back-to-back one on the same worker gives a compute hop (wait 0);
+    // otherwise the chain jumps workers and the gap is attributed as
+    // wait for the releasing completion.
     std::size_t best = intervals.size();
-    double best_finish = -std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < intervals.size(); ++i) {
-      if (i == cur) continue;
-      const Interval& cand = intervals[i];
-      if (cand.finish > iv.start + eps) continue;
-      if (cand.finish > best_finish ||
-          (cand.finish == best_finish && cand.worker == iv.worker)) {
-        best_finish = cand.finish;
-        best = i;
+    auto hi = iv.start <= eps ? by_finish.begin()
+                              : std::ranges::upper_bound(
+                                    by_finish, iv.start + eps, {}, finish_of);
+    if (hi != by_finish.begin() && *(hi - 1) == cur) --hi;
+    if (hi != by_finish.begin()) {
+      const double latest = finish_of(*(hi - 1));
+      for (auto it = std::ranges::lower_bound(by_finish.begin(), hi, latest,
+                                              {}, finish_of);
+           it != hi; ++it) {
+        if (*it == cur) continue;
+        if (best == intervals.size() || intervals[*it].worker == iv.worker) {
+          best = *it;
+        }
       }
     }
-    if (best == intervals.size()) {
-      chain.push_back(hop);
-      break;
-    }
-    hop.wait = std::max(0.0, iv.start - intervals[best].finish);
-    chain.push_back(hop);
+    const bool first = best == intervals.size();
+    const double wait =
+        first ? 0.0 : std::max(0.0, iv.start - intervals[best].finish);
+    chain.push_back({iv.worker, iv.task, iv.start, iv.finish, wait});
+    if (first) break;
     cur = best;
   }
   std::reverse(chain.begin(), chain.end());
@@ -565,42 +568,16 @@ void compute_ode_divergence(TraceAnalysis& out, const NormTrace& trace,
                             const AnalyzeOptions& options) {
   const TraceMeta& meta = out.meta;
   out.ode_alarm_threshold = options.ode_alarm_threshold;
-  const auto it = std::find(trace.channels.begin(), trace.channels.end(),
-                            std::string("unmarked_fraction"));
-  if (it == trace.channels.end() || trace.sample_times.empty() ||
-      meta.kernel.empty() || meta.speeds.empty() || meta.n == 0) {
-    out.ode_available = false;
-    return;
-  }
-  const std::size_t ch =
-      static_cast<std::size_t>(it - trace.channels.begin());
-  TrajectoryModel model(kernel_from_string(meta.kernel), meta.speeds, meta.n);
-
-  out.ode_available = true;
-  double max_div = 0.0;
-  double integral = 0.0;
-  double prev_t = 0.0;
-  double prev_diff = 0.0;
-  bool prev_on_support = false;
-  for (std::size_t row = 0; row < trace.sample_times.size(); ++row) {
-    const double t = trace.sample_times[row];
-    const double sim = trace.sample_values[row][ch];
-    const double ode = model.unmarked_fraction(t);
-    const bool on_support = ode >= options.ode_support_min;
-    const double diff = std::abs(sim - ode);
-    if (on_support) {
-      max_div = std::max(max_div, diff);
-      if (prev_on_support) {
-        integral += 0.5 * (diff + prev_diff) * (t - prev_t);
-      }
-    }
-    prev_t = t;
-    prev_diff = diff;
-    prev_on_support = on_support;
-  }
-  out.ode_max_divergence = max_div;
-  out.ode_integrated_divergence = integral;
-  out.ode_alarm = max_div > options.ode_alarm_threshold;
+  out.ode_available = !trace.unmarked.empty() && !meta.kernel.empty() &&
+                      !meta.speeds.empty() && meta.n != 0;
+  if (!out.ode_available) return;
+  const OdeDivergence div =
+      ode_divergence(kernel_from_string(meta.kernel), meta.speeds, meta.n,
+                     trace.sample_times, trace.unmarked,
+                     options.ode_support_min);
+  out.ode_max_divergence = div.max;
+  out.ode_integrated_divergence = div.integrated;
+  out.ode_alarm = div.max > options.ode_alarm_threshold;
 }
 
 TraceAnalysis analyze_impl(const NormTrace& trace, TraceMeta meta,
@@ -660,18 +637,8 @@ NormTrace normalize(const RecordingTrace& trace,
     out.fallbacks.push_back({ev.time, ev.tasks_remaining});
   }
   if (sampler != nullptr) {
-    out.channels = sampler->channel_names();
-    const std::size_t rows = sampler->num_samples();
-    out.sample_times.reserve(rows);
-    out.sample_values.reserve(rows);
-    for (std::size_t row = 0; row < rows; ++row) {
-      out.sample_times.push_back(sampler->sample_time(row));
-      std::vector<double> values(out.channels.size());
-      for (std::size_t ch = 0; ch < values.size(); ++ch) {
-        values[ch] = sampler->sample_value(row, ch);
-      }
-      out.sample_values.push_back(std::move(values));
-    }
+    out.unmarked = sampler->series(kUnmarkedChannel);
+    if (!out.unmarked.empty()) out.sample_times = sampler->times();
   }
   return out;
 }
@@ -681,13 +648,25 @@ NormTrace normalize(const RecordingTrace& trace,
 // ---------------------------------------------------------------------
 // Trace JSONL export.
 
+namespace {
+
+// Writes one JSONL record: {"type":<type>, then what `fields` writes}.
+template <typename Fields>
+void write_record(std::ostream& out, const char* type, Fields&& fields) {
+  JsonWriter json(out, /*pretty=*/false, /*double_precision=*/17);
+  json.begin_object();
+  json.field("type", type);
+  fields(json);
+  json.end_object();
+  out << '\n';
+}
+
+}  // namespace
+
 void write_trace_jsonl(std::ostream& out, const RecordingTrace& trace,
                        const TraceMeta& meta,
                        const TimeSeriesSampler* sampler) {
-  {
-    JsonWriter json(out, /*pretty=*/false, /*double_precision=*/17);
-    json.begin_object();
-    json.field("type", "meta");
+  write_record(out, "meta", [&](JsonWriter& json) {
     json.field("schema", "hetsched-trace/1");
     json.field("engine", meta.engine);
     json.field("kernel", meta.kernel);
@@ -716,95 +695,72 @@ void write_trace_jsonl(std::ostream& out, const RecordingTrace& trace,
       for (const auto& name : sampler->channel_names()) json.value(name);
       json.end_array();
     }
-    json.end_object();
-  }
-  out << '\n';
+  });
 
   for (std::size_t k = 0; k < meta.workers.size(); ++k) {
     const auto& stats = meta.workers[k];
-    JsonWriter json(out, /*pretty=*/false, /*double_precision=*/17);
-    json.begin_object();
-    json.field("type", "worker");
-    json.field("id", static_cast<std::uint64_t>(k));
-    json.field("tasks", stats.tasks);
-    json.field("blocks", stats.blocks);
-    json.field("messages", stats.messages);
-    json.field("busy", stats.busy);
-    json.field("finish", stats.finish);
-    json.field("starved", stats.starved);
-    json.end_object();
-    out << '\n';
+    write_record(out, "worker", [&](JsonWriter& json) {
+      json.field("id", static_cast<std::uint64_t>(k));
+      json.field("tasks", stats.tasks);
+      json.field("blocks", stats.blocks);
+      json.field("messages", stats.messages);
+      json.field("busy", stats.busy);
+      json.field("finish", stats.finish);
+      json.field("starved", stats.starved);
+    });
   }
 
   for (const auto& ev : trace.assignments()) {
-    JsonWriter json(out, /*pretty=*/false, /*double_precision=*/17);
-    json.begin_object();
-    json.field("type", "assign");
-    json.field("w", static_cast<std::uint64_t>(ev.worker));
-    json.field("t", ev.time);
-    json.key("tasks");
-    json.begin_array();
-    // Lazy expansion: runs stream straight into the writer, so the
-    // export never materializes a per-task list. Byte format unchanged.
-    ev.assignment.for_each_task([&](TaskId task) { json.value(task); });
-    json.end_array();
-    json.field("blocks", ev.assignment.block_count());
-    json.end_object();
-    out << '\n';
+    write_record(out, "assign", [&](JsonWriter& json) {
+      json.field("w", static_cast<std::uint64_t>(ev.worker));
+      json.field("t", ev.time);
+      json.key("tasks");
+      json.begin_array();
+      // Lazy expansion: runs stream straight into the writer, so the
+      // export never materializes a per-task list.
+      ev.assignment.for_each_task([&](TaskId task) { json.value(task); });
+      json.end_array();
+      json.field("blocks", ev.assignment.block_count());
+    });
   }
   for (const auto& ev : trace.completions()) {
-    JsonWriter json(out, /*pretty=*/false, /*double_precision=*/17);
-    json.begin_object();
-    json.field("type", "complete");
-    json.field("w", static_cast<std::uint64_t>(ev.worker));
-    json.field("t", ev.time);
-    json.field("task", ev.task);
-    json.end_object();
-    out << '\n';
+    write_record(out, "complete", [&](JsonWriter& json) {
+      json.field("w", static_cast<std::uint64_t>(ev.worker));
+      json.field("t", ev.time);
+      json.field("task", ev.task);
+    });
   }
   for (const auto& ev : trace.retirements()) {
-    JsonWriter json(out, /*pretty=*/false, /*double_precision=*/17);
-    json.begin_object();
-    json.field("type", "retire");
-    json.field("w", static_cast<std::uint64_t>(ev.worker));
-    json.field("t", ev.time);
-    json.end_object();
-    out << '\n';
+    write_record(out, "retire", [&](JsonWriter& json) {
+      json.field("w", static_cast<std::uint64_t>(ev.worker));
+      json.field("t", ev.time);
+    });
   }
   for (const auto& ev : trace.phase_switches()) {
-    JsonWriter json(out, /*pretty=*/false, /*double_precision=*/17);
-    json.begin_object();
-    json.field("type", "phase_switch");
-    json.field("t", ev.time);
-    json.field("remaining", ev.tasks_remaining);
-    json.end_object();
-    out << '\n';
+    write_record(out, "phase_switch", [&](JsonWriter& json) {
+      json.field("t", ev.time);
+      json.field("remaining", ev.tasks_remaining);
+    });
   }
   for (const auto& ev : trace.fallbacks()) {
-    JsonWriter json(out, /*pretty=*/false, /*double_precision=*/17);
-    json.begin_object();
-    json.field("type", "fallback");
-    json.field("t", ev.time);
-    json.field("remaining", ev.tasks_remaining);
-    json.end_object();
-    out << '\n';
+    write_record(out, "fallback", [&](JsonWriter& json) {
+      json.field("t", ev.time);
+      json.field("remaining", ev.tasks_remaining);
+    });
   }
 
   if (sampler != nullptr) {
     const std::size_t channels = sampler->channel_names().size();
     for (std::size_t row = 0; row < sampler->num_samples(); ++row) {
-      JsonWriter json(out, /*pretty=*/false, /*double_precision=*/17);
-      json.begin_object();
-      json.field("type", "sample");
-      json.field("t", sampler->sample_time(row));
-      json.key("v");
-      json.begin_array();
-      for (std::size_t ch = 0; ch < channels; ++ch) {
-        json.value(sampler->sample_value(row, ch));
-      }
-      json.end_array();
-      json.end_object();
-      out << '\n';
+      write_record(out, "sample", [&](JsonWriter& json) {
+        json.field("t", sampler->sample_time(row));
+        json.key("v");
+        json.begin_array();
+        for (std::size_t ch = 0; ch < channels; ++ch) {
+          json.value(sampler->sample_value(row, ch));
+        }
+        json.end_array();
+      });
     }
   }
 }
@@ -827,6 +783,10 @@ TraceAnalysis analyze_trace_stream(std::istream& in,
   NormTrace trace;
   TraceMeta meta;
   bool saw_meta = false;
+  // Sample rows are parallel to meta.channels; the analysis keeps the
+  // unmarked_fraction column (unmarked_ch == num_channels: none).
+  std::size_t num_channels = 0;
+  std::size_t unmarked_ch = 0;
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
@@ -846,6 +806,11 @@ TraceAnalysis analyze_trace_stream(std::istream& in,
       saw_meta = true;
       meta.engine = record.str_or("engine", "flat");
       meta.kernel = record.str_or("kernel", "");
+      if (meta.kernel != "outer" && meta.kernel != "matmul" &&
+          !meta.kernel.empty()) {
+        r.fail("meta.kernel must be \"outer\", \"matmul\" or \"\", not \"" +
+               meta.kernel + "\"");
+      }
       meta.strategy = record.str_or("strategy", "");
       meta.n = r.u32("n");
       meta.p = r.u32("p");
@@ -865,15 +830,24 @@ TraceAnalysis analyze_trace_stream(std::istream& in,
         r.fail("meta.speeds must list one speed per worker (p = " +
                std::to_string(meta.p) + ")");
       }
+      double total_speed = 0.0;
       for (const JVal& s : speeds->arr) {
         if (s.type != JVal::Type::kNum || !(s.num > 0.0)) {
           r.fail("meta.speeds must be positive numbers");
         }
         meta.speeds.push_back(s.num);
+        total_speed += s.num;
+      }
+      if (!std::isfinite(total_speed)) {
+        r.fail("meta.speeds must have a finite sum");
       }
       if (const JVal* channels = record.find("channels");
           channels != nullptr && channels->type == JVal::Type::kArr) {
-        for (const JVal& c : channels->arr) trace.channels.push_back(c.str);
+        const auto& names = channels->arr;
+        num_channels = names.size();
+        unmarked_ch = static_cast<std::size_t>(
+            std::ranges::find(names, kUnmarkedChannel, &JVal::str) -
+            names.begin());
       }
       continue;
     }
@@ -914,27 +888,22 @@ TraceAnalysis analyze_trace_stream(std::istream& in,
       trace.fallbacks.push_back(
           {record.num_or("t", 0.0), r.count("remaining")});
     } else if (type == "sample") {
-      trace.sample_times.push_back(record.num_or("t", 0.0));
-      std::vector<double> values;
-      if (const JVal* v = record.find("v");
-          v != nullptr && v->type == JVal::Type::kArr) {
-        values.reserve(v->arr.size());
-        for (const JVal& x : v->arr) values.push_back(x.num);
+      const JVal* v = record.find("v");
+      const std::size_t width =
+          v != nullptr && v->type == JVal::Type::kArr ? v->arr.size() : 0;
+      if (width != num_channels) {
+        r.fail("sample row width does not match meta.channels");
       }
-      trace.sample_values.push_back(std::move(values));
+      if (unmarked_ch < num_channels) {
+        trace.sample_times.push_back(record.num_or("t", 0.0));
+        trace.unmarked.push_back(v->arr[unmarked_ch].num);
+      }
     }
     // Unknown record types are skipped: newer writers stay readable.
   }
   if (!saw_meta) {
     throw std::runtime_error(
         "not a hetsched trace: no {\"type\":\"meta\"} record found");
-  }
-  // Guard against ragged sample rows (hand-edited files).
-  for (const auto& row : trace.sample_values) {
-    if (row.size() != trace.channels.size()) {
-      throw std::runtime_error(
-          "sample row width does not match meta.channels");
-    }
   }
   return analyze_impl(trace, std::move(meta), options);
 }

@@ -42,6 +42,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/overlay.hpp"
+
 namespace hetsched {
 
 class RecordingTrace;     // sim/trace.hpp
@@ -96,9 +98,9 @@ struct AnalyzeOptions {
   /// ODE verdict: alarm when max |sim - model| exceeds this.
   double ode_alarm_threshold = 0.15;
   /// Divergence is measured only where the model still predicts at
-  /// least this unmarked fraction — past that point both curves sit on
-  /// the axis and |diff| is noise.
-  double ode_support_min = 0.02;
+  /// least this unmarked fraction (see ode_divergence in
+  /// obs/overlay.hpp).
+  double ode_support_min = kOdeSupportMin;
 };
 
 struct TraceAnalysis {
@@ -164,8 +166,10 @@ TraceAnalysis analyze_trace(const RecordingTrace& trace, const TraceMeta& meta,
 
 /// Parses a "hetsched-trace/1" JSONL stream and analyzes it. Throws
 /// std::runtime_error naming the line on malformed input: bad JSON, a
-/// record before (or a second) meta, a worker index outside [0, p), or
-/// a count or task id that is not an integer in [0, 2^53].
+/// record before (or a second) meta, an unknown meta.kernel, speeds
+/// whose sum is not finite, a worker index outside [0, p), a sample
+/// row whose width differs from meta.channels, or a count or task id
+/// that is not an integer in [0, 2^53].
 TraceAnalysis analyze_trace_stream(std::istream& in,
                                    const AnalyzeOptions& options = {});
 

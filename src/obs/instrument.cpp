@@ -7,13 +7,12 @@ namespace hetsched {
 
 namespace {
 
-// Sits between the engine and the recording: advances the sampler,
-// counts completions for the completed_fraction channel and keeps the
-// first phase switch, then forwards every hook. Completions (plus the
-// rare phase switch and fallback) drive the sampling clock: they are
-// the densest event stream, and every assignment/retirement shares a
-// timestamp with some completion in a demand-driven run, so advancing
-// there loses no resolution.
+// Sits between the engine and the recording: advances the sampler and
+// counts completions for the completed_fraction channel, then forwards
+// every hook. Completions (plus the rare phase switch and fallback)
+// drive the sampling clock: they are the densest event stream, and
+// every assignment/retirement shares a timestamp with some completion
+// in a demand-driven run, so advancing there loses no resolution.
 class SamplingTrace final : public TraceSink {
  public:
   SamplingTrace(InstrumentedRep& out, bool record_events)
@@ -37,11 +36,6 @@ class SamplingTrace final : public TraceSink {
   }
   void on_phase_switch(double now, std::uint64_t tasks_remaining) override {
     out_.sampler.advance_to(now);
-    if (!out_.phase_switched) {
-      out_.phase_switched = true;
-      out_.phase_switch_time = now;
-      out_.phase_switch_tasks_remaining = tasks_remaining;
-    }
     if (downstream_ != nullptr) {
       downstream_->on_phase_switch(now, tasks_remaining);
     }

@@ -2,7 +2,7 @@
 // simulation, with the full observability stack attached.
 //
 // This is the entry point the CLI (--trace-out/--events-out), the
-// trajectory-overlay bench and the ODE-overlay tests share: it attaches
+// ode_divergence bench and the ODE-overlay tests share: it attaches
 // a sink that drives the sampler from the engine's clock, registers the
 // standard trajectory channels (unmarked-task fraction, knowledge x_k
 // statistics, phase), bounds the recorded event stream, and leaves
@@ -40,10 +40,6 @@ struct InstrumentedRep {
   TimeSeriesSampler sampler;
   RecordingTrace recording;
   RepOutcome outcome;
-  /// First two-phase switch of the rep (phase_switch_time -1 if none).
-  bool phase_switched = false;
-  double phase_switch_time = -1.0;
-  std::uint64_t phase_switch_tasks_remaining = 0;
 };
 
 /// Runs repetition `rep_seed` of `config` fully instrumented. The

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "platform/platform.hpp"
 
@@ -51,6 +52,44 @@ double TrajectoryModel::unmarked_fraction(double t) const {
     sum += g(k, worker_x(k, t));
   }
   return std::clamp(sum / static_cast<double>(workers_), 0.0, 1.0);
+}
+
+OdeDivergence ode_divergence(Kernel kernel, const std::vector<double>& speeds,
+                             std::uint32_t n_blocks,
+                             std::span<const double> times,
+                             std::span<const double> unmarked,
+                             double support_min) {
+  if (times.size() != unmarked.size()) {
+    throw std::invalid_argument(
+        "ode_divergence: one unmarked fraction per sample time");
+  }
+  const TrajectoryModel model(kernel, speeds, n_blocks);
+  OdeDivergence out;
+  double sum = 0.0;
+  double prev_t = 0.0;
+  double prev_diff = 0.0;
+  bool prev_on_support = false;
+  for (std::size_t row = 0; row < times.size(); ++row) {
+    const double t = times[row];
+    const double ode = model.unmarked_fraction(t);
+    const bool on_support = ode >= support_min;
+    const double diff = std::abs(unmarked[row] - ode);
+    if (on_support) {
+      out.max = std::max(out.max, diff);
+      sum += diff;
+      ++out.support_samples;
+      if (prev_on_support) {
+        out.integrated += 0.5 * (diff + prev_diff) * (t - prev_t);
+      }
+    }
+    prev_t = t;
+    prev_diff = diff;
+    prev_on_support = on_support;
+  }
+  if (out.support_samples > 0) {
+    out.mean = sum / static_cast<double>(out.support_samples);
+  }
+  return out;
 }
 
 }  // namespace hetsched

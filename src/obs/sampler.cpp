@@ -1,5 +1,6 @@
 #include "obs/sampler.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -52,17 +53,14 @@ void TimeSeriesSampler::finish(double end_time) {
   }
 }
 
-std::vector<TimeSeriesSampler::Sample> TimeSeriesSampler::samples() const {
-  std::vector<Sample> out;
+std::vector<double> TimeSeriesSampler::series(const std::string& name) const {
+  std::vector<double> out;
+  const auto it = std::find(names_.begin(), names_.end(), name);
+  if (it == names_.end()) return out;
+  const auto ch = static_cast<std::size_t>(it - names_.begin());
   out.reserve(times_.size());
-  const std::size_t width = probes_.size();
   for (std::size_t row = 0; row < times_.size(); ++row) {
-    Sample s;
-    s.time = times_[row];
-    s.values.assign(values_.begin() + static_cast<std::ptrdiff_t>(row * width),
-                    values_.begin() +
-                        static_cast<std::ptrdiff_t>((row + 1) * width));
-    out.push_back(std::move(s));
+    out.push_back(sample_value(row, ch));
   }
   return out;
 }

@@ -45,11 +45,6 @@ class TimeSeriesSampler {
   /// (so the series always covers the full run).
   void finish(double end_time);
 
-  struct Sample {
-    double time;
-    std::vector<double> values;  // parallel to channel_names()
-  };
-
   const std::vector<std::string>& channel_names() const noexcept {
     return names_;
   }
@@ -60,9 +55,11 @@ class TimeSeriesSampler {
   double sample_value(std::size_t row, std::size_t ch) const {
     return values_[row * probes_.size() + ch];
   }
-  /// Materializes row structs from the flat store — convenience for
-  /// cold paths; hot readers should index the flat accessors.
-  std::vector<Sample> samples() const;
+  /// Every row's time, in row order.
+  const std::vector<double>& times() const noexcept { return times_; }
+  /// Values of the channel called `name`, one per row; empty when no
+  /// channel has that name.
+  std::vector<double> series(const std::string& name) const;
 
  private:
   void advance_slow(double now);

@@ -85,17 +85,17 @@ void export_chrome_trace(std::ostream& out, const RecordingTrace& trace,
 
   if (counters != nullptr) {
     const auto& names = counters->channel_names();
-    for (const auto& sample : counters->samples()) {
+    for (std::size_t row = 0; row < counters->num_samples(); ++row) {
       for (std::size_t c = 0; c < names.size(); ++c) {
         json.begin_object();
         json.field("name", names[c]);
         json.field("cat", "metrics");
         json.field("ph", "C");  // counter track
-        json.field("ts", sample.time * kScale);
+        json.field("ts", counters->sample_time(row) * kScale);
         json.field("pid", 1);
         json.key("args");
         json.begin_object();
-        json.field("value", sample.values[c]);
+        json.field("value", counters->sample_value(row, c));
         json.end_object();
         json.end_object();
       }

@@ -12,8 +12,8 @@
 // ability to catch a broken time mapping (which produces gaps > 0.3).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
@@ -23,37 +23,15 @@
 namespace hetsched {
 namespace {
 
-struct OverlayError {
-  double max_err = 0.0;
-  double mean_err = 0.0;
-};
-
-OverlayError overlay_error(const ExperimentConfig& config) {
+OdeDivergence overlay_divergence(const ExperimentConfig& config) {
   InstrumentedRep rep;
   run_instrumented_rep(config, derive_stream(config.seed, "rep.0"), {}, rep);
-
-  const TrajectoryModel model(config.kernel, rep.outcome.speeds, config.n);
-  const auto& names = rep.sampler.channel_names();
-  const auto it =
-      std::find(names.begin(), names.end(), "unmarked_fraction");
-  EXPECT_NE(it, names.end());
-  const auto ch = static_cast<std::size_t>(it - names.begin());
-
-  OverlayError err;
-  double sum = 0.0;
-  std::size_t compared = 0;
-  for (std::size_t row = 0; row < rep.sampler.num_samples(); ++row) {
-    const double t = rep.sampler.sample_time(row);
-    const double ode = model.unmarked_fraction(t);
-    if (ode < 0.02) continue;  // fluid model has lost its mass
-    const double gap = std::abs(rep.sampler.sample_value(row, ch) - ode);
-    err.max_err = std::max(err.max_err, gap);
-    sum += gap;
-    ++compared;
-  }
-  EXPECT_GT(compared, 20u) << "too few comparable samples";
-  err.mean_err = sum / static_cast<double>(compared);
-  return err;
+  const OdeDivergence div =
+      ode_divergence(config.kernel, rep.outcome.speeds, config.n,
+                     rep.sampler.times(),
+                     rep.sampler.series("unmarked_fraction"));
+  EXPECT_GT(div.support_samples, 20u) << "too few comparable samples";
+  return div;
 }
 
 TEST(TrajectoryOverlay, DynamicOuterTracksOdePrediction) {
@@ -64,9 +42,9 @@ TEST(TrajectoryOverlay, DynamicOuterTracksOdePrediction) {
   config.p = 20;
   config.seed = 20140623;
 
-  const OverlayError err = overlay_error(config);
-  EXPECT_LT(err.max_err, 0.08);
-  EXPECT_LT(err.mean_err, 0.04);
+  const OdeDivergence div = overlay_divergence(config);
+  EXPECT_LT(div.max, 0.08);
+  EXPECT_LT(div.mean, 0.04);
 }
 
 TEST(TrajectoryOverlay, DynamicMatrixTracksOdePrediction) {
@@ -77,9 +55,9 @@ TEST(TrajectoryOverlay, DynamicMatrixTracksOdePrediction) {
   config.p = 20;
   config.seed = 20140623;
 
-  const OverlayError err = overlay_error(config);
-  EXPECT_LT(err.max_err, 0.12);
-  EXPECT_LT(err.mean_err, 0.05);
+  const OdeDivergence div = overlay_divergence(config);
+  EXPECT_LT(div.max, 0.12);
+  EXPECT_LT(div.mean, 0.05);
 }
 
 TEST(TrajectoryModel, BoundaryBehaviour) {
@@ -97,6 +75,36 @@ TEST(TrajectoryModel, BoundaryBehaviour) {
     EXPECT_LT(u, prev + 1e-12);
     prev = u;
   }
+}
+
+// A series offset from the model by a constant shows that constant as
+// its max and mean gap, over exactly the samples on the support.
+TEST(OdeDivergence, ConstantOffsetIsTheMaxAndMeanGap) {
+  const std::vector<double> speeds(10, 50.0);
+  const TrajectoryModel model(Kernel::kOuter, speeds, 50);
+  std::vector<double> times, unmarked;
+  std::size_t on_support = 0;
+  for (int i = 0; i <= 20; ++i) {
+    times.push_back(model.total_time() * 0.05 * i);
+    const double u = model.unmarked_fraction(times.back());
+    unmarked.push_back(u + 0.01);
+    if (u >= kOdeSupportMin) ++on_support;
+  }
+  const OdeDivergence div =
+      ode_divergence(Kernel::kOuter, speeds, 50, times, unmarked);
+  EXPECT_NEAR(div.max, 0.01, 1e-12);
+  EXPECT_NEAR(div.mean, 0.01, 1e-12);
+  EXPECT_EQ(div.support_samples, on_support);
+  EXPECT_GT(on_support, 5u);
+  EXPECT_LT(on_support, times.size());
+  // The support is a prefix: on_support - 1 steps of 0.05 T each.
+  EXPECT_NEAR(div.integrated,
+              0.01 * 0.05 * model.total_time() *
+                  static_cast<double>(on_support - 1),
+              1e-9);
+  unmarked.pop_back();
+  EXPECT_THROW(ode_divergence(Kernel::kOuter, speeds, 50, times, unmarked),
+               std::invalid_argument);
 }
 
 }  // namespace

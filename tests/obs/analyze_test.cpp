@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -14,6 +16,7 @@
 #include "dag/cholesky.hpp"
 #include "dag/dag_engine.hpp"
 #include "obs/instrument.hpp"
+#include "obs/overlay.hpp"
 #include "sim/trace.hpp"
 
 namespace hetsched {
@@ -175,6 +178,122 @@ TEST(AnalyzeTrace, OdeDivergenceVerdictFollowsThreshold) {
   EXPECT_FALSE(blind.ode_alarm);
 }
 
+// analyze's ode section is the shared comparison of obs/overlay.hpp,
+// read back from the trace file.
+TEST(AnalyzeTrace, OdeSectionIsTheSharedComparison) {
+  ExperimentConfig config = small_outer_config();
+  config.n = 40;
+  TracedRun run;
+  run_traced(config, run);
+  std::ostringstream file;
+  write_trace_jsonl(file, run.rep.recording, run.meta, &run.rep.sampler);
+  std::istringstream in(file.str());
+  const TraceAnalysis analysis = analyze_trace_stream(in);
+
+  const OdeDivergence div = ode_divergence(
+      config.kernel, run.rep.outcome.speeds, config.n,
+      run.rep.sampler.times(), run.rep.sampler.series("unmarked_fraction"),
+      AnalyzeOptions{}.ode_support_min);
+  ASSERT_TRUE(analysis.ode_available);
+  EXPECT_GT(div.support_samples, 0u);
+  EXPECT_EQ(analysis.ode_max_divergence, div.max);
+  EXPECT_EQ(analysis.ode_integrated_divergence, div.integrated);
+  EXPECT_EQ(analysis.ode_alarm,
+            div.max > AnalyzeOptions{}.ode_alarm_threshold);
+}
+
+// The predecessor walk as first written: a scan over every interval per
+// hop. The analyzer's binary search must pick the same hops.
+std::vector<TraceAnalysis::CriticalHop> brute_force_critical_path(
+    const std::vector<TraceAnalysis::CriticalHop>& intervals,
+    double makespan) {
+  std::vector<TraceAnalysis::CriticalHop> chain;
+  if (intervals.empty()) return chain;
+  const double eps = std::max(1e-12, makespan * 1e-9);
+  std::size_t cur = 0;
+  for (std::size_t i = 1; i < intervals.size(); ++i) {
+    if (intervals[i].finish > intervals[cur].finish) cur = i;
+  }
+  while (chain.size() < intervals.size()) {
+    TraceAnalysis::CriticalHop hop = intervals[cur];
+    hop.wait = 0.0;
+    if (hop.start <= eps) {
+      chain.push_back(hop);
+      break;
+    }
+    std::size_t best = intervals.size();
+    double best_finish = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < intervals.size(); ++i) {
+      if (i == cur) continue;
+      const auto& cand = intervals[i];
+      if (cand.finish > hop.start + eps) continue;
+      if (cand.finish > best_finish ||
+          (cand.finish == best_finish && cand.worker == hop.worker)) {
+        best_finish = cand.finish;
+        best = i;
+      }
+    }
+    if (best == intervals.size()) {
+      chain.push_back(hop);
+      break;
+    }
+    hop.wait = std::max(0.0, hop.start - intervals[best].finish);
+    chain.push_back(hop);
+    cur = best;
+  }
+  std::reverse(chain.begin(), chain.end());
+  return chain;
+}
+
+// Random traces on a half-unit time grid: completions tie exactly
+// within a worker and across workers, gaps make the chain jump
+// workers, and DAG hand-outs at the completion time give zero-length
+// intervals with a finish time of their own.
+TEST(AnalyzeTrace, CriticalPathMatchesBruteForceWalk) {
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    Rng rng(seed);
+    const bool dag = seed % 2 == 0;
+    const std::uint32_t p = 1 + static_cast<std::uint32_t>(rng.next_u64() % 5);
+    const std::size_t completions = 1 + rng.next_u64() % 60;
+    RecordingTrace trace;
+    std::vector<double> now(p, 0.0);
+    std::vector<TraceAnalysis::CriticalHop> intervals;
+    double makespan = 0.0;
+    for (std::size_t task = 0; task < completions; ++task) {
+      const auto w = static_cast<std::uint32_t>(rng.next_u64() % p);
+      const double prev = now[w];
+      now[w] += 0.5 * static_cast<double>(rng.next_u64() % 4);  // gap 0 .. 1.5
+      // The analyzer's reconstruction: a flat task lasts min(1 / speed,
+      // gap); a DAG task starts at its hand-out, after the previous one.
+      double start = now[w] - std::min(1.0, now[w] - prev);
+      if (dag) {
+        const double handed =
+            now[w] - 0.5 * static_cast<double>(rng.next_u64() % 4);
+        Assignment assignment;
+        assignment.tasks.push_back(task);
+        trace.on_assignment(w, handed, assignment);
+        start = std::max(prev, std::min(now[w], handed));
+      }
+      trace.on_completion(w, now[w], task);
+      intervals.push_back({w, task, start, now[w], 0.0});
+      makespan = std::max(makespan, now[w]);
+    }
+    TraceMeta meta;
+    meta.engine = dag ? "dag" : "flat";
+    meta.p = p;
+    meta.makespan = makespan;
+    meta.speeds.assign(p, 1.0);
+
+    const auto expected = brute_force_critical_path(intervals, makespan);
+    const auto path = analyze_trace(trace, meta).critical_path;
+    ASSERT_EQ(path.size(), expected.size()) << seed;
+    for (std::size_t h = 0; h < path.size(); ++h) {  // task ids are unique
+      EXPECT_EQ(path[h].task, expected[h].task) << seed << " hop " << h;
+      EXPECT_EQ(path[h].wait, expected[h].wait) << seed << " hop " << h;
+    }
+  }
+}
+
 TEST(AnalyzeTrace, TruncatedTraceCarriesWarning) {
   TracedRun run;
   run_traced(small_outer_config(), run, /*max_events=*/50);
@@ -330,6 +449,23 @@ TEST(AnalyzeTraceStream, MalformedInputThrows) {
       ADD_FAILURE() << "accepted: " << text;
     } catch (const std::runtime_error& err) {
       EXPECT_NE(std::string(err.what()).find("trace line "), std::string::npos)
+          << err.what();
+    }
+  }
+  // A bad meta record is rejected at line 1, before any model is built.
+  std::string huge_speeds = "1e308";
+  for (int k = 1; k < 100; ++k) huge_speeds += ",1e308";
+  for (const std::string& bad_meta :
+       {std::string("{\"type\":\"meta\",\"kernel\":\"foo\",\"p\":1,"
+                    "\"speeds\":[1]}"),
+        "{\"type\":\"meta\",\"kernel\":\"matmul\",\"n\":4,\"p\":100,"
+        "\"speeds\":[" + huge_speeds + "]}"}) {
+    std::istringstream in(bad_meta);
+    try {
+      analyze_trace_stream(in);
+      ADD_FAILURE() << "accepted: " << bad_meta;
+    } catch (const std::runtime_error& err) {
+      EXPECT_EQ(std::string(err.what()).rfind("trace line 1: ", 0), 0u)
           << err.what();
     }
   }

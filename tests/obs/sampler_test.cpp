@@ -29,13 +29,12 @@ TEST(Sampler, EmitsOneRowPerElapsedDeadline) {
   sampler.advance_to(0.5);  // deadline t=0
   v = 20.0;
   sampler.advance_to(2.5);  // deadlines t=1, t=2
-  const auto samples = sampler.samples();
-  ASSERT_EQ(samples.size(), 3u);
-  EXPECT_EQ(samples[0].time, 0.0);
-  EXPECT_EQ(samples[0].values[0], 10.0);
-  EXPECT_EQ(samples[1].time, 1.0);
-  EXPECT_EQ(samples[2].time, 2.0);
-  EXPECT_EQ(samples[2].values[0], 20.0);
+  ASSERT_EQ(sampler.num_samples(), 3u);
+  EXPECT_EQ(sampler.sample_time(0), 0.0);
+  EXPECT_EQ(sampler.sample_value(0, 0), 10.0);
+  EXPECT_EQ(sampler.sample_time(1), 1.0);
+  EXPECT_EQ(sampler.sample_time(2), 2.0);
+  EXPECT_EQ(sampler.sample_value(2, 0), 20.0);
   // Idempotent: advancing to the same time adds nothing.
   sampler.advance_to(2.5);
   EXPECT_EQ(sampler.num_samples(), 3u);
@@ -46,9 +45,8 @@ TEST(Sampler, FinishAppendsFinalRowAtEndTime) {
   sampler.add_channel("v", [] { return 1.0; });
   sampler.advance_to(1.5);
   sampler.finish(1.75);
-  const auto samples = sampler.samples();
-  ASSERT_EQ(samples.size(), 3u);  // t = 0, 1, 1.75
-  EXPECT_EQ(samples.back().time, 1.75);
+  ASSERT_EQ(sampler.num_samples(), 3u);  // t = 0, 1, 1.75
+  EXPECT_EQ(sampler.sample_time(2), 1.75);
   // finish at an exact deadline does not duplicate the row.
   TimeSeriesSampler exact(1.0);
   exact.add_channel("v", [] { return 1.0; });
@@ -94,7 +92,7 @@ TEST(Sampler, ProbesRunInRegistrationOrder) {
   EXPECT_EQ(second, 1);
 }
 
-TEST(Sampler, FlatAccessorsMatchMaterializedSamples) {
+TEST(Sampler, SeriesAndTimesMatchFlatAccessors) {
   TimeSeriesSampler sampler(0.5);
   double x = 0.0;
   sampler.add_channel("x", [&x] { return x; });
@@ -103,14 +101,17 @@ TEST(Sampler, FlatAccessorsMatchMaterializedSamples) {
     x = static_cast<double>(i);
     sampler.advance_to(0.5 * i);
   }
-  const auto samples = sampler.samples();
-  ASSERT_EQ(samples.size(), sampler.num_samples());
-  for (std::size_t row = 0; row < samples.size(); ++row) {
-    EXPECT_EQ(samples[row].time, sampler.sample_time(row));
-    for (std::size_t ch = 0; ch < 2; ++ch) {
-      EXPECT_EQ(samples[row].values[ch], sampler.sample_value(row, ch));
-    }
+  const std::vector<double> xs = sampler.series("x");
+  const std::vector<double> doubled = sampler.series("2x");
+  ASSERT_EQ(sampler.times().size(), sampler.num_samples());
+  ASSERT_EQ(xs.size(), sampler.num_samples());
+  ASSERT_EQ(doubled.size(), sampler.num_samples());
+  for (std::size_t row = 0; row < sampler.num_samples(); ++row) {
+    EXPECT_EQ(sampler.times()[row], sampler.sample_time(row));
+    EXPECT_EQ(xs[row], sampler.sample_value(row, 0));
+    EXPECT_EQ(doubled[row], sampler.sample_value(row, 1));
   }
+  EXPECT_TRUE(sampler.series("absent").empty());
 }
 
 // Golden round-trip: a small deterministic series must survive the
