@@ -16,7 +16,6 @@
 #include "platform/lower_bound.hpp"
 #include "platform/platform.hpp"
 #include "sim/engine.hpp"
-#include "sim/engine_timed.hpp"
 
 int main(int argc, char** argv) {
   using namespace hetsched;
@@ -55,14 +54,12 @@ int main(int argc, char** argv) {
         auto strategy = make_outer_strategy("DynamicOuter2Phases",
                                             OuterConfig{n}, p, rep_seed,
                                             options);
-        if (timed) {
-          TimedSimConfig config;
-          config.seed = rep_seed;
-          config.faults = faults;
-          return simulate_timed(*strategy, platform, config);
-        }
         SimConfig config;
         config.seed = rep_seed;
+        if (timed) {
+          config.comm = CommModel{};
+          config.lookahead = 4;
+        }
         config.faults = faults;
         return simulate(*strategy, platform, config);
       };

@@ -16,7 +16,6 @@
 #include "outer/outer_factory.hpp"
 #include "platform/platform.hpp"
 #include "sim/engine.hpp"
-#include "sim/engine_timed.hpp"
 
 int main(int argc, char** argv) {
   using namespace hetsched;
@@ -55,14 +54,13 @@ int main(int argc, char** argv) {
 
         auto timed_strategy = make_outer_strategy(
             "DynamicOuter2Phases", OuterConfig{n}, p, rep_seed, options);
-        TimedSimConfig config;
+        SimConfig config;
         // Bandwidth scaled to the platform: relative_bw = 1 means the
         // link ships exactly as many blocks per unit time as the whole
         // platform computes tasks.
-        config.comm.bandwidth = relative_bw * platform.total_speed();
+        config.comm = CommModel{relative_bw * platform.total_speed(), 0.0};
         config.lookahead = lookahead;
-        const TimedSimResult timed =
-            simulate_timed(*timed_strategy, platform, config);
+        const SimResult timed = simulate(*timed_strategy, platform, config);
 
         inflation_sum += timed.makespan / untimed.makespan;
         starvation_sum += timed.starvation_fraction();

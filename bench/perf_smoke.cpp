@@ -45,7 +45,6 @@
 #include "outer/outer_factory.hpp"
 #include "platform/platform.hpp"
 #include "sim/engine.hpp"
-#include "sim/engine_timed.hpp"
 
 namespace {
 
@@ -154,7 +153,10 @@ double timed_engine_ns_per_event() {
     auto strategy =
         make_outer_strategy("DynamicOuter", OuterConfig{60}, 8, seed);
     const double start = now_sec();
-    const TimedSimResult result = simulate_timed(*strategy, engine_platform());
+    SimConfig config;
+    config.comm = CommModel{};
+    config.lookahead = 4;
+    const SimResult result = simulate(*strategy, engine_platform(), config);
     const double sec = now_sec() - start;
     std::uint64_t events = result.total_tasks_done;
     for (const auto& w : result.workers) events += w.messages_received;

@@ -1,7 +1,7 @@
-// Communication-overlap demo: run the same two-phase scheduler under
-// (a) the paper's free-communication engine and (b) the timed engine
-// with a serial master uplink, sweeping the prefetch lookahead — making
-// the paper's "upload a few blocks in advance" assumption concrete.
+// Communication-overlap demo: run the same two-phase scheduler on
+// (a) the paper's free link and (b) a serial master uplink, sweeping
+// the prefetch lookahead — making the paper's "upload a few blocks in
+// advance" assumption concrete.
 //
 //   $ ./overlap_prefetch [--n=100] [--p=20] [--bandwidth=2.0]
 //
@@ -12,7 +12,6 @@
 #include "outer/outer_factory.hpp"
 #include "platform/platform.hpp"
 #include "sim/engine.hpp"
-#include "sim/engine_timed.hpp"
 
 int main(int argc, char** argv) {
   using namespace hetsched;
@@ -42,10 +41,10 @@ int main(int argc, char** argv) {
   for (const std::uint32_t lookahead : {1u, 2u, 4u, 8u, 16u}) {
     auto strategy = make_outer_strategy("DynamicOuter2Phases", OuterConfig{n},
                                         p, 1, options);
-    TimedSimConfig config;
-    config.comm.bandwidth = rel_bw * platform.total_speed();
+    SimConfig config;
+    config.comm = CommModel{rel_bw * platform.total_speed(), 0.0};
     config.lookahead = lookahead;
-    const TimedSimResult timed = simulate_timed(*strategy, platform, config);
+    const SimResult timed = simulate(*strategy, platform, config);
     table.row({std::to_string(lookahead),
                CsvWriter::format(timed.makespan, 5),
                CsvWriter::format(timed.makespan / free_comm.makespan, 4),

@@ -118,21 +118,15 @@ RepOutcome run_single(const ExperimentConfig& config, std::uint64_t rep_seed,
     // strategy on_request / serve / retire dispatch. Timing coarser
     // than per-event keeps clock reads O(1) per rep (the < 1% gate).
     ProfScope scope(prof, ProfSite::kEngineRun);
+    SimConfig sim_config;
+    sim_config.seed = rep_seed;
     if (config.timed) {
-      TimedSimConfig sim_config;
-      sim_config.seed = rep_seed;
       sim_config.comm = config.comm;
       sim_config.lookahead = config.lookahead;
-      sim_config.perturbation = config.scenario.perturbation;
-      sim_config.faults = config.faults;
-      outcome.sim = simulate_timed(*strategy, platform, sim_config, trace);
-    } else {
-      SimConfig sim_config;
-      sim_config.seed = rep_seed;
-      sim_config.perturbation = config.scenario.perturbation;
-      sim_config.faults = config.faults;
-      outcome.sim = simulate(*strategy, platform, sim_config, trace);
     }
+    sim_config.perturbation = config.scenario.perturbation;
+    sim_config.faults = config.faults;
+    outcome.sim = simulate(*strategy, platform, sim_config, trace);
   }
   // A fault script can crash every worker before the pool drains. The
   // volume and makespan of such a rep measure an unfinished run, so

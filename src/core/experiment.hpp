@@ -18,8 +18,8 @@
 #include "obs/profiler.hpp"
 #include "platform/platform.hpp"
 #include "platform/scenario.hpp"
+#include "sim/comm_model.hpp"
 #include "sim/engine.hpp"
-#include "sim/engine_timed.hpp"
 
 namespace hetsched {
 
@@ -44,12 +44,13 @@ struct ExperimentConfig {
   std::optional<double> phase2_fraction;
   std::uint64_t seed = 42;
   std::uint32_t reps = 10;
-  /// Engine selection: false = overlap-assuming flat engine (the
-  /// paper's model), true = comm-timed engine (serial uplink +
-  /// lookahead prefetch). Both run through the same EventCore, so
-  /// faults/perturbation/trace behave identically.
+  /// Link selection: false = the free link (CommModel::free() with
+  /// lookahead 1, the paper's overlap model), true = `comm` and
+  /// `lookahead` (serial uplink + prefetch). Both run through the one
+  /// engine (sim/engine.hpp), so faults/perturbation/trace behave
+  /// identically.
   bool timed = false;
-  /// Comm-timed engine knobs; ignored when `timed` is false.
+  /// Comm-timed knobs; ignored when `timed` is false.
   CommModel comm{};
   std::uint32_t lookahead = 4;
   /// Scripted crashes / stragglers, applied to every repetition

@@ -41,7 +41,7 @@ class JsonWriter;  // common/json.hpp
 enum class ProfSite : std::uint8_t {
   kStrategyBuild = 0,  // make_*_strategy: first construction of a rep context
   kStrategyReset,      // Strategy::reset: in-place rewind for the next rep
-  kEngineRun,          // one simulate/simulate_timed call: the event loop,
+  kEngineRun,          // one simulate call: the event loop,
                        // including all strategy on_request / serve / retire
   kAggregate,          // stat-shard merging in run_experiment
   kExport,             // exporters: trace / metrics / report serialization

@@ -8,8 +8,16 @@
 // a star topology where every block crosses the master's serial link
 // at a fixed bandwidth plus a per-message latency, and workers prefetch
 // work whenever fewer than `lookahead` tasks are queued locally.
+//
+// CommModel::free() is the paper's assumption itself: an infinitely
+// fast link with no latency, on which transfers cost volume but no
+// time. The engine recognizes it (is_free) and delivers assignments
+// without link events.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
+#include <limits>
 #include <stdexcept>
 
 namespace hetsched {
@@ -22,12 +30,23 @@ struct CommModel {
   /// Fixed per-message cost (request round-trip, protocol overhead).
   double latency = 0.0;
 
+  /// The fully overlapped link of the paper's model.
+  static constexpr CommModel free() noexcept {
+    return CommModel{std::numeric_limits<double>::infinity(), 0.0};
+  }
+  bool is_free() const noexcept {
+    return bandwidth == std::numeric_limits<double>::infinity() &&
+           latency == 0.0;
+  }
+
+  /// Bandwidth may be +inf (the free link); latency must be finite.
   void validate() const {
     if (!(bandwidth > 0.0)) {
       throw std::invalid_argument("CommModel: bandwidth must be positive");
     }
-    if (latency < 0.0) {
-      throw std::invalid_argument("CommModel: latency must be non-negative");
+    if (!(latency >= 0.0) || !std::isfinite(latency)) {
+      throw std::invalid_argument(
+          "CommModel: latency must be finite and non-negative");
     }
   }
 

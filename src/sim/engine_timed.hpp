@@ -1,23 +1,10 @@
-// Discrete-event engine with explicit communication timing.
+// The comm-timed spelling of simulate(): a config whose defaults are a
+// 100-blocks-per-time-unit uplink and a lookahead of 4, and a wrapper
+// that runs it through the one engine (sim/engine.hpp).
 //
-// Extends the overlap-assuming engine (sim/engine.hpp) with the star
-// topology of sim/comm_model.hpp: every assignment travels through the
-// master's serial uplink before its tasks become runnable, and workers
-// hide that latency by prefetching — they request more work whenever
-// fewer than `lookahead` tasks are pending (runnable or in transit).
-//
-// With lookahead = 1 a worker only requests when idle (no overlap);
-// the paper's claim — confirmed by bench/ext_overlap_threshold — is
-// that a small constant lookahead recovers compute-bound makespans,
-// justifying the main analysis's free-communication assumption.
-//
-// Built on sim/event_core.hpp: message arrivals are just another event
-// kind, so this engine supports the same scripted faults, per-task
-// speed perturbation and trace sinks as the flat
-// engine, with identical semantics. A crashed worker's runnable,
-// in-transit and in-flight tasks are requeued through the strategy
-// (link time already spent on in-transit messages stays spent — the
-// transfer happened, the receiver died).
+// Both exist only because bench/e2e/traced.cpp, the end-to-end
+// benchmark's traced pass, calls them; everything else builds a
+// SimConfig and calls simulate().
 #pragma once
 
 #include <cstdint>
@@ -26,7 +13,7 @@
 #include "platform/platform.hpp"
 #include "platform/speed_model.hpp"
 #include "sim/comm_model.hpp"
-#include "sim/event_core.hpp"
+#include "sim/engine.hpp"
 #include "sim/strategy.hpp"
 #include "sim/trace.hpp"
 
@@ -35,21 +22,21 @@ namespace hetsched {
 struct TimedSimConfig {
   std::uint64_t seed = 1;
   CommModel comm{};
-  /// Target number of pending tasks per worker; >= 1.
   std::uint32_t lookahead = 4;
   PerturbationModel perturbation{};
-  /// Scripted crashes / slowdowns; same semantics as SimConfig::faults.
   std::vector<WorkerFault> faults{};
 };
 
-/// Unified with the flat engine's stats: the timed-only fields
-/// (messages_received, starved_time) are populated here and 0 there.
-using TimedWorkerStats = WorkerSimStats;
-using TimedSimResult = SimResult;
-
-/// Runs `strategy` to completion under explicit communication timing.
-TimedSimResult simulate_timed(Strategy& strategy, const Platform& platform,
-                              const TimedSimConfig& config = {},
-                              TraceSink* trace = nullptr);
+inline SimResult simulate_timed(Strategy& strategy, const Platform& platform,
+                                const TimedSimConfig& config = {},
+                                TraceSink* trace = nullptr) {
+  SimConfig sim_config;
+  sim_config.seed = config.seed;
+  sim_config.comm = config.comm;
+  sim_config.lookahead = config.lookahead;
+  sim_config.perturbation = config.perturbation;
+  sim_config.faults = config.faults;
+  return simulate(strategy, platform, sim_config, trace);
+}
 
 }  // namespace hetsched

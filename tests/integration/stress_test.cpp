@@ -12,7 +12,6 @@
 #include "outer/outer_factory.hpp"
 #include "platform/platform.hpp"
 #include "sim/engine.hpp"
-#include "sim/engine_timed.hpp"
 #include "sim/trace.hpp"
 
 namespace hetsched {
@@ -99,10 +98,10 @@ TEST_P(StressTest, TimedEngineAgreesOnTotalsWithGenerousBandwidth) {
                                draw.p, GetParam(), options);
   const Platform platform(draw.speeds);
   const SimResult untimed = simulate(*a, platform);
-  TimedSimConfig config;
-  config.comm.bandwidth = 1e12;
+  SimConfig config;
+  config.comm = CommModel{1e12, 0.0};
   config.lookahead = 2;
-  const TimedSimResult timed = simulate_timed(*b, platform, config);
+  const SimResult timed = simulate(*b, platform, config);
   EXPECT_EQ(timed.total_tasks_done, untimed.total_tasks_done);
   // Identical request interleavings are not guaranteed, but totals and
   // caps are.

@@ -19,7 +19,6 @@
 #include "outer/outer_factory.hpp"
 #include "platform/platform.hpp"
 #include "sim/engine.hpp"
-#include "sim/engine_timed.hpp"
 #include "sim/trace.hpp"
 
 namespace hetsched {
@@ -100,14 +99,10 @@ TEST(EngineDifferential, FreeLinkTimedEngineMatchesFlatEngine) {
       SimConfig flat;
       flat.seed = 5;
       flat.faults = fc.faults;
-      TimedSimConfig timed;
-      timed.seed = 5;
-      timed.faults = fc.faults;
-      timed.comm.latency = 0.0;
-      timed.comm.bandwidth = 1e18;
-      timed.lookahead = 1;
+      SimConfig timed = flat;
+      timed.comm = CommModel{1e18, 0.0};
       const SimResult a = simulate(*flat_strategy, platform, flat);
-      const SimResult b = simulate_timed(*timed_strategy, platform, timed);
+      const SimResult b = simulate(*timed_strategy, platform, timed);
       expect_same_run(a, b);
       expect_no_link_stats(a);
       // Every fault fires before the run ends, so the grid exercises it.

@@ -13,7 +13,7 @@
 // The comm-timed cases (finite link, latency, lookahead 4, perturbation,
 // one crash and one straggler) pin the serial-uplink path the same way;
 // their values were captured from the separate comm-timed engine
-// before it became the non-free-link case of `simulate`
+// before it became the timed-link case of `simulate`
 // ("engine_timed.perturb" stream).
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 #include "outer/outer_factory.hpp"
 #include "platform/platform.hpp"
 #include "sim/engine.hpp"
-#include "sim/engine_timed.hpp"
 
 namespace hetsched {
 namespace {
@@ -156,16 +155,15 @@ TEST(EngineGolden, TimedFaultedPerturbedTwoPhaseOuterIsBitIdentical) {
   auto strategy = make_outer_strategy("DynamicOuter2Phases", OuterConfig{30},
                                       5, 12345, options);
   Platform platform({17.0, 23.0, 42.0, 55.0, 80.0});
-  TimedSimConfig config;
+  SimConfig config;
   config.seed = 12345;
-  config.comm.bandwidth = 150.0;
-  config.comm.latency = 0.002;
+  config.comm = CommModel{150.0, 0.002};
   config.lookahead = 4;
   config.perturbation = PerturbationModel(5.0);
   // Worker 1 halves its speed at t=1, worker 3 crashes at t=2; both
   // fire mid-run (requeued > 0, worker 1's final speed ~ 23/2).
   config.faults = {WorkerFault{2.0, 3, 0.0}, WorkerFault{1.0, 1, 0.5}};
-  const SimResult result = simulate_timed(*strategy, platform, config);
+  const SimResult result = simulate(*strategy, platform, config);
   expect_timed_matches(
       result, 0x1.7e19b86c810eap+2, 201, 900, 9, 0x1.9a1cac083126cp+0,
       {{97, 32, 18, 0x1.748469942db06p+2, 0x1.76a3f9c838c5bp+2,
@@ -183,14 +181,13 @@ TEST(EngineGolden, TimedFaultedPerturbedTwoPhaseOuterIsBitIdentical) {
 TEST(EngineGolden, TimedFaultedPerturbedRandomMatmulIsBitIdentical) {
   auto strategy = make_matmul_strategy("RandomMatrix", MatmulConfig{8}, 4, 777);
   Platform platform({10.0, 20.0, 40.0, 80.0});
-  TimedSimConfig config;
+  SimConfig config;
   config.seed = 777;
-  config.comm.bandwidth = 400.0;
-  config.comm.latency = 0.003;
+  config.comm = CommModel{400.0, 0.003};
   config.lookahead = 4;
   config.perturbation = PerturbationModel(5.0);
   config.faults = {WorkerFault{0.4, 3, 0.0}, WorkerFault{0.2, 1, 0.25}};
-  const SimResult result = simulate_timed(*strategy, platform, config);
+  const SimResult result = simulate(*strategy, platform, config);
   expect_timed_matches(
       result, 0x1.df3ef7c1dc57ep+2, 450, 512, 1, 0x1.54fdf3b645a2ep+1,
       {{66, 133, 66, 0x1.d640d6da57d74p+2, 0x1.d6ecdf0b7ec0cp+2, 0x0p+0,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <limits>
 
 #include "outer/outer_factory.hpp"
 #include "sim/engine.hpp"
@@ -48,7 +49,7 @@ TEST(EngineTimed, ComputeBoundWhenBandwidthHuge) {
   TimedSimConfig config;
   config.comm.bandwidth = 1e9;
   config.lookahead = 4;
-  const TimedSimResult result = simulate_timed(strategy, platform, config);
+  const SimResult result = simulate_timed(strategy, platform, config);
   EXPECT_EQ(result.total_tasks_done, 100u);
   // 100 tasks at speed 1 => makespan ~100 (communication invisible).
   EXPECT_NEAR(result.makespan, 100.0, 0.01);
@@ -63,7 +64,7 @@ TEST(EngineTimed, CommunicationBoundWhenBandwidthTiny) {
   TimedSimConfig config;
   config.comm.bandwidth = 0.1;
   config.lookahead = 4;
-  const TimedSimResult result = simulate_timed(strategy, platform, config);
+  const SimResult result = simulate_timed(strategy, platform, config);
   EXPECT_GT(result.makespan, 0.9 * 200.0);
   EXPECT_GT(result.starvation_fraction(), 0.5);
 }
@@ -74,7 +75,7 @@ TEST(EngineTimed, LinkBusyTimeMatchesVolume) {
   TimedSimConfig config;
   config.comm.bandwidth = 10.0;
   config.comm.latency = 0.0;
-  const TimedSimResult result = simulate_timed(strategy, platform, config);
+  const SimResult result = simulate_timed(strategy, platform, config);
   // Every task carries 2 blocks: 100 blocks at 10 blocks/unit = 10 units.
   EXPECT_NEAR(result.link_busy_time, 10.0, 1e-9);
   EXPECT_EQ(result.total_blocks, 100u);
@@ -86,7 +87,7 @@ TEST(EngineTimed, LatencyChargesPerMessage) {
   TimedSimConfig config;
   config.comm.bandwidth = 1e9;
   config.comm.latency = 0.5;
-  const TimedSimResult result = simulate_timed(strategy, platform, config);
+  const SimResult result = simulate_timed(strategy, platform, config);
   // 10 messages, 0.5 each.
   EXPECT_NEAR(result.link_busy_time, 5.0, 1e-9);
 }
@@ -100,11 +101,11 @@ TEST(EngineTimed, LookaheadOneSerializesCommAndCompute) {
   TimedSimConfig config;
   config.comm.bandwidth = 1.0;  // 1 block = 1 compute time
   config.lookahead = 1;
-  const TimedSimResult serial = simulate_timed(s1, platform, config);
+  const SimResult serial = simulate_timed(s1, platform, config);
   EXPECT_NEAR(serial.makespan, 40.0, 0.01);  // 20 * (1 + 1)
 
   config.lookahead = 4;
-  const TimedSimResult overlapped = simulate_timed(s4, platform, config);
+  const SimResult overlapped = simulate_timed(s4, platform, config);
   // Pipelined: ~21 (one transfer exposed, rest hidden).
   EXPECT_LT(overlapped.makespan, 23.0);
   EXPECT_GT(serial.makespan, 1.7 * overlapped.makespan);
@@ -121,7 +122,7 @@ TEST(EngineTimed, ModestLookaheadHidesCommunication) {
     TimedSimConfig config;
     config.comm.bandwidth = 8.0;
     config.lookahead = la;
-    const TimedSimResult r = simulate_timed(strategy, platform, config);
+    const SimResult r = simulate_timed(strategy, platform, config);
     EXPECT_EQ(r.total_tasks_done, 300u);
     return r.makespan;
   };
@@ -140,7 +141,7 @@ TEST(EngineTimed, MatchesUntimedEngineVolumeForSameStrategySeed) {
   const SimResult untimed = simulate(*a, platform);
   TimedSimConfig config;
   config.comm.bandwidth = 50.0;
-  const TimedSimResult timed = simulate_timed(*b, platform, config);
+  const SimResult timed = simulate_timed(*b, platform, config);
   EXPECT_EQ(timed.total_blocks, untimed.total_blocks);
   EXPECT_EQ(timed.total_tasks_done, untimed.total_tasks_done);
 }
@@ -154,7 +155,7 @@ TEST(EngineTimed, WorksWithRealOuterStrategies) {
     TimedSimConfig config;
     config.comm.bandwidth = 200.0;
     config.lookahead = 4;
-    const TimedSimResult result = simulate_timed(*strategy, platform, config);
+    const SimResult result = simulate_timed(*strategy, platform, config);
     EXPECT_EQ(result.total_tasks_done, 256u) << name;
     EXPECT_GT(result.total_blocks, 0u) << name;
   }
@@ -171,6 +172,21 @@ TEST(EngineTimed, RejectsBadConfig) {
   config.comm.bandwidth = 0.0;
   EXPECT_THROW(simulate_timed(strategy, platform, config),
                std::invalid_argument);
+  config.comm.bandwidth = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(simulate_timed(strategy, platform, config),
+               std::invalid_argument);
+  // A NaN latency once slipped past `latency < 0` and ran with every
+  // message landing at time NaN (makespan 0).
+  config.comm.bandwidth = 100.0;
+  config.comm.latency = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(simulate_timed(strategy, platform, config),
+               std::invalid_argument);
+  config.comm.latency = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(simulate_timed(strategy, platform, config),
+               std::invalid_argument);
+  // An infinite bandwidth is the free link, and valid.
+  config.comm = CommModel::free();
+  EXPECT_EQ(simulate_timed(strategy, platform, config).total_tasks_done, 10u);
 }
 
 TEST(EngineTimed, MismatchedWorkerCountThrows) {

@@ -1,6 +1,6 @@
-// Fault-injection parity for the comm-timed engine (mirrors
-// sim/fault_test.cpp): the shared EventCore gives simulate_timed the
-// same crash/straggler semantics as the flat engine — plus the timed
+// Fault-injection parity for a comm-timed link (mirrors
+// sim/fault_test.cpp): the one engine gives a timed link the same
+// crash/straggler semantics as the free link — plus the timed
 // twist that runnable, in-transit and in-flight tasks are all requeued
 // while link time already spent stays spent.
 #include <gtest/gtest.h>
@@ -31,7 +31,7 @@ TEST(TimedFaultInjection, CrashedWorkerTasksAreRequeuedAndCompleted) {
   auto strategy = make_outer_strategy("RandomOuter", OuterConfig{30}, 3, 1);
   Platform platform({20.0, 30.0, 50.0});
   RecordingTrace trace;
-  const TimedSimResult result = simulate_timed(
+  const SimResult result = simulate_timed(
       *strategy, platform, with_faults({WorkerFault{0.5, 2, 0.0}}), &trace);
   EXPECT_EQ(result.total_tasks_done, 900u);
   EXPECT_EQ(result.crashed_workers, 1u);
@@ -58,7 +58,7 @@ TEST(TimedFaultInjection, CrashWorksForDataAwareStrategies) {
     options.phase2_fraction = 0.05;
     auto strategy = make_outer_strategy(name, OuterConfig{24}, 4, 2, options);
     Platform platform({10.0, 20.0, 40.0, 80.0});
-    const TimedSimResult result = simulate_timed(
+    const SimResult result = simulate_timed(
         *strategy, platform, with_faults({WorkerFault{0.2, 3, 0.0}}));
     EXPECT_EQ(result.total_tasks_done, 576u) << name;
     EXPECT_EQ(result.crashed_workers, 1u) << name;
@@ -72,7 +72,7 @@ TEST(TimedFaultInjection, InTransitWorkOfCrashedWorkerIsRecovered) {
   Platform platform({40.0, 40.0});
   TimedSimConfig config = with_faults({WorkerFault{0.3, 1, 0.0}});
   config.lookahead = 8;
-  const TimedSimResult result = simulate_timed(*strategy, platform, config);
+  const SimResult result = simulate_timed(*strategy, platform, config);
   EXPECT_EQ(result.total_tasks_done, 400u);
   EXPECT_EQ(result.crashed_workers, 1u);
   EXPECT_GE(result.requeued_tasks, 1u);
@@ -82,7 +82,7 @@ TEST(TimedFaultInjection, InTransitWorkOfCrashedWorkerIsRecovered) {
 TEST(TimedFaultInjection, MultipleCrashesSurvivedByLastWorker) {
   auto strategy = make_outer_strategy("RandomOuter", OuterConfig{16}, 3, 4);
   Platform platform({30.0, 30.0, 30.0});
-  const TimedSimResult result = simulate_timed(
+  const SimResult result = simulate_timed(
       *strategy, platform,
       with_faults({WorkerFault{0.1, 0, 0.0}, WorkerFault{0.2, 1, 0.0}}));
   EXPECT_EQ(result.total_tasks_done, 256u);
@@ -93,7 +93,7 @@ TEST(TimedFaultInjection, MultipleCrashesSurvivedByLastWorker) {
 TEST(TimedFaultInjection, LateCrashAfterRetirementIsHarmless) {
   auto strategy = make_outer_strategy("RandomOuter", OuterConfig{10}, 2, 5);
   Platform platform({50.0, 50.0});
-  const TimedSimResult result = simulate_timed(
+  const SimResult result = simulate_timed(
       *strategy, platform, with_faults({WorkerFault{100.0, 0, 0.0}}));
   EXPECT_EQ(result.total_tasks_done, 100u);
   EXPECT_EQ(result.requeued_tasks, 0u);
@@ -102,7 +102,7 @@ TEST(TimedFaultInjection, LateCrashAfterRetirementIsHarmless) {
 TEST(TimedFaultInjection, StragglerSlowsButCompletes) {
   auto strategy = make_outer_strategy("RandomOuter", OuterConfig{30}, 2, 7);
   Platform platform({50.0, 50.0});
-  const TimedSimResult slowed = simulate_timed(
+  const SimResult slowed = simulate_timed(
       *strategy, platform, with_faults({WorkerFault{0.1, 1, 0.1}}));
   EXPECT_EQ(slowed.total_tasks_done, 900u);
   // Demand-driven balancing shifts work to the healthy worker.
@@ -115,7 +115,7 @@ TEST(TimedFaultInjection, PerturbationDriftsSpeeds) {
   Platform platform({40.0, 40.0});
   TimedSimConfig config;
   config.perturbation = PerturbationModel(10.0);
-  const TimedSimResult result = simulate_timed(*strategy, platform, config);
+  const SimResult result = simulate_timed(*strategy, platform, config);
   EXPECT_EQ(result.total_tasks_done, 400u);
   // With +-10% per-task drift the final speeds have left the base value.
   EXPECT_NE(result.workers[0].final_speed, 40.0);
@@ -208,7 +208,7 @@ TEST(TimedFaultInjection, FlatAndTimedAgreeOnFaultAccounting) {
   const SimResult a = simulate(*flat, platform, flat_config);
 
   auto timed = make_outer_strategy("DynamicOuter", OuterConfig{20}, 3, 11);
-  const TimedSimResult b =
+  const SimResult b =
       simulate_timed(*timed, platform, with_faults(faults));
   EXPECT_EQ(a.total_tasks_done, b.total_tasks_done);
   EXPECT_EQ(a.crashed_workers, b.crashed_workers);
