@@ -4,7 +4,7 @@
 // stragglers into DynamicOuter2Phases runs and measures the price:
 // extra communication from lost caches and makespan inflation versus
 // the fault-free run with the same seeds. With --timed the same fault
-// scripts run through the comm-timed engine (shared EventCore), where
+// scripts run over a comm-timed link (bandwidth 100, lookahead 4), where
 // a crash additionally forfeits the victim's in-transit prefetches.
 #include <iostream>
 

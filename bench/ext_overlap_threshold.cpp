@@ -4,10 +4,10 @@
 // few blocks in advance" (Section 3.1, citing Kreaseck et al. and
 // Parashar & Hariri for the observation that the required depth is
 // small). This bench makes the claim quantitative: it runs
-// DynamicOuter2Phases under the timed engine (serial master uplink)
-// and sweeps the prefetch lookahead and the link bandwidth, reporting
-// the starvation fraction and the makespan inflation relative to the
-// untimed (free-communication) engine.
+// DynamicOuter2Phases over a timed link (serial master uplink) and
+// sweeps the prefetch lookahead and the link bandwidth, reporting the
+// starvation fraction and the makespan inflation relative to the free
+// link.
 #include <iostream>
 
 #include "bench/bench_util.hpp"

@@ -135,7 +135,8 @@ const Platform& engine_platform() {
   return platform;
 }
 
-/// Flat engine, DynamicOuter at N/l = 60: one event per task.
+/// Free link, DynamicOuter at N/l = 60: ns per task, completions
+/// batched.
 double flat_engine_ns_per_event() {
   return engine_ns_per_event([](std::uint64_t seed) {
     auto strategy =
@@ -146,8 +147,8 @@ double flat_engine_ns_per_event() {
   });
 }
 
-/// Comm-timed engine on the same workload: one event per task plus one
-/// arrival per message.
+/// Comm-timed link (bandwidth 100, lookahead 4) on the same workload:
+/// one event per task plus one arrival per message.
 double timed_engine_ns_per_event() {
   return engine_ns_per_event([](std::uint64_t seed) {
     auto strategy =

@@ -8,7 +8,7 @@
 // Communication is a pure volume, overlapped as in the paper.
 //
 // Built on sim/event_core.hpp, so the DAG engine supports the same
-// experimental apparatus as the flat engine: scripted WorkerFault
+// experimental apparatus as simulate(): scripted WorkerFault
 // crashes (the victim's in-flight task returns to the ready set and its
 // tile cache is lost) and stragglers, per-task speed perturbation,
 // and TraceSink events (assignments carry the task plus one BlockRef

@@ -82,10 +82,6 @@ struct JVal {
     }
     return nullptr;
   }
-  double num_or(const std::string& key, double fallback) const {
-    const JVal* v = find(key);
-    return v != nullptr && v->type == Type::kNum ? v->num : fallback;
-  }
   std::string str_or(const std::string& key, std::string fallback) const {
     const JVal* v = find(key);
     return v != nullptr && v->type == Type::kStr ? v->str
@@ -325,6 +321,16 @@ struct RecordReader {
       fail(std::string("\"") + key + "\" must be an integer in [0, 2^53]");
     }
     return static_cast<std::uint64_t>(v->num);
+  }
+  /// A JSON number; an absent field (older writers omit some) reads as
+  /// `fallback`.
+  double num(const char* key, double fallback) const {
+    const JVal* v = record.find(key);
+    if (v == nullptr) return fallback;
+    if (v->type != JVal::Type::kNum) {
+      fail(std::string("\"") + key + "\" must be a number");
+    }
+    return v->num;
   }
   std::uint32_t u32(const char* key) const {
     const std::uint64_t v = count(key);
@@ -814,14 +820,14 @@ TraceAnalysis analyze_trace_stream(std::istream& in,
       meta.strategy = record.str_or("strategy", "");
       meta.n = r.u32("n");
       meta.p = r.u32("p");
-      meta.makespan = record.num_or("makespan", 0.0);
-      meta.bandwidth = record.num_or("bandwidth", 100.0);
+      meta.makespan = r.num("makespan", 0.0);
+      meta.bandwidth = r.num("bandwidth", 100.0);
       meta.dropped_events = r.count("dropped_events");
       meta.requeued_tasks = r.count("requeued_tasks");
       meta.crashed_workers = r.count("crashed_workers");
-      meta.link_busy_time = record.num_or("link_busy_time", 0.0);
-      meta.graph_critical_path = record.num_or("graph_critical_path", -1.0);
-      meta.makespan_lower_bound = record.num_or("makespan_lower_bound", -1.0);
+      meta.link_busy_time = r.num("link_busy_time", 0.0);
+      meta.graph_critical_path = r.num("graph_critical_path", -1.0);
+      meta.makespan_lower_bound = r.num("makespan_lower_bound", -1.0);
       // The speeds bound p by the file's own content, so no vector the
       // analysis sizes by p can outgrow what the file describes.
       const JVal* speeds = record.find("speeds");
@@ -859,13 +865,13 @@ TraceAnalysis analyze_trace_stream(std::istream& in,
       stats.tasks = r.count("tasks");
       stats.blocks = r.count("blocks");
       stats.messages = r.count("messages");
-      stats.busy = record.num_or("busy", 0.0);
-      stats.finish = record.num_or("finish", 0.0);
-      stats.starved = record.num_or("starved", 0.0);
+      stats.busy = r.num("busy", 0.0);
+      stats.finish = r.num("finish", 0.0);
+      stats.starved = r.num("starved", 0.0);
     } else if (type == "assign") {
       NormAssign a;
       a.worker = r.worker("w", meta.p);
-      a.time = record.num_or("t", 0.0);
+      a.time = r.num("t", 0.0);
       a.blocks = r.count("blocks");
       if (const JVal* tasks = record.find("tasks");
           tasks != nullptr && tasks->type == JVal::Type::kArr) {
@@ -878,15 +884,15 @@ TraceAnalysis analyze_trace_stream(std::istream& in,
       trace.assigns.push_back(std::move(a));
     } else if (type == "complete") {
       trace.completes.push_back(
-          {r.worker("w", meta.p), record.num_or("t", 0.0), r.count("task")});
+          {r.worker("w", meta.p), r.num("t", 0.0), r.count("task")});
     } else if (type == "retire") {
-      trace.retires.push_back({r.worker("w", meta.p), record.num_or("t", 0.0)});
+      trace.retires.push_back({r.worker("w", meta.p), r.num("t", 0.0)});
     } else if (type == "phase_switch") {
       trace.phase_switches.push_back(
-          {record.num_or("t", 0.0), r.count("remaining")});
+          {r.num("t", 0.0), r.count("remaining")});
     } else if (type == "fallback") {
       trace.fallbacks.push_back(
-          {record.num_or("t", 0.0), r.count("remaining")});
+          {r.num("t", 0.0), r.count("remaining")});
     } else if (type == "sample") {
       const JVal* v = record.find("v");
       const std::size_t width =
@@ -895,8 +901,12 @@ TraceAnalysis analyze_trace_stream(std::istream& in,
         r.fail("sample row width does not match meta.channels");
       }
       if (unmarked_ch < num_channels) {
-        trace.sample_times.push_back(record.num_or("t", 0.0));
-        trace.unmarked.push_back(v->arr[unmarked_ch].num);
+        trace.sample_times.push_back(r.num("t", 0.0));
+        const JVal& value = v->arr[unmarked_ch];
+        if (value.type != JVal::Type::kNum) {
+          r.fail("sample values must be numbers");
+        }
+        trace.unmarked.push_back(value.num);
       }
     }
     // Unknown record types are skipped: newer writers stay readable.

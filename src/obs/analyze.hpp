@@ -61,13 +61,14 @@ struct TraceMeta {
   std::uint32_t p = 0;
   double makespan = 0.0;
   /// Blocks per time unit used for the comm-time estimate
-  /// (CommModel::bandwidth; the flat engine's convention).
+  /// (ExperimentConfig::comm.bandwidth, also written for free-link
+  /// runs).
   double bandwidth = 100.0;
   std::uint64_t dropped_events = 0;
-  // SimResult run totals (0 in the flat engine without faults).
+  // SimResult run totals (0 without faults).
   std::uint64_t requeued_tasks = 0;
   std::uint64_t crashed_workers = 0;
-  double link_busy_time = 0.0;  // timed engine only
+  double link_busy_time = 0.0;  // timed link only
   std::vector<double> speeds;  // per-worker engine speeds
 
   /// Exact per-worker engine stats (WorkerSimStats subset). When
@@ -76,7 +77,7 @@ struct TraceMeta {
   struct WorkerStats {
     std::uint64_t tasks = 0;
     std::uint64_t blocks = 0;
-    std::uint64_t messages = 0;  // timed engine only
+    std::uint64_t messages = 0;  // timed link only
     double busy = 0.0;
     double finish = 0.0;
     double starved = 0.0;
@@ -113,11 +114,11 @@ struct TraceAnalysis {
     std::uint64_t blocks = 0;
     double busy = 0.0;     // computing
     double comm = 0.0;     // blocks / bandwidth (estimate; overlapped
-                           // in the flat engine, so busy + comm can
+                           // on the free link, so busy + comm can
                            // exceed the active window)
     double idle = 0.0;     // active window minus busy
     double tail_idle = 0.0;  // makespan - finish (retired, run ongoing)
-    double starved = 0.0;  // timed engine: stall with empty queue
+    double starved = 0.0;  // timed link: stall with empty queue
     double finish = 0.0;
     bool exact = false;  // stats from the engine vs reconstructed
   };

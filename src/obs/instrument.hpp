@@ -9,8 +9,8 @@
 // every product — the sampled series, the raw event recording and the
 // RepOutcome — in one struct ready for the exporters.
 //
-// Engine-agnostic: run_single routes to the flat or comm-timed engine
-// per ExperimentConfig::timed, and both publish through the shared
+// Engine-agnostic: run_single runs the free or a comm-timed link per
+// ExperimentConfig::timed, and both publish through the shared
 // EventCore, so the same stack instruments either.
 #pragma once
 

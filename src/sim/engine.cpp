@@ -350,11 +350,12 @@ SimResult simulate(Strategy& strategy, const Platform& platform,
     throw std::invalid_argument("simulate: lookahead must be >= 1");
   }
 
+  const bool free_link = config.comm.is_free();
   EventCoreOptions options;
   options.seed = config.seed;
   // Each kind of link keeps its own perturbation draw sequence.
   options.perturb_stream =
-      config.comm.is_free() ? "engine.perturb" : "engine_timed.perturb";
+      free_link ? "engine.perturb" : "engine_timed.perturb";
   options.error_prefix = "simulate";
   options.perturbation = config.perturbation;
   options.faults = config.faults;
@@ -365,7 +366,7 @@ SimResult simulate(Strategy& strategy, const Platform& platform,
   // timed link or a deeper lookahead interleaves requests with
   // completions. Otherwise one event per assignment batch
   // (bit-identical results, far fewer heap operations).
-  const bool batched = config.comm.is_free() && config.lookahead == 1 &&
+  const bool batched = free_link && config.lookahead == 1 &&
                        trace == nullptr && !config.perturbation.enabled();
   Engine engine(strategy, config, batched);
   EventCore core(platform, options, engine);

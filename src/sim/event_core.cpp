@@ -103,9 +103,9 @@ EventCore::EventCore(const Platform& platform, const EventCoreOptions& options,
                      return a.time < b.time;
                    });
   seq_ = faults_.size();
-  // One in-flight completion (or batch) event per worker in the flat
-  // engine's steady state; the timed engine's message events grow the
-  // vector once and it stays.
+  // One in-flight completion (or batch) event per worker in the free
+  // link's steady state; a timed link's message events grow the vector
+  // once and it stays.
   events_.reserve(workers_.size() + 2);
 }
 

@@ -15,10 +15,10 @@
 // An engine is an `EventCoreClient`: the core drives the clock and
 // calls back into the client to refill workers after completions,
 // deliver non-compute events (message arrivals), and return a crash
-// victim's unfinished tasks to the master. The flat engine's observable
-// behaviour (event order, RNG draw order, stats) is bit-identical to
-// the pre-EventCore implementation; a pinned-seed golden test enforces
-// that.
+// victim's unfinished tasks to the master. The free-link engine's
+// observable behaviour (event order, RNG draw order, stats) is
+// bit-identical to the pre-EventCore implementation; a pinned-seed
+// golden test enforces that.
 //
 // Hot-path layout (see docs/performance.md): events are 24-byte PODs
 // in a hand-rolled 4-ary min-heap, fault events live in a pre-sorted
@@ -50,28 +50,28 @@ struct WorkerFault {
   double factor = 0.0;  // 0 = crash; else speed multiplier
 };
 
-/// Per-worker statistics, shared by every engine. The free-overlap
-/// (flat) engine has no communication timing, so it reports the
-/// timed-only fields (`messages_received`, `starved_time`) as 0.
+/// Per-worker statistics, shared by every engine. The free link has no
+/// communication timing, so it reports the timed-link fields
+/// (`messages_received`, `starved_time`) as 0.
 struct WorkerSimStats {
   std::uint64_t tasks_done = 0;
   std::uint64_t blocks_received = 0;
-  std::uint64_t messages_received = 0;  // timed engine; 0 elsewhere
+  std::uint64_t messages_received = 0;  // timed link; 0 elsewhere
   double busy_time = 0.0;    // total time spent computing
   double finish_time = 0.0;  // completion time of the worker's last task
-  double starved_time = 0.0;  // timed engine: stall with empty queue
+  double starved_time = 0.0;  // timed link: stall with empty queue
   double final_speed = 0.0;  // speed after the last perturbation
 };
 
-/// Result of one simulated run, shared by the flat and timed engines
-/// (the DAG engine embeds the same worker stats in DagSimResult).
+/// Result of one simulate() run on any link (the DAG engine embeds the
+/// same worker stats in DagSimResult).
 struct SimResult {
   double makespan = 0.0;
   std::uint64_t total_blocks = 0;
   std::uint64_t total_tasks_done = 0;
   std::uint64_t requeued_tasks = 0;   // returned to the pool by crashes
   std::uint32_t crashed_workers = 0;
-  double link_busy_time = 0.0;  // timed engine: total uplink occupancy
+  double link_busy_time = 0.0;  // timed link: total uplink occupancy
   std::vector<WorkerSimStats> workers;
 
   /// Communication volume normalized by a lower bound (the paper's

@@ -441,6 +441,12 @@ TEST(AnalyzeTraceStream, MalformedInputThrows) {
       // A DAG task id from the file never sizes a vector.
       dag_meta + "{\"type\":\"assign\",\"w\":0,\"t\":0,"
                  "\"tasks\":[1e16]}\n",
+      // A present number field that is not a number is corrupt, not 0.
+      meta + "{\"type\":\"complete\",\"t\":\"late\",\"w\":0,\"task\":0}\n",
+      "{\"type\":\"meta\",\"kernel\":\"outer\",\"n\":2,\"p\":2,"
+      "\"speeds\":[1,2],\"channels\":[\"unmarked_fraction\"]}\n"
+      "{\"type\":\"sample\",\"t\":0.5,\"v\":[\"x\"]}\n",
+      "{\"type\":\"meta\",\"p\":1,\"speeds\":[1],\"makespan\":\"1\"}\n",
   };
   for (const std::string& text : cases) {
     std::istringstream in(text);

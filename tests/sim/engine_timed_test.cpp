@@ -175,8 +175,8 @@ TEST(EngineTimed, RejectsBadConfig) {
   config.comm.bandwidth = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(simulate_timed(strategy, platform, config),
                std::invalid_argument);
-  // A NaN latency once slipped past `latency < 0` and ran with every
-  // message landing at time NaN (makespan 0).
+  // `latency < 0` is false for NaN; such a run would land every
+  // message at time NaN and report makespan 0.
   config.comm.bandwidth = 100.0;
   config.comm.latency = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(simulate_timed(strategy, platform, config),
@@ -187,6 +187,26 @@ TEST(EngineTimed, RejectsBadConfig) {
   // An infinite bandwidth is the free link, and valid.
   config.comm = CommModel::free();
   EXPECT_EQ(simulate_timed(strategy, platform, config).total_tasks_done, 10u);
+}
+
+TEST(EngineTimed, FreeLinkPrefetchesWithoutLinkTime) {
+  EXPECT_TRUE(CommModel::free().is_free());
+  EXPECT_FALSE(CommModel{}.is_free());
+  EXPECT_FALSE(
+      (CommModel{std::numeric_limits<double>::infinity(), 0.5}.is_free()));
+  // A deeper lookahead on the free link queues work ahead without any
+  // message events or link time.
+  UnitStrategy strategy(100, 1, 1);
+  Platform platform({1.0});
+  SimConfig config;
+  config.lookahead = 4;
+  const SimResult result = simulate(strategy, platform, config);
+  EXPECT_EQ(result.total_tasks_done, 100u);
+  EXPECT_EQ(result.total_blocks, 100u);
+  EXPECT_EQ(result.makespan, 100.0);
+  EXPECT_EQ(result.link_busy_time, 0.0);
+  EXPECT_EQ(result.workers[0].messages_received, 0u);
+  EXPECT_EQ(result.workers[0].starved_time, 0.0);
 }
 
 TEST(EngineTimed, MismatchedWorkerCountThrows) {
