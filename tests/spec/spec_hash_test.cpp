@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "common/json.hpp"
+#include "spec/compile.hpp"
+#include "spec/parse.hpp"
 #include "spec/spec.hpp"
 
 namespace hetsched {
@@ -97,6 +99,48 @@ TEST(SpecHash, EveryResultDeterminingFieldIsSensitive) {
   differs([](ExperimentConfig& c) {
     c.faults = {WorkerFault{1.0, 0, 0.5}};
   });
+}
+
+// One golden per SpeedSpec kind, taken through the whole front end
+// (parse_spec -> resolve_spec -> compile_spec) so every path that
+// stamps a hash into validate output or report JSON is pinned.
+std::vector<std::string> compiled_hashes(const std::string& text) {
+  const CompiledCampaign compiled =
+      compile_spec(resolve_spec(parse_spec(text), batch_spec_defaults()));
+  std::vector<std::string> out;
+  for (const CampaignEntry& entry : compiled.entries) {
+    out.push_back(JsonWriter::hex16(entry.config.config_hash));
+  }
+  return out;
+}
+
+TEST(SpecHash, CompiledPointGoldensPerSpeedKind) {
+  const std::string grid =
+      "[grid]\nstrategy = DynamicOuter2Phases\nn = 30\np = 6\n";
+  const auto point = [&](const std::string& platform) {
+    const std::vector<std::string> hashes =
+        compiled_hashes("[platform]\n" + platform + "\n" + grid);
+    EXPECT_EQ(hashes.size(), 1u) << platform;
+    return hashes.empty() ? std::string() : hashes.front();
+  };
+  EXPECT_EQ(point("scenario = dyn.5"), "b0fd83ea373e2ac9");
+  EXPECT_EQ(point("speeds = uniform 10 100"), "4bb1474339c97d65");
+  EXPECT_EQ(point("speeds = set 40 80 150"), "ff072e526bb9db43");
+  EXPECT_EQ(point("speeds = list 12.5 50 100"), "a02a1b9d27af82b7");
+  EXPECT_EQ(point("speeds = twoclass 10 100 0.25"), "c6bb19b963c20dce");
+  EXPECT_EQ(point("speeds = hom 100\nperturb = 5"), "c54e008314a2522e");
+
+  const std::vector<std::string> timed_grid = compiled_hashes(
+      "[experiment]\nkernel = matmul\nreps = 3\nseed = 9\n"
+      "[engine]\ntimed = true\nbandwidth = 150\nlatency = 0.002\n"
+      "lookahead = 4\n"
+      "[grid]\nstrategy = DynamicMatrix2Phases\nn = 12\np = 4, 8\n"
+      "phase2 = 0.25, 0.5\n"
+      "[faults]\nfault = 1:1:0.5\nfault = 2:3:0\n");
+  EXPECT_EQ(timed_grid,
+            (std::vector<std::string>{"5c54685770be7b1a", "e71441292a928fd8",
+                                      "44e6473eaf82644e",
+                                      "071e0e2ebde028c4"}));
 }
 
 TEST(SpecHash, SpecForConfigRoundTripsThroughCompile) {
