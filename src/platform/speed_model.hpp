@@ -29,8 +29,6 @@ class UniformIntervalSpeeds final : public SpeedModel {
   UniformIntervalSpeeds(double lo, double hi);
   std::string name() const override;
   double draw(Rng& rng) const override;
-  double lo() const noexcept { return lo_; }
-  double hi() const noexcept { return hi_; }
 
  private:
   double lo_, hi_;
@@ -42,7 +40,6 @@ class DiscreteSetSpeeds final : public SpeedModel {
   explicit DiscreteSetSpeeds(std::vector<double> speeds);
   std::string name() const override;
   double draw(Rng& rng) const override;
-  const std::vector<double>& speeds() const noexcept { return speeds_; }
 
  private:
   std::vector<double> speeds_;
@@ -57,9 +54,6 @@ class TwoClassSpeeds final : public SpeedModel {
   TwoClassSpeeds(double slow, double fast, double fast_fraction);
   std::string name() const override;
   double draw(Rng& rng) const override;
-  double slow() const noexcept { return slow_; }
-  double fast() const noexcept { return fast_; }
-  double fast_fraction() const noexcept { return fast_fraction_; }
 
  private:
   double slow_;
@@ -93,7 +87,6 @@ class HomogeneousSpeeds final : public SpeedModel {
   explicit HomogeneousSpeeds(double speed = 100.0);
   std::string name() const override;
   double draw(Rng& rng) const override;
-  double speed() const noexcept { return speed_; }
 
  private:
   double speed_;

@@ -18,6 +18,8 @@ CompiledCampaign compile_spec(const ScenarioSpec& resolved) {
 
   CompiledCampaign out;
   out.name = *resolved.name;
+  // Each entry is hashed as the resolved spec narrowed to its point.
+  ScenarioSpec point = resolved;
   for (std::uint32_t n : resolved.ns) {
     for (std::uint32_t p : resolved.ps) {
       for (const std::string& strategy : resolved.strategies) {
@@ -38,7 +40,12 @@ CompiledCampaign compile_spec(const ScenarioSpec& resolved) {
           config.comm.latency = *resolved.latency;
           config.lookahead = *resolved.lookahead;
           config.faults = to_worker_faults(resolved.faults);
-          config.config_hash = config_hash(config);
+          point.strategies = {strategy};
+          point.ns = {n};
+          point.ps = {p};
+          point.phase2s.clear();
+          if (ph2) point.phase2s.push_back(*ph2);
+          config.config_hash = config_hash(point);
 
           std::string label = strategy + ".p" + std::to_string(p);
           if (resolved.ns.size() > 1) label += ".n" + std::to_string(n);

@@ -2,7 +2,7 @@
 // compiles into the labeled CampaignEntry list the Campaign runner
 // consumes. Grid axes expand n -> p -> strategy -> phase2 (the legacy
 // cmd_campaign insertion order), every entry gets a fresh Scenario
-// (speed models carry draw state) and its config_hash stamped.
+// (speed models carry draw state) and the config_hash of its point.
 #pragma once
 
 #include <string>

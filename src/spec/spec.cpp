@@ -438,69 +438,13 @@ Scenario make_scenario(const SpeedSpec& spec) {
   throw SpecError("internal: unhandled SpeedSpec kind");
 }
 
-SpeedSpec speed_spec_for(const Scenario& scenario) {
-  SpeedSpec out;
-  if (is_preset_name(scenario.name)) {
-    out.kind = SpeedSpec::Kind::kPreset;
-    out.preset = scenario.name;
-    return out;
-  }
-  out.perturb_percent = scenario.perturbation.max_percent();
-  const SpeedModel* model = scenario.speeds.get();
-  if (const auto* u = dynamic_cast<const UniformIntervalSpeeds*>(model)) {
-    out.kind = SpeedSpec::Kind::kUniform;
-    out.lo = u->lo();
-    out.hi = u->hi();
-  } else if (const auto* d = dynamic_cast<const DiscreteSetSpeeds*>(model)) {
-    out.kind = SpeedSpec::Kind::kSet;
-    out.values = d->speeds();
-  } else if (const auto* f = dynamic_cast<const FixedListSpeeds*>(model)) {
-    out.kind = SpeedSpec::Kind::kList;
-    out.values = f->speeds();
-  } else if (const auto* t = dynamic_cast<const TwoClassSpeeds*>(model)) {
-    out.kind = SpeedSpec::Kind::kTwoClass;
-    out.slow = t->slow();
-    out.fast = t->fast();
-    out.fast_fraction = t->fast_fraction();
-  } else if (const auto* h = dynamic_cast<const HomogeneousSpeeds*>(model)) {
-    out.kind = SpeedSpec::Kind::kHomogeneous;
-    out.speed = h->speed();
-  } else {
-    throw SpecError("scenario '" + scenario.name +
-                    "' uses a custom SpeedModel the spec format cannot "
-                    "express");
-  }
-  return out;
-}
-
-ScenarioSpec spec_for_config(const ExperimentConfig& config) {
-  ScenarioSpec s;
+std::uint64_t config_hash(const ScenarioSpec& point) {
   // Hash-neutral fields are pinned to constants: the campaign name is
-  // presentation-only and the seed is the cache key's second half.
-  s.name = "config";
-  s.seed = 0;
-  s.kernel = config.kernel;
-  s.strategies = {config.strategy};
-  s.ns = {config.n};
-  s.ps = {config.p};
-  if (config.phase2_fraction) s.phase2s = {*config.phase2_fraction};
-  s.platform = speed_spec_for(config.scenario);
-  s.reps = config.reps;
-  s.timed = config.timed;
-  const CommModel comm_defaults{};
-  s.bandwidth = config.timed ? config.comm.bandwidth : comm_defaults.bandwidth;
-  s.latency = config.timed ? config.comm.latency : comm_defaults.latency;
-  s.lookahead =
-      config.timed ? config.lookahead : ExperimentConfig{}.lookahead;
-  s.faults.reserve(config.faults.size());
-  for (const WorkerFault& f : config.faults) {
-    s.faults.push_back(FaultSpec{f.time, f.worker, f.factor});
-  }
-  return s;
-}
-
-std::uint64_t config_hash(const ExperimentConfig& config) {
-  return fnv1a64(canonical_text(spec_for_config(config)));
+  // presentation-only and the seed picks the draws, not the point.
+  ScenarioSpec pinned = point;
+  pinned.name = "config";
+  pinned.seed = 0;
+  return fnv1a64(canonical_text(pinned));
 }
 
 std::uint64_t fnv1a64(std::string_view bytes) {

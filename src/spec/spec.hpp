@@ -10,9 +10,8 @@
 // A *resolved* spec has every field populated; it canonicalizes to a
 // stable text form (`canonical_text`, round-trip: parsing the
 // canonical text and resolving it reproduces the spec exactly) and to
-// a 64-bit FNV-1a hash (`config_hash`) that identifies the
-// result-determining configuration — the cache key for the planned
-// result cache (pair it with the seed; see ROADMAP item 1).
+// a 64-bit FNV-1a hash (`config_hash`) that identifies one compiled
+// point's result-determining configuration.
 #pragma once
 
 #include <cstdint>
@@ -152,24 +151,16 @@ std::string canonical_text(const ScenarioSpec& resolved);
 /// one) from a SpeedSpec.
 Scenario make_scenario(const SpeedSpec& spec);
 
-/// Lifts a Scenario back into a SpeedSpec: preset names are recognized
-/// directly; anything else is reconstructed from the concrete
-/// SpeedModel type. Throws SpecError for custom SpeedModel subclasses
-/// the spec format cannot express.
-SpeedSpec speed_spec_for(const Scenario& scenario);
+/// 64-bit FNV-1a over the canonical text of one compiled point: a
+/// resolved spec whose grid axes hold a single strategy, n and p and
+/// at most one phase2 value. The campaign name and the seed are
+/// hash-neutral (pinned to constants before hashing), so the hash
+/// identifies the point's configuration, not its draws. compile_spec
+/// stamps it into every entry; `validate` prints it and the report
+/// JSON carries it as "config_hash".
+std::uint64_t config_hash(const ScenarioSpec& point);
 
-/// Lifts one concrete ExperimentConfig into the resolved single-point
-/// spec that compiles back to it, with the hash-neutral fields
-/// normalized out: campaign name and seed are pinned to constants
-/// (seed is the cache key's second half).
-ScenarioSpec spec_for_config(const ExperimentConfig& config);
-
-/// 64-bit FNV-1a over the canonical text of spec_for_config(config):
-/// the canonical configuration hash stamped into experiment/campaign
-/// report JSON by the spec compiler.
-std::uint64_t config_hash(const ExperimentConfig& config);
-
-/// FNV-1a 64 over raw bytes (exposed for tests and future cache code).
+/// FNV-1a 64 over raw bytes.
 std::uint64_t fnv1a64(std::string_view bytes);
 
 /// Shortest round-trip decimal form of a double (std::to_chars).

@@ -1,11 +1,12 @@
 // config_hash stability goldens and semantics.
 //
 // The hex goldens pin the canonical text layout AND the FNV-1a 64
-// parameters byte-for-byte: the hash is the planned result cache's key
-// (ROADMAP item 1), so an accidental change here would silently
-// invalidate every cached result. Update a golden only for an
-// intentional, documented format bump. The golden configs avoid
-// exp()-derived values so the expected bytes cannot depend on libm.
+// parameters byte-for-byte: the hash is the identity of one compiled
+// point, printed by `hetsched_cli validate` and carried in the report
+// JSON, so an accidental change here would silently change every
+// published identity. Update a golden only for an intentional,
+// documented format bump. The golden points avoid exp()-derived values
+// so the expected bytes cannot depend on libm.
 #include <gtest/gtest.h>
 
 #include "common/json.hpp"
@@ -29,76 +30,80 @@ TEST(SpecHash, Hex16IsFixedWidthLowercase) {
   EXPECT_EQ(JsonWriter::hex16(0xffffffffffffffffull), "ffffffffffffffff");
 }
 
+// The point spec ExperimentConfig{} describes: DynamicOuter, n = 100,
+// p = 20, the default platform, 10 reps, untimed.
+ScenarioSpec default_point() {
+  return resolve_spec(parse_spec("[grid]\nstrategy = DynamicOuter\n"),
+                      run_spec_defaults());
+}
+
 TEST(SpecHash, StabilityGoldens) {
-  const ExperimentConfig defaults;  // DynamicOuter, n=100, p=20, default
+  const ScenarioSpec defaults = default_point();
   EXPECT_EQ(JsonWriter::hex16(config_hash(defaults)), "c5c5aa94d5e5f0aa");
 
-  ExperimentConfig timed = defaults;
+  ScenarioSpec timed = defaults;
   timed.kernel = Kernel::kMatmul;
-  timed.strategy = "DynamicMatrix2Phases";
-  timed.n = 40;
-  timed.phase2_fraction = 0.5;  // exact double: no libm in the bytes
+  timed.strategies = {"DynamicMatrix2Phases"};
+  timed.ns = {40};
+  timed.phase2s = {0.5};  // exact double: no libm in the bytes
   timed.timed = true;
-  timed.comm.bandwidth = 50.0;
-  timed.comm.latency = 0.25;
+  timed.bandwidth = 50.0;
+  timed.latency = 0.25;
   timed.lookahead = 2;
-  timed.faults = {WorkerFault{1.5, 0, 0.0}, WorkerFault{3.0, 4, 0.5}};
+  timed.faults = {FaultSpec{1.5, 0, 0.0}, FaultSpec{3.0, 4, 0.5}};
   EXPECT_EQ(JsonWriter::hex16(config_hash(timed)), "81b0bd4396b4e413");
 
-  ExperimentConfig inline_platform = defaults;
-  inline_platform.scenario =
-      Scenario{"twoclass(10,100,0.25)",
-               std::make_shared<TwoClassSpeeds>(10.0, 100.0, 0.25),
-               PerturbationModel{}};
+  ScenarioSpec inline_platform = defaults;
+  inline_platform.platform = SpeedSpec{};
+  inline_platform.platform->kind = SpeedSpec::Kind::kTwoClass;
+  inline_platform.platform->slow = 10.0;
+  inline_platform.platform->fast = 100.0;
+  inline_platform.platform->fast_fraction = 0.25;
   EXPECT_EQ(JsonWriter::hex16(config_hash(inline_platform)),
             "06d05f2533306a90");
 }
 
 TEST(SpecHash, NeutralFieldsDoNotChangeTheHash) {
-  const ExperimentConfig base;
+  const ScenarioSpec base = default_point();
   const std::uint64_t h = config_hash(base);
-  // The seed pairs WITH the hash as the cache key; it is not inside it.
-  ExperimentConfig seeded = base;
+  // The seed picks the draws, not the point; it is not inside the hash.
+  ScenarioSpec seeded = base;
   seeded.seed = 12345;
   EXPECT_EQ(config_hash(seeded), h);
-  // Rep parallelism never changes results, so it is hash-neutral too.
-  ExperimentConfig parallel = base;
-  parallel.parallelism = 4;
-  EXPECT_EQ(config_hash(parallel), h);
-  // Telemetry is not configuration.
-  ExperimentConfig profiled = base;
-  profiled.profile = true;
-  EXPECT_EQ(config_hash(profiled), h);
-  // An untimed config hashes independently of inert comm knobs.
-  ExperimentConfig inert = base;
-  inert.comm.bandwidth = 1.0;
+  // The campaign name is presentation only.
+  ScenarioSpec renamed = base;
+  renamed.name = "elsewhere";
+  EXPECT_EQ(config_hash(renamed), h);
+  // An untimed point hashes independently of inert comm knobs.
+  ScenarioSpec inert = base;
+  inert.bandwidth = 1.0;
   inert.lookahead = 9;
   EXPECT_EQ(config_hash(inert), h);
+  // Rep parallelism and telemetry are ExperimentConfig fields with no
+  // spec counterpart, so they cannot reach the hash at all.
 }
 
 TEST(SpecHash, EveryResultDeterminingFieldIsSensitive) {
-  const ExperimentConfig base;
+  const ScenarioSpec base = default_point();
   const std::uint64_t h = config_hash(base);
   const auto differs = [&](const auto& mutate) {
-    ExperimentConfig c = base;
+    ScenarioSpec c = base;
     mutate(c);
     EXPECT_NE(config_hash(c), h);
   };
-  differs([](ExperimentConfig& c) { c.kernel = Kernel::kMatmul; });
-  differs([](ExperimentConfig& c) { c.strategy = "RandomOuter"; });
-  differs([](ExperimentConfig& c) { c.n = 101; });
-  differs([](ExperimentConfig& c) { c.p = 21; });
-  differs([](ExperimentConfig& c) { c.scenario = named_scenario("unif.1"); });
-  differs([](ExperimentConfig& c) { c.phase2_fraction = 0.5; });
-  differs([](ExperimentConfig& c) { c.reps = 11; });
-  differs([](ExperimentConfig& c) { c.timed = true; });
-  differs([](ExperimentConfig& c) {
+  differs([](ScenarioSpec& c) { c.kernel = Kernel::kMatmul; });
+  differs([](ScenarioSpec& c) { c.strategies = {"RandomOuter"}; });
+  differs([](ScenarioSpec& c) { c.ns = {101}; });
+  differs([](ScenarioSpec& c) { c.ps = {21}; });
+  differs([](ScenarioSpec& c) { c.platform->preset = "unif.1"; });
+  differs([](ScenarioSpec& c) { c.phase2s = {0.5}; });
+  differs([](ScenarioSpec& c) { c.reps = 11; });
+  differs([](ScenarioSpec& c) { c.timed = true; });
+  differs([](ScenarioSpec& c) {
     c.timed = true;
-    c.comm.bandwidth = 10.0;
+    c.bandwidth = 10.0;
   });
-  differs([](ExperimentConfig& c) {
-    c.faults = {WorkerFault{1.0, 0, 0.5}};
-  });
+  differs([](ScenarioSpec& c) { c.faults = {FaultSpec{1.0, 0, 0.5}}; });
 }
 
 // One golden per SpeedSpec kind, taken through the whole front end
@@ -141,17 +146,6 @@ TEST(SpecHash, CompiledPointGoldensPerSpeedKind) {
             (std::vector<std::string>{"5c54685770be7b1a", "e71441292a928fd8",
                                       "44e6473eaf82644e",
                                       "071e0e2ebde028c4"}));
-}
-
-TEST(SpecHash, SpecForConfigRoundTripsThroughCompile) {
-  // The lifted spec of a config is resolved, valid, and hashes to the
-  // config's own hash (idempotence: hashing is lift -> canonical).
-  ExperimentConfig config;
-  config.strategy = "RandomOuter";
-  config.p = 7;
-  const ScenarioSpec lifted = spec_for_config(config);
-  validate_spec(lifted);
-  EXPECT_EQ(fnv1a64(canonical_text(lifted)), config_hash(config));
 }
 
 }  // namespace
