@@ -70,7 +70,7 @@ ScenarioSpec spec_overlay_from_cli(const CliArgs& args) {
   if (args.has("beta")) {
     const double beta = parse_number_flag(args, "beta");
     if (!std::isfinite(beta) || beta < 0.0) {
-      throw SpecError("--beta: expected a number >= 0, got '" +
+      throw SpecError("--beta: expected a finite number >= 0, got '" +
                       args.get("beta", "") + "'");
     }
     // The conversion --beta always applied (Section 3.6: a fraction

@@ -283,7 +283,7 @@ class Parser {
             double beta = 0.0;
             if (!parse_double_strict(item.text, beta) ||
                 !std::isfinite(beta) || beta < 0.0) {
-              fail("[grid] beta: expected a number >= 0, got '" +
+              fail("[grid] beta: expected a finite number >= 0, got '" +
                        std::string(item.text) + "'",
                    item.col);
             }

@@ -288,11 +288,12 @@ void validate_spec(const ScenarioSpec& s) {
   validate_platform(*s.platform);
   if (*s.timed) {
     if (!std::isfinite(*s.bandwidth) || *s.bandwidth <= 0.0) {
-      throw SpecError("[engine] timed requires bandwidth > 0, got " +
+      throw SpecError("[engine] timed requires a bandwidth that is finite "
+                      "and > 0, got " +
                       format_double(*s.bandwidth));
     }
     if (!std::isfinite(*s.latency) || *s.latency < 0.0) {
-      throw SpecError("[engine] latency: must be >= 0, got " +
+      throw SpecError("[engine] latency: must be finite and >= 0, got " +
                       format_double(*s.latency));
     }
     if (*s.lookahead == 0) {
@@ -304,7 +305,7 @@ void validate_spec(const ScenarioSpec& s) {
     const FaultSpec& f = s.faults[i];
     const std::string where = "[faults] fault " + std::to_string(i);
     if (!std::isfinite(f.time) || f.time < 0.0) {
-      throw SpecError(where + ": time must be >= 0, got " +
+      throw SpecError(where + ": time must be finite and >= 0, got " +
                       format_double(f.time));
     }
     if (!std::isfinite(f.factor) ||
@@ -494,7 +495,7 @@ FaultSpec parse_fault_token(std::string_view token,
   FaultSpec fault;
   if (!parse_double_strict(fields[0], fault.time) ||
       !std::isfinite(fault.time) || fault.time < 0.0) {
-    throw SpecError(context + ".time: expected a number >= 0, got '" +
+    throw SpecError(context + ".time: expected a finite number >= 0, got '" +
                     std::string(fields[0]) + "'");
   }
   if (!parse_u32_strict(fields[1], fault.worker)) {

@@ -193,6 +193,8 @@ TEST(SpecCompile, CliOverlayRejectsBadValues) {
   reject({"--strategy=A", "--strategies=A,B"});
   reject({"--seed=-3"});
   reject({"--faults=1:2:0.5x"});
+  reject({"--faults=inf:0:0"});
+  reject({"--beta=inf"});
 }
 
 }  // namespace

@@ -209,8 +209,12 @@ INSTANTIATE_TEST_SUITE_P(
                   "time:worker:factor, got '1:2'",
                   2, 9},
         ErrorCase{"[faults]\nfault = -1:2:0.5\n",
-                  "line 2, col 9: [faults] fault.time: expected a number "
-                  ">= 0, got '-1'",
+                  "line 2, col 9: [faults] fault.time: expected a finite "
+                  "number >= 0, got '-1'",
+                  2, 9},
+        ErrorCase{"[faults]\nfault = inf:2:0.5\n",
+                  "line 2, col 9: [faults] fault.time: expected a finite "
+                  "number >= 0, got 'inf'",
                   2, 9},
         ErrorCase{"[faults]\nfault = 1:two:0.5\n",
                   "line 2, col 9: [faults] fault.worker: expected a worker "

@@ -8,6 +8,9 @@
 // platform kind with awkward doubles.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "spec/parse.hpp"
 #include "spec/spec.hpp"
 
@@ -178,6 +181,30 @@ TEST(SpecRoundtrip, ValidationCatchesBadSpecs) {
   invalid([](ScenarioSpec& s) { s.faults = {FaultSpec{1.0, 0, 1.5}}; });
   // Fault targets a worker >= the smallest grid p.
   invalid([](ScenarioSpec& s) { s.faults = {FaultSpec{1.0, 10, 0.0}}; });
+
+  // An infinite value is reported as not finite, not as a failed
+  // lower-bound check it would pass.
+  const auto not_finite = [](const auto& mutate) {
+    ScenarioSpec s = base_resolved();
+    mutate(s);
+    try {
+      validate_spec(s);
+      ADD_FAILURE() << "accepted";
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("finite and >"), std::string::npos)
+          << e.what();
+    }
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  not_finite([&](ScenarioSpec& s) {
+    s.timed = true;
+    s.bandwidth = inf;
+  });
+  not_finite([&](ScenarioSpec& s) {
+    s.timed = true;
+    s.latency = inf;
+  });
+  not_finite([&](ScenarioSpec& s) { s.faults = {FaultSpec{inf, 0, 0.0}}; });
 }
 
 }  // namespace
