@@ -1,9 +1,29 @@
 #include "common/cli.hpp"
 
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
 namespace hetsched {
+
+namespace {
+
+/// Full-token parse of one flag value (std::from_chars: no leading
+/// whitespace, no trailing garbage, no silent truncation of "5x" to 5).
+template <typename T>
+T parse_value(const std::string& key, const std::string& text,
+              const char* expected) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (text.empty() || ec != std::errc() || ptr != last) {
+    throw std::invalid_argument("--" + key + ": expected " + expected +
+                                ", got '" + text + "'");
+  }
+  return value;
+}
+
+}  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -32,13 +52,13 @@ std::string CliArgs::get(const std::string& key, const std::string& fallback) co
 std::int64_t CliArgs::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::stoll(it->second);
+  return parse_value<std::int64_t>(key, it->second, "an integer");
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::stod(it->second);
+  return parse_value<double>(key, it->second, "a number");
 }
 
 bool CliArgs::get_bool(const std::string& key, bool fallback) const {
@@ -55,7 +75,9 @@ std::vector<std::int64_t> CliArgs::get_int_list(
   std::stringstream ss(it->second);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::stoll(item));
+    if (!item.empty()) {
+      out.push_back(parse_value<std::int64_t>(key, item, "an integer"));
+    }
   }
   return out;
 }

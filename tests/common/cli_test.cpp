@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace hetsched {
 namespace {
 
@@ -57,6 +60,38 @@ TEST(CliArgs, IntListFallback) {
   const auto list = args.get_int_list("p", {1, 2});
   ASSERT_EQ(list.size(), 2u);
   EXPECT_EQ(list[0], 1);
+}
+
+// A numeric value is parsed whole: "5x" is not 5 and "1e6" is not the
+// integer 1. The error names the flag.
+TEST(CliArgs, RejectsMalformedNumbers) {
+  const auto rejects = [](const char* flag, const auto& get) {
+    const CliArgs args = parse({"prog", flag});
+    try {
+      get(args);
+      ADD_FAILURE() << "accepted " << flag;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("--x: expected ", 0), 0u)
+          << e.what();
+    }
+  };
+  const auto as_int = [](const CliArgs& a) { return a.get_int("x", 0); };
+  const auto as_double = [](const CliArgs& a) { return a.get_double("x", 0); };
+  const auto as_list = [](const CliArgs& a) {
+    return a.get_int_list("x", {}).size();
+  };
+  for (const char* flag : {"--x=5x", "--x=1e6", "--x=", "--x= 5", "--x=2.5",
+                           "--x", "--x=99999999999999999999"}) {
+    rejects(flag, as_int);
+  }
+  for (const char* flag : {"--x=4.17abc", "--x=", "--x=1e", "--x"}) {
+    rejects(flag, as_double);
+  }
+  for (const char* flag : {"--x=10,5x", "--x=1e6,2", "--x=3,four"}) {
+    rejects(flag, as_list);
+  }
+  EXPECT_EQ(parse({"prog", "--x=-7"}).get_int("x", 0), -7);
+  EXPECT_DOUBLE_EQ(parse({"prog", "--x=1e-3"}).get_double("x", 0), 1e-3);
 }
 
 TEST(CliArgs, RejectsPositionalArguments) {

@@ -134,6 +134,19 @@ std::vector<std::string> split_names(const std::string& csv) {
   return out;
 }
 
+// A size flag of the commands that bypass the spec layer (tune,
+// partition, dag): rejected below 1 before anything is sized by it.
+std::uint32_t count_flag(const CliArgs& args, const std::string& key,
+                         std::uint32_t fallback) {
+  const std::int64_t value = args.get_int(key, fallback);
+  if (value < 1 || value > std::int64_t{0xffffffff}) {
+    throw std::invalid_argument("--" + key + ": must be an integer in "
+                                "[1, 2^32), got " +
+                                std::to_string(value));
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
 // The shared configuration pipeline of run/sweep/campaign/validate:
 // parse --spec=FILE if given, lay the flag overlay on top, resolve
 // against the command's defaults, and validate. Every error is a
@@ -300,9 +313,9 @@ int cmd_sweep(const CliArgs& args) {
 
 int cmd_tune(const CliArgs& args) {
   const Kernel kernel = kernel_from_string(args.get("kernel", "outer"));
-  const auto p = static_cast<std::uint32_t>(args.get_int("p", 20));
-  const auto n = static_cast<std::uint32_t>(
-      args.get_int("n", kernel == Kernel::kOuter ? 100 : 40));
+  const std::uint32_t p = count_flag(args, "p", 20);
+  const std::uint32_t n =
+      count_flag(args, "n", kernel == Kernel::kOuter ? 100 : 40);
   const std::vector<double> rs(p, 1.0 / static_cast<double>(p));
   const auto opt = kernel == Kernel::kOuter
                        ? OuterAnalysis(rs, n).optimal_beta()
@@ -323,7 +336,13 @@ int cmd_partition(const CliArgs& args) {
   }
   std::vector<double> speeds;
   for (const auto& tok : split_names(speeds_csv)) {
-    speeds.push_back(std::stod(tok));
+    double speed = 0.0;
+    if (!parse_double_strict(tok, speed) || !std::isfinite(speed) ||
+        speed <= 0.0) {
+      throw std::invalid_argument(
+          "--speeds: expected a finite number > 0, got '" + tok + "'");
+    }
+    speeds.push_back(speed);
   }
   const Platform platform(speeds);
   const auto rs = platform.relative_speeds();
@@ -340,7 +359,7 @@ int cmd_partition(const CliArgs& args) {
   std::cout << "columns: " << part.columns
             << ", total half-perimeter: " << part.total_half_perimeter
             << ", vs lower bound: " << static_outer_ratio(rs) << "x\n";
-  const auto n = static_cast<std::uint32_t>(args.get_int("n", 100));
+  const std::uint32_t n = count_flag(args, "n", 100);
   std::cout << "static volume for n=" << n << ": "
             << static_outer_volume(n, rs) << " blocks\n";
   return 0;
@@ -348,9 +367,9 @@ int cmd_partition(const CliArgs& args) {
 
 int cmd_dag(const CliArgs& args) {
   const std::string fact = args.get("factorization", "cholesky");
-  const auto tiles = static_cast<std::uint32_t>(args.get_int("tiles", 16));
-  const auto p = static_cast<std::uint32_t>(args.get_int("p", 8));
-  const auto reps = static_cast<std::uint32_t>(args.get_int("reps", 3));
+  const std::uint32_t tiles = count_flag(args, "tiles", 16);
+  const std::uint32_t p = count_flag(args, "p", 8);
+  const std::uint32_t reps = count_flag(args, "reps", 3);
   const std::uint64_t seed = args.get_int("seed", 42);
 
   if (fact != "cholesky") {
