@@ -23,8 +23,7 @@ namespace hetsched {
 namespace {
 
 // ---------------------------------------------------------------------
-// Normalized event view shared by the in-memory and stream paths, so
-// both produce byte-identical reports (the round-trip test pins this).
+// The event view analyze_trace_stream reads a trace file into.
 
 struct NormAssign {
   std::uint32_t worker;
@@ -351,7 +350,7 @@ struct RecordReader {
 };
 
 // ---------------------------------------------------------------------
-// Core analysis over the normalized view.
+// Core analysis over the event view.
 
 double resolve_makespan(const TraceMeta& meta, const NormTrace& trace) {
   if (meta.makespan > 0.0) return meta.makespan;
@@ -616,39 +615,6 @@ TraceAnalysis analyze_impl(const NormTrace& trace, TraceMeta meta,
   return out;
 }
 
-NormTrace normalize(const RecordingTrace& trace,
-                    const TimeSeriesSampler* sampler) {
-  NormTrace out;
-  out.assigns.reserve(trace.assignments().size());
-  for (const auto& ev : trace.assignments()) {
-    NormAssign a;
-    a.worker = ev.worker;
-    a.time = ev.time;
-    a.tasks.reserve(ev.assignment.task_count());
-    ev.assignment.for_each_task([&](TaskId t) { a.tasks.push_back(t); });
-    a.blocks = ev.assignment.block_count();
-    out.assigns.push_back(std::move(a));
-  }
-  out.completes.reserve(trace.completions().size());
-  for (const auto& ev : trace.completions()) {
-    out.completes.push_back({ev.worker, ev.time, ev.task});
-  }
-  for (const auto& ev : trace.retirements()) {
-    out.retires.push_back({ev.worker, ev.time});
-  }
-  for (const auto& ev : trace.phase_switches()) {
-    out.phase_switches.push_back({ev.time, ev.tasks_remaining});
-  }
-  for (const auto& ev : trace.fallbacks()) {
-    out.fallbacks.push_back({ev.time, ev.tasks_remaining});
-  }
-  if (sampler != nullptr) {
-    out.unmarked = sampler->series(kUnmarkedChannel);
-    if (!out.unmarked.empty()) out.sample_times = sampler->times();
-  }
-  return out;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -773,16 +739,6 @@ void write_trace_jsonl(std::ostream& out, const RecordingTrace& trace,
 
 // ---------------------------------------------------------------------
 // Entry points.
-
-TraceAnalysis analyze_trace(const RecordingTrace& trace, const TraceMeta& meta,
-                            const TimeSeriesSampler* sampler,
-                            const AnalyzeOptions& options) {
-  TraceMeta effective = meta;
-  effective.dropped_events =
-      std::max(effective.dropped_events, trace.dropped_events());
-  return analyze_impl(normalize(trace, sampler), std::move(effective),
-                      options);
-}
 
 TraceAnalysis analyze_trace_stream(std::istream& in,
                                    const AnalyzeOptions& options) {

@@ -31,10 +31,11 @@
 // (requeued_tasks, crashed_workers, link_busy_time, messages) read as 0
 // when absent.
 //
-// The analyzer consumes either the in-memory objects (analyze_trace)
-// or the file (analyze_trace_stream, via a built-in mini JSON parser —
-// the repo deliberately has no JSON DOM dependency); both paths produce
-// identical reports.
+// The analyzer has one reader, the file (analyze_trace_stream, via a
+// built-in mini JSON parser — the repo deliberately has no JSON DOM
+// dependency). A caller holding an in-memory run writes it with
+// write_trace_jsonl and reads it back, so every report comes from
+// exactly what a file can carry.
 #pragma once
 
 #include <cstdint>
@@ -159,11 +160,6 @@ struct TraceAnalysis {
 
   std::vector<std::string> warnings;
 };
-
-/// Analyzes in-memory objects (tests pin it against the stream path).
-TraceAnalysis analyze_trace(const RecordingTrace& trace, const TraceMeta& meta,
-                            const TimeSeriesSampler* sampler = nullptr,
-                            const AnalyzeOptions& options = {});
 
 /// Parses a "hetsched-trace/1" JSONL stream and analyzes it. Throws
 /// std::runtime_error naming the line on malformed input: bad JSON, a

@@ -38,6 +38,16 @@ void run_traced(const ExperimentConfig& config, TracedRun& out,
   out.meta = trace_meta(config, out.rep);
 }
 
+// The analyzer's one reader: write the run as its event file and read
+// it back, as `hetsched_cli analyze` does.
+TraceAnalysis analyze_file(const RecordingTrace& trace, const TraceMeta& meta,
+                           const TimeSeriesSampler* sampler = nullptr,
+                           const AnalyzeOptions& options = {}) {
+  std::stringstream file;
+  write_trace_jsonl(file, trace, meta, sampler);
+  return analyze_trace_stream(file, options);
+}
+
 ExperimentConfig small_outer_config() {
   ExperimentConfig config;
   config.kernel = Kernel::kOuter;
@@ -52,7 +62,7 @@ TEST(AnalyzeTrace, WorkerRowsUseExactEngineStats) {
   TracedRun run;
   run_traced(small_outer_config(), run);
   const TraceAnalysis analysis =
-      analyze_trace(run.rep.recording, run.meta, &run.rep.sampler);
+      analyze_file(run.rep.recording, run.meta, &run.rep.sampler);
 
   ASSERT_EQ(analysis.workers.size(), 4u);
   std::uint64_t tasks = 0;
@@ -72,32 +82,6 @@ TEST(AnalyzeTrace, WorkerRowsUseExactEngineStats) {
   EXPECT_TRUE(analysis.warnings.empty());
 }
 
-TEST(AnalyzeTrace, StreamAndInMemoryReportsAreIdentical) {
-  ExperimentConfig config = small_outer_config();
-  config.strategy = "DynamicOuter2Phases";
-  config.phase2_fraction = std::exp(-2.0);
-  TracedRun run;
-  run_traced(config, run);
-
-  std::ostringstream file;
-  write_trace_jsonl(file, run.rep.recording, run.meta, &run.rep.sampler);
-
-  const TraceAnalysis in_memory =
-      analyze_trace(run.rep.recording, run.meta, &run.rep.sampler);
-  std::istringstream in(file.str());
-  const TraceAnalysis from_stream = analyze_trace_stream(in);
-
-  std::ostringstream a, b;
-  write_analysis_json(a, in_memory);
-  write_analysis_json(b, from_stream);
-  EXPECT_EQ(a.str(), b.str());
-
-  std::ostringstream ma, mb;
-  write_analysis_markdown(ma, in_memory);
-  write_analysis_markdown(mb, from_stream);
-  EXPECT_EQ(ma.str(), mb.str());
-}
-
 TEST(AnalyzeTrace, PhaseTimelineSplitsAtRecordedSwitch) {
   ExperimentConfig config = small_outer_config();
   config.strategy = "DynamicOuter2Phases";
@@ -108,7 +92,7 @@ TEST(AnalyzeTrace, PhaseTimelineSplitsAtRecordedSwitch) {
   const double switch_time = run.rep.recording.phase_switches()[0].time;
 
   const TraceAnalysis analysis =
-      analyze_trace(run.rep.recording, run.meta, &run.rep.sampler);
+      analyze_file(run.rep.recording, run.meta, &run.rep.sampler);
   ASSERT_EQ(analysis.phases.size(), 2u);
   EXPECT_EQ(analysis.phases[0].name, "phase1");
   EXPECT_EQ(analysis.phases[1].name, "phase2");
@@ -126,7 +110,7 @@ TEST(AnalyzeTrace, CriticalPathEndsAtTheMakespan) {
   TracedRun run;
   run_traced(small_outer_config(), run);
   const TraceAnalysis analysis =
-      analyze_trace(run.rep.recording, run.meta, &run.rep.sampler);
+      analyze_file(run.rep.recording, run.meta, &run.rep.sampler);
 
   ASSERT_FALSE(analysis.critical_path.empty());
   const auto& last = analysis.critical_path.back();
@@ -157,7 +141,7 @@ TEST(AnalyzeTrace, OdeDivergenceVerdictFollowsThreshold) {
   AnalyzeOptions strict;
   strict.ode_alarm_threshold = 1e-12;
   const TraceAnalysis alarmed =
-      analyze_trace(run.rep.recording, run.meta, &run.rep.sampler, strict);
+      analyze_file(run.rep.recording, run.meta, &run.rep.sampler, strict);
   ASSERT_TRUE(alarmed.ode_available);
   EXPECT_GT(alarmed.ode_max_divergence, 0.0);
   EXPECT_GE(alarmed.ode_integrated_divergence, 0.0);
@@ -166,14 +150,14 @@ TEST(AnalyzeTrace, OdeDivergenceVerdictFollowsThreshold) {
   AnalyzeOptions lax;
   lax.ode_alarm_threshold = 10.0;
   const TraceAnalysis ok =
-      analyze_trace(run.rep.recording, run.meta, &run.rep.sampler, lax);
+      analyze_file(run.rep.recording, run.meta, &run.rep.sampler, lax);
   EXPECT_FALSE(ok.ode_alarm);
   // A dynamic strategy on n=12 tracks the fluid model loosely but
   // should not diverge by more than the whole range.
   EXPECT_LT(ok.ode_max_divergence, 1.0);
 
   // No sampled series => no verdict, no alarm.
-  const TraceAnalysis blind = analyze_trace(run.rep.recording, run.meta);
+  const TraceAnalysis blind = analyze_file(run.rep.recording, run.meta);
   EXPECT_FALSE(blind.ode_available);
   EXPECT_FALSE(blind.ode_alarm);
 }
@@ -185,10 +169,8 @@ TEST(AnalyzeTrace, OdeSectionIsTheSharedComparison) {
   config.n = 40;
   TracedRun run;
   run_traced(config, run);
-  std::ostringstream file;
-  write_trace_jsonl(file, run.rep.recording, run.meta, &run.rep.sampler);
-  std::istringstream in(file.str());
-  const TraceAnalysis analysis = analyze_trace_stream(in);
+  const TraceAnalysis analysis =
+      analyze_file(run.rep.recording, run.meta, &run.rep.sampler);
 
   const OdeDivergence div = ode_divergence(
       config.kernel, run.rep.outcome.speeds, config.n,
@@ -285,7 +267,7 @@ TEST(AnalyzeTrace, CriticalPathMatchesBruteForceWalk) {
     meta.speeds.assign(p, 1.0);
 
     const auto expected = brute_force_critical_path(intervals, makespan);
-    const auto path = analyze_trace(trace, meta).critical_path;
+    const auto path = analyze_file(trace, meta).critical_path;
     ASSERT_EQ(path.size(), expected.size()) << seed;
     for (std::size_t h = 0; h < path.size(); ++h) {  // task ids are unique
       EXPECT_EQ(path[h].task, expected[h].task) << seed << " hop " << h;
@@ -299,7 +281,7 @@ TEST(AnalyzeTrace, TruncatedTraceCarriesWarning) {
   run_traced(small_outer_config(), run, /*max_events=*/50);
   ASSERT_GT(run.rep.recording.dropped_events(), 0u);
   const TraceAnalysis analysis =
-      analyze_trace(run.rep.recording, run.meta, &run.rep.sampler);
+      analyze_file(run.rep.recording, run.meta, &run.rep.sampler);
   ASSERT_FALSE(analysis.warnings.empty());
   EXPECT_NE(analysis.warnings[0].find("truncated"), std::string::npos);
   // The markdown surfaces it as a blockquote.
@@ -334,7 +316,13 @@ TEST(AnalyzeTrace, CholeskyDagTraceProducesAllSections) {
                             w.starved_time});
   }
 
-  const TraceAnalysis analysis = analyze_trace(trace, meta);
+  // The file format carries the DAG bounds.
+  std::stringstream file;
+  write_trace_jsonl(file, trace, meta);
+  EXPECT_NE(file.str().find("\"graph_critical_path\""), std::string::npos);
+  EXPECT_NE(file.str().find("\"makespan_lower_bound\""), std::string::npos);
+
+  const TraceAnalysis analysis = analyze_trace_stream(file);
   ASSERT_EQ(analysis.workers.size(), 4u);
   std::uint64_t tasks = 0;
   for (const auto& row : analysis.workers) {
@@ -346,25 +334,16 @@ TEST(AnalyzeTrace, CholeskyDagTraceProducesAllSections) {
   EXPECT_EQ(analysis.phases[0].name, "run");
   ASSERT_FALSE(analysis.critical_path.empty());
   EXPECT_FALSE(analysis.ode_available);
-
-  // Round-trip through the file format preserves the DAG bounds.
-  std::ostringstream file;
-  write_trace_jsonl(file, trace, meta);
-  EXPECT_NE(file.str().find("\"graph_critical_path\""), std::string::npos);
-  EXPECT_NE(file.str().find("\"makespan_lower_bound\""), std::string::npos);
-  std::istringstream in(file.str());
-  const TraceAnalysis from_stream = analyze_trace_stream(in);
-  std::ostringstream a, b;
-  write_analysis_json(a, analysis);
-  write_analysis_json(b, from_stream);
-  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(analysis.meta.graph_critical_path,
+            cholesky.graph.critical_path());
+  EXPECT_EQ(analysis.meta.makespan_lower_bound, meta.makespan_lower_bound);
 }
 
 TEST(AnalyzeTrace, ReportsCarrySchemaAndAllFourSections) {
   TracedRun run;
   run_traced(small_outer_config(), run);
   const TraceAnalysis analysis =
-      analyze_trace(run.rep.recording, run.meta, &run.rep.sampler);
+      analyze_file(run.rep.recording, run.meta, &run.rep.sampler);
 
   std::ostringstream json;
   write_analysis_json(json, analysis);
