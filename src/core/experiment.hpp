@@ -72,10 +72,11 @@ struct ExperimentConfig {
   /// Live heartbeat sink (obs/progress.hpp); the rep loop reports every
   /// completed rep into it. Not owned. May be null.
   ProgressReporter* progress = nullptr;
-  /// Canonical configuration hash (spec/spec.hpp config_hash), stamped
-  /// by the spec compiler. 0 = unset: hand-built configs keep their
-  /// report JSON unchanged; the field is emitted only when nonzero.
-  /// Paired with `seed`, this is the result-cache key (ROADMAP item 1).
+  /// Identity of the compiled spec point this config came from
+  /// (spec/spec.hpp config_hash), stamped by the spec compiler and
+  /// printed by `hetsched_cli validate`. 0 = unset: hand-built configs
+  /// keep their report JSON unchanged; the field is emitted only when
+  /// nonzero.
   std::uint64_t config_hash = 0;
 };
 
