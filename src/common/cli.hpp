@@ -20,11 +20,10 @@ class CliArgs {
 
   bool has(const std::string& key) const;
 
-  // The numeric getters parse the whole value and throw
-  // std::invalid_argument naming the flag on anything else ("5x",
-  // "1e6" for an integer, "").
-
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// The numeric getters (get_int, get_double, get_int_list) parse the
+  /// whole value and throw std::invalid_argument naming the flag on
+  /// anything else ("5x", "1e6" for an integer, "").
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;

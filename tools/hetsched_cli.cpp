@@ -334,6 +334,7 @@ int cmd_partition(const CliArgs& args) {
     std::cerr << "partition: --speeds=s1,s2,... is required\n";
     return 2;
   }
+  const std::uint32_t n = count_flag(args, "n", 100);
   std::vector<double> speeds;
   for (const auto& tok : split_names(speeds_csv)) {
     double speed = 0.0;
@@ -359,7 +360,6 @@ int cmd_partition(const CliArgs& args) {
   std::cout << "columns: " << part.columns
             << ", total half-perimeter: " << part.total_half_perimeter
             << ", vs lower bound: " << static_outer_ratio(rs) << "x\n";
-  const std::uint32_t n = count_flag(args, "n", 100);
   std::cout << "static volume for n=" << n << ": "
             << static_outer_volume(n, rs) << " blocks\n";
   return 0;
