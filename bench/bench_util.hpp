@@ -16,6 +16,8 @@
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "core/figure.hpp"
+#include "spec/compile.hpp"
+#include "spec/overlay.hpp"
 
 namespace hetsched::bench {
 
@@ -42,9 +44,26 @@ inline std::vector<std::uint32_t> to_u32(const std::vector<std::int64_t>& v) {
   return out;
 }
 
-/// The worker-count grid used by the paper's p-sweeps (Figures 1-10).
-inline std::vector<std::int64_t> default_p_grid() {
-  return {10, 20, 50, 100, 150, 200, 250, 300};
+/// Loads bench/figures/<name>.hspec, the one description of a figure's
+/// points, with the CLI's flag overlay on top (--n, --p, --reps,
+/// --seed, ...). A `list` platform is one fixed draw: it must name one
+/// speed per worker, or the list would cycle.
+inline ScenarioSpec load_figure_spec(const std::string& name,
+                                     const CliArgs& args) {
+  ScenarioSpec spec =
+      load_spec(std::string(HETSCHED_FIGURES_DIR) + "/" + name + ".hspec",
+                args, batch_spec_defaults());
+  if (spec.platform->kind == SpeedSpec::Kind::kList) {
+    for (const std::uint32_t p : spec.ps) {
+      if (p != spec.platform->values.size()) {
+        throw std::invalid_argument(
+            "--p: " + name + " runs on one fixed draw of " +
+            std::to_string(spec.platform->values.size()) + " speeds, got " +
+            std::to_string(p));
+      }
+    }
+  }
+  return spec;
 }
 
 }  // namespace hetsched::bench

@@ -1,26 +1,22 @@
 // Figure 10: all matrix-multiplication strategies plus the analysis
-// curve, matrices of N/l = 100 blocks (10^6 tasks).
+// curve, matrices of N/l = 100 blocks (10^6 tasks). The points are
+// bench/figures/fig10.hspec; --n, --p, --reps and --seed override it.
 #include "bench/bench_util.hpp"
 
 int main(int argc, char** argv) {
   using namespace hetsched;
   const CliArgs args(argc, argv);
-  const auto n = static_cast<std::uint32_t>(args.get_int("n", 100));
-  const auto reps = static_cast<std::uint32_t>(args.get_int("reps", 3));
-  const std::uint64_t seed = args.get_int("seed", 20140623);
-  const auto ps =
-      bench::to_u32(args.get_int_list("p", {50, 100, 200, 300}));
+  const ScenarioSpec spec = bench::load_figure_spec("fig10", args);
+  const std::uint64_t n = spec.ns.front();
 
   bench::print_header("Figure 10",
                       "matrix multiplication, large matrices",
                       "n=" + std::to_string(n) + " blocks (" +
-                          std::to_string(static_cast<std::uint64_t>(n) * n * n) +
-                          " tasks), reps=" + std::to_string(reps));
+                          std::to_string(n * n * n) +
+                          " tasks), reps=" + std::to_string(*spec.reps));
 
-  const auto points = sweep_worker_count(
-      Kernel::kMatmul, n, ps, paper_default_scenario(),
-      {"DynamicMatrix2Phases", "DynamicMatrix", "RandomMatrix", "SortedMatrix"},
-      true, seed, reps);
+  const auto points =
+      pivot_sweep(compile_campaign(spec).run(), SweepAxis::kWorkers, true);
   print_sweep_csv(points, "p", std::cout);
   return 0;
 }

@@ -1,7 +1,10 @@
 // Figure 11: communication of DynamicMatrix2Phases and its analysis for
 // varying beta, one fixed speed draw, p = 100 workers, N/l = 40 blocks.
 // Paper: analysis optimum beta = 2.95 (2.92 when speed-agnostic),
-// i.e. 94.7% of tasks in phase 1.
+// i.e. 94.7% of tasks in phase 1. The points are
+// bench/figures/fig11.hspec; --n, --reps and --seed override it. The
+// draw is the spec's speed list, so --seed changes only the rep seeds
+// and --p must stay 100.
 #include <cmath>
 
 #include "analysis/matmul_analysis.hpp"
@@ -10,27 +13,23 @@
 int main(int argc, char** argv) {
   using namespace hetsched;
   const CliArgs args(argc, argv);
-  const auto n = static_cast<std::uint32_t>(args.get_int("n", 40));
-  const auto p = static_cast<std::uint32_t>(args.get_int("p", 100));
-  const auto reps = static_cast<std::uint32_t>(args.get_int("reps", 5));
-  const std::uint64_t seed = args.get_int("seed", 20140623);
+  const ScenarioSpec spec = bench::load_figure_spec("fig11", args);
+  const std::uint32_t n = spec.ns.front();
+  const std::uint32_t p = spec.ps.front();
 
   bench::print_header("Figure 11",
                       "DynamicMatrix2Phases and analysis vs beta",
                       "n=" + std::to_string(n) + ", p=" + std::to_string(p) +
                           ", one fixed speed draw, reps=" +
-                          std::to_string(reps));
+                          std::to_string(*spec.reps));
 
-  std::vector<double> betas;
-  for (double b = 1.0; b <= 6.0001; b += 0.25) betas.push_back(b);
-
-  const auto points = sweep_beta(Kernel::kMatmul, n, p, betas,
-                                 paper_default_scenario(), seed, reps);
+  const auto points =
+      pivot_sweep(compile_campaign(spec).run(), SweepAxis::kBeta, true);
   print_sweep_csv(points, "beta", std::cout);
 
   const std::vector<double> rs(p, 1.0 / p);
   const auto opt = MatmulAnalysis(rs, n).optimal_beta();
-  double best_beta = betas.front();
+  double best_beta = points.front().x;
   double best_value = 1e300;
   for (const auto& point : points) {
     const double v = point.normalized.at("DynamicMatrix2Phases").mean;

@@ -1,8 +1,8 @@
 // Replication-engine scaling: times run_experiment with a serial rep
 // loop against the parallel engine at increasing thread counts and
-// checks the summaries stay bit-identical. On a multi-core host the
-// parallel engine should approach linear speedup (the acceptance bar
-// for the engine is >= 3x at reps=32 on >= 4 cores).
+// checks the summaries stay bit-identical: the exit status is 1 when
+// any row's bit_identical is 0. The speedup column is reported, not
+// checked; no bound on it is claimed.
 #include <chrono>
 #include <iostream>
 
@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
   std::cout << "1," << serial_time << "," << config.reps / serial_time
             << ",1,1\n";
 
+  bool all_identical = true;
   auto run_at = [&](std::uint32_t threads) {
     ExperimentResult parallel;
     const double t = time_once(config, threads, parallel);
@@ -63,10 +64,11 @@ int main(int argc, char** argv) {
         parallel.makespan.stddev == serial.makespan.stddev;
     std::cout << threads << "," << t << "," << config.reps / t << ","
               << serial_time / t << "," << (identical ? 1 : 0) << "\n";
+    all_identical = all_identical && identical;
   };
   for (std::uint32_t threads = 2; threads < max_threads; threads *= 2) {
     run_at(threads);
   }
   if (max_threads >= 2) run_at(max_threads);
-  return 0;
+  return all_identical ? 0 : 1;
 }

@@ -30,11 +30,11 @@ std::string to_string(Kernel kernel) {
   return kernel == Kernel::kOuter ? "outer" : "matmul";
 }
 
-namespace {
-
 bool is_two_phase(const std::string& strategy) {
   return strategy.find("2Phases") != std::string::npos;
 }
+
+namespace {
 
 std::unique_ptr<Strategy> build_strategy(const ExperimentConfig& config,
                                          std::uint64_t rep_seed,

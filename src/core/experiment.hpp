@@ -157,6 +157,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config);
 /// Number of stat shards (= maximum useful rep parallelism).
 inline constexpr std::uint32_t kRepShards = 32;
 
+/// True for the 2-phase strategies (a "2Phases" name), the ones a
+/// phase2 fraction or beta applies to.
+bool is_two_phase(const std::string& strategy);
+
 /// The beta the experiment will use: the explicit phase2_fraction if
 /// set, else the homogeneous-platform optimum for (kernel, p, n).
 double resolve_beta(const ExperimentConfig& config);

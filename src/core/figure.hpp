@@ -1,14 +1,14 @@
-// Figure-series helpers: each paper figure is a sweep of
-// run_experiment over one axis with several strategies per point.
+// Figure series: the outcomes of one compiled campaign (one entry per
+// strategy x point) pivoted into the rows of a paper figure.
 #pragma once
 
-#include <cstdint>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "common/stats.hpp"
-#include "core/experiment.hpp"
+#include "core/campaign.hpp"
 
 namespace hetsched {
 
@@ -18,30 +18,23 @@ struct SweepPoint {
   std::map<std::string, Summary> normalized;  // series name -> value
 };
 
-/// Normalized-communication vs worker count for a set of strategies,
-/// with the "Analysis" series evaluated on the same speed draws
-/// (Figures 1, 4, 5, 9, 10). `include_analysis` adds that series using
-/// the homogeneous-platform beta for each p.
-std::vector<SweepPoint> sweep_worker_count(
-    Kernel kernel, std::uint32_t n, const std::vector<std::uint32_t>& ps,
-    const Scenario& scenario, const std::vector<std::string>& strategies,
-    bool include_analysis, std::uint64_t seed, std::uint32_t reps);
+/// What a figure's x axis reads from each entry's config.
+enum class SweepAxis {
+  kWorkers,         // p (Figures 1, 4, 5, 9, 10)
+  kBeta,            // -log(phase2) (Figures 6, 11)
+  kPhase1Fraction,  // 1 - phase2 (Figure 2)
+};
 
-/// Normalized communication of the 2-phase strategy vs beta, plus the
-/// analysis curve, on a single fixed speed draw (Figures 6 and 11).
-std::vector<SweepPoint> sweep_beta(Kernel kernel, std::uint32_t n,
-                                   std::uint32_t p,
-                                   const std::vector<double>& betas,
-                                   const Scenario& scenario,
-                                   std::uint64_t seed, std::uint32_t reps);
-
-/// Normalized communication of the 2-phase strategy vs the fraction of
-/// tasks processed in phase 1 (Figure 2), with flat reference series
-/// for the other strategies.
-std::vector<SweepPoint> sweep_phase1_fraction(
-    Kernel kernel, std::uint32_t n, std::uint32_t p,
-    const std::vector<double>& phase1_fractions, const Scenario& scenario,
-    std::uint64_t seed, std::uint32_t reps);
+/// Pivots campaign outcomes into one point per distinct x (in order of
+/// first appearance) with one series per strategy. With `analysis`,
+/// each point also gets an "Analysis" series: the analysis prediction
+/// of its 2-phase entry, else of its first entry. The beta and phase-1
+/// axes need a phase2 value on every entry. Throws
+/// std::invalid_argument when two entries land on the same point and
+/// strategy (say, an n grid on a p axis).
+std::vector<SweepPoint> pivot_sweep(
+    const std::vector<CampaignOutcome>& outcomes, SweepAxis axis,
+    bool analysis);
 
 /// CSV column order helper: "x" followed by the union of series names
 /// (mean and stddev columns per series).

@@ -61,4 +61,13 @@ CompiledCampaign compile_spec(const ScenarioSpec& resolved) {
   return out;
 }
 
+Campaign compile_campaign(const ScenarioSpec& resolved) {
+  CompiledCampaign compiled = compile_spec(resolved);
+  Campaign campaign(compiled.name);
+  for (CampaignEntry& entry : compiled.entries) {
+    campaign.add(std::move(entry.label), std::move(entry.config));
+  }
+  return campaign;
+}
+
 }  // namespace hetsched

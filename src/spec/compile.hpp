@@ -25,4 +25,7 @@ struct CompiledCampaign {
 /// single-axis campaigns keep the exact legacy labels.
 CompiledCampaign compile_spec(const ScenarioSpec& resolved);
 
+/// compile_spec's entries, in order, as one Campaign ready to run.
+Campaign compile_campaign(const ScenarioSpec& resolved);
+
 }  // namespace hetsched

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "spec/parse.hpp"
+
 namespace hetsched {
 
 namespace {
@@ -104,6 +106,16 @@ ScenarioSpec spec_overlay_from_cli(const CliArgs& args) {
   if (args.has("faults")) {
     spec.faults = parse_fault_list(args.get("faults", ""));
   }
+  return spec;
+}
+
+ScenarioSpec load_spec(const std::string& path, const CliArgs& args,
+                       const SpecDefaults& defaults) {
+  ScenarioSpec spec;
+  if (!path.empty()) spec = parse_spec_file(path);
+  spec = resolve_spec(merge_specs(std::move(spec), spec_overlay_from_cli(args)),
+                      defaults);
+  validate_spec(spec);
   return spec;
 }
 

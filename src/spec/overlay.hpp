@@ -4,6 +4,8 @@
 // resolution, validation and compilation.
 #pragma once
 
+#include <string>
+
 #include "common/cli.hpp"
 #include "spec/spec.hpp"
 
@@ -17,5 +19,13 @@ namespace hetsched {
 /// --jobs, ...) are not configuration and stay outside the spec.
 /// Throws SpecError on malformed values (field-named, range-checked).
 ScenarioSpec spec_overlay_from_cli(const CliArgs& args);
+
+/// The shared configuration loader of the CLI and the figure benches:
+/// parses the .hspec file at `path` (none if empty), lays the flag
+/// overlay on top, resolves against `defaults` and validates. Every
+/// error is a SpecError naming the offending field (and, for file
+/// input, its line/column).
+ScenarioSpec load_spec(const std::string& path, const CliArgs& args,
+                       const SpecDefaults& defaults);
 
 }  // namespace hetsched

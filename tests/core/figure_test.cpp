@@ -3,14 +3,43 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "spec/compile.hpp"
+#include "spec/parse.hpp"
 
 namespace hetsched {
 namespace {
 
+// Parses, compiles and runs a spec the way the figure benches do.
+std::vector<SweepPoint> run_spec(const std::string& text, SweepAxis axis,
+                                 bool analysis) {
+  const ScenarioSpec spec =
+      resolve_spec(parse_spec(text), batch_spec_defaults());
+  return pivot_sweep(compile_campaign(spec).run(), axis, analysis);
+}
+
+// One fixed draw of six speeds, as Figures 2, 6 and 11 use.
+constexpr const char* kFixedDraw =
+    "[platform]\nspeeds = list 12.5 40 71 88 23 55\n";
+
+CampaignOutcome outcome(const std::string& strategy, std::uint32_t p,
+                        double normalized, double analysis) {
+  CampaignOutcome out;
+  out.config.strategy = strategy;
+  out.config.p = p;
+  out.result.normalized = Summary{normalized, 0.0, normalized, normalized, 1};
+  out.result.analysis_ratio = Summary{analysis, 0.0, analysis, analysis, 1};
+  return out;
+}
+
 TEST(SweepWorkerCount, ProducesOnePointPerP) {
-  const auto points = sweep_worker_count(
-      Kernel::kOuter, 20, {4, 8}, paper_default_scenario(),
-      {"RandomOuter", "DynamicOuter"}, true, 7, 2);
+  const auto points = run_spec(
+      "[experiment]\nkernel = outer\nreps = 2\nseed = 7\n"
+      "[grid]\nstrategy = RandomOuter, DynamicOuter\nn = 20\np = 4, 8\n",
+      SweepAxis::kWorkers, true);
   ASSERT_EQ(points.size(), 2u);
   EXPECT_DOUBLE_EQ(points[0].x, 4.0);
   EXPECT_DOUBLE_EQ(points[1].x, 8.0);
@@ -22,10 +51,13 @@ TEST(SweepWorkerCount, ProducesOnePointPerP) {
 }
 
 TEST(SweepWorkerCount, DataAwareBelowRandomAtEveryPoint) {
-  const auto points = sweep_worker_count(
-      Kernel::kOuter, 30, {4, 10}, paper_default_scenario(),
-      {"RandomOuter", "DynamicOuter"}, false, 3, 3);
+  const auto points = run_spec(
+      "[experiment]\nkernel = outer\nreps = 3\nseed = 3\n"
+      "[grid]\nstrategy = RandomOuter, DynamicOuter\nn = 30\np = 4, 10\n",
+      SweepAxis::kWorkers, false);
+  ASSERT_EQ(points.size(), 2u);
   for (const auto& point : points) {
+    EXPECT_FALSE(point.normalized.count("Analysis"));
     EXPECT_LT(point.normalized.at("DynamicOuter").mean,
               point.normalized.at("RandomOuter").mean)
         << "p=" << point.x;
@@ -33,10 +65,16 @@ TEST(SweepWorkerCount, DataAwareBelowRandomAtEveryPoint) {
 }
 
 TEST(SweepBeta, CoversRequestedBetasWithAnalysis) {
-  const auto points = sweep_beta(Kernel::kOuter, 24, 6, {2.0, 4.0, 6.0},
-                                 paper_default_scenario(), 11, 2);
+  const auto points = run_spec(
+      std::string("[experiment]\nkernel = outer\nreps = 2\nseed = 11\n") +
+          kFixedDraw +
+          "[grid]\nstrategy = DynamicOuter2Phases, DynamicOuter\nn = 24\n"
+          "p = 6\nbeta = 2, 4, 6\n",
+      SweepAxis::kBeta, true);
   ASSERT_EQ(points.size(), 3u);
-  for (const auto& point : points) {
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto& point = points[i];
+    EXPECT_NEAR(point.x, 2.0 * (i + 1), 1e-12);
     EXPECT_TRUE(point.normalized.count("DynamicOuter2Phases"));
     EXPECT_TRUE(point.normalized.count("Analysis"));
     EXPECT_TRUE(point.normalized.count("DynamicOuter"));
@@ -45,22 +83,55 @@ TEST(SweepBeta, CoversRequestedBetasWithAnalysis) {
   // The pure-dynamic reference is the same flat series at every beta.
   EXPECT_DOUBLE_EQ(points[0].normalized.at("DynamicOuter").mean,
                    points[2].normalized.at("DynamicOuter").mean);
+  // The analysis follows beta: it comes from the 2-phase entries.
+  EXPECT_NE(points[0].normalized.at("Analysis").mean,
+            points[2].normalized.at("Analysis").mean);
 }
 
 TEST(SweepPhase1Fraction, EndpointsMatchLimitStrategies) {
   // 0% in phase 1 behaves like the random strategy; ~100% like the
   // pure dynamic one.
-  const auto points = sweep_phase1_fraction(Kernel::kOuter, 30, 6,
-                                            {0.0, 0.97}, paper_default_scenario(),
-                                            13, 3);
+  const auto points = run_spec(
+      std::string("[experiment]\nkernel = outer\nreps = 3\nseed = 13\n") +
+          kFixedDraw +
+          "[grid]\nstrategy = DynamicOuter2Phases, RandomOuter\nn = 30\n"
+          "p = 6\nphase2 = 1, 0.030000000000000027\n",
+      SweepAxis::kPhase1Fraction, false);
   ASSERT_EQ(points.size(), 2u);
   const auto& zero = points[0];
+  EXPECT_EQ(zero.x, 0.0);
   EXPECT_NEAR(zero.normalized.at("DynamicOuter2Phases").mean,
               zero.normalized.at("RandomOuter").mean,
               0.25 * zero.normalized.at("RandomOuter").mean);
   const auto& high = points[1];
+  EXPECT_NEAR(high.x, 0.97, 1e-15);
   EXPECT_LT(high.normalized.at("DynamicOuter2Phases").mean,
             high.normalized.at("RandomOuter").mean);
+}
+
+TEST(PivotSweep, AnalysisComesFromTheTwoPhaseEntryElseTheFirst) {
+  const auto points =
+      pivot_sweep({outcome("RandomOuter", 4, 3.0, 1.5),
+                   outcome("DynamicOuter2Phases", 4, 2.0, 1.7),
+                   outcome("RandomOuter", 8, 3.5, 1.9),
+                   outcome("DynamicOuter", 8, 2.5, 2.1)},
+                  SweepAxis::kWorkers, true);
+  ASSERT_EQ(points.size(), 2u);
+  EXPECT_EQ(points[0].normalized.at("Analysis").mean, 1.7);
+  EXPECT_EQ(points[1].normalized.at("Analysis").mean, 1.9);
+  EXPECT_EQ(points[1].normalized.at("DynamicOuter").mean, 2.5);
+}
+
+TEST(PivotSweep, TwoEntriesOnOnePointThrow) {
+  // Say an n grid pivoted over p: both n values land on the same x.
+  EXPECT_THROW(pivot_sweep({outcome("RandomOuter", 4, 3.0, 1.5),
+                            outcome("RandomOuter", 4, 3.1, 1.5)},
+                           SweepAxis::kWorkers, false),
+               std::invalid_argument);
+  // A beta axis needs a phase2 value on every entry.
+  EXPECT_THROW(pivot_sweep({outcome("DynamicOuter2Phases", 4, 2.0, 1.7)},
+                           SweepAxis::kBeta, true),
+               std::invalid_argument);
 }
 
 TEST(PrintSweepCsv, EmitsHeaderAndRows) {

@@ -1,5 +1,3 @@
-#include "sim/engine_timed.hpp"
-
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -10,6 +8,16 @@
 
 namespace hetsched {
 namespace {
+
+/// The comm-timed link these tests assume: a 100-blocks-per-time-unit
+/// uplink (CommModel{}) with lookahead 4, engine seed 1.
+SimConfig timed_link() {
+  SimConfig config;
+  config.seed = 1;
+  config.comm = CommModel{};
+  config.lookahead = 4;
+  return config;
+}
 
 /// Hands out one task and `blocks` block transfers per request.
 class UnitStrategy final : public Strategy {
@@ -46,10 +54,10 @@ class UnitStrategy final : public Strategy {
 TEST(EngineTimed, ComputeBoundWhenBandwidthHuge) {
   UnitStrategy strategy(100, 1, 1);
   Platform platform({1.0});
-  TimedSimConfig config;
+  SimConfig config = timed_link();
   config.comm.bandwidth = 1e9;
   config.lookahead = 4;
-  const SimResult result = simulate_timed(strategy, platform, config);
+  const SimResult result = simulate(strategy, platform, config);
   EXPECT_EQ(result.total_tasks_done, 100u);
   // 100 tasks at speed 1 => makespan ~100 (communication invisible).
   EXPECT_NEAR(result.makespan, 100.0, 0.01);
@@ -61,10 +69,10 @@ TEST(EngineTimed, CommunicationBoundWhenBandwidthTiny) {
   // the link; compute takes 1. Makespan is dominated by the link.
   UnitStrategy strategy(20, 1, 1);
   Platform platform({1.0});
-  TimedSimConfig config;
+  SimConfig config = timed_link();
   config.comm.bandwidth = 0.1;
   config.lookahead = 4;
-  const SimResult result = simulate_timed(strategy, platform, config);
+  const SimResult result = simulate(strategy, platform, config);
   EXPECT_GT(result.makespan, 0.9 * 200.0);
   EXPECT_GT(result.starvation_fraction(), 0.5);
 }
@@ -72,10 +80,10 @@ TEST(EngineTimed, CommunicationBoundWhenBandwidthTiny) {
 TEST(EngineTimed, LinkBusyTimeMatchesVolume) {
   UnitStrategy strategy(50, 2, 2);
   Platform platform({1.0, 1.0});
-  TimedSimConfig config;
+  SimConfig config = timed_link();
   config.comm.bandwidth = 10.0;
   config.comm.latency = 0.0;
-  const SimResult result = simulate_timed(strategy, platform, config);
+  const SimResult result = simulate(strategy, platform, config);
   // Every task carries 2 blocks: 100 blocks at 10 blocks/unit = 10 units.
   EXPECT_NEAR(result.link_busy_time, 10.0, 1e-9);
   EXPECT_EQ(result.total_blocks, 100u);
@@ -84,10 +92,10 @@ TEST(EngineTimed, LinkBusyTimeMatchesVolume) {
 TEST(EngineTimed, LatencyChargesPerMessage) {
   UnitStrategy strategy(10, 1, 0);
   Platform platform({1.0});
-  TimedSimConfig config;
+  SimConfig config = timed_link();
   config.comm.bandwidth = 1e9;
   config.comm.latency = 0.5;
-  const SimResult result = simulate_timed(strategy, platform, config);
+  const SimResult result = simulate(strategy, platform, config);
   // 10 messages, 0.5 each.
   EXPECT_NEAR(result.link_busy_time, 5.0, 1e-9);
 }
@@ -98,14 +106,14 @@ TEST(EngineTimed, LookaheadOneSerializesCommAndCompute) {
   UnitStrategy s1(20, 1, 1);
   UnitStrategy s4(20, 1, 1);
   Platform platform({1.0});
-  TimedSimConfig config;
+  SimConfig config = timed_link();
   config.comm.bandwidth = 1.0;  // 1 block = 1 compute time
   config.lookahead = 1;
-  const SimResult serial = simulate_timed(s1, platform, config);
+  const SimResult serial = simulate(s1, platform, config);
   EXPECT_NEAR(serial.makespan, 40.0, 0.01);  // 20 * (1 + 1)
 
   config.lookahead = 4;
-  const SimResult overlapped = simulate_timed(s4, platform, config);
+  const SimResult overlapped = simulate(s4, platform, config);
   // Pipelined: ~21 (one transfer exposed, rest hidden).
   EXPECT_LT(overlapped.makespan, 23.0);
   EXPECT_GT(serial.makespan, 1.7 * overlapped.makespan);
@@ -119,10 +127,10 @@ TEST(EngineTimed, ModestLookaheadHidesCommunication) {
   Platform platform({1.0, 2.0, 3.0});
   auto run = [&](std::uint32_t la) {
     UnitStrategy strategy(300, 3, 1);
-    TimedSimConfig config;
+    SimConfig config = timed_link();
     config.comm.bandwidth = 8.0;
     config.lookahead = la;
-    const SimResult r = simulate_timed(strategy, platform, config);
+    const SimResult r = simulate(strategy, platform, config);
     EXPECT_EQ(r.total_tasks_done, 300u);
     return r.makespan;
   };
@@ -139,9 +147,9 @@ TEST(EngineTimed, MatchesUntimedEngineVolumeForSameStrategySeed) {
   auto b = make_outer_strategy("DynamicOuter", OuterConfig{20}, 1, 5);
   Platform platform({10.0});
   const SimResult untimed = simulate(*a, platform);
-  TimedSimConfig config;
+  SimConfig config = timed_link();
   config.comm.bandwidth = 50.0;
-  const SimResult timed = simulate_timed(*b, platform, config);
+  const SimResult timed = simulate(*b, platform, config);
   EXPECT_EQ(timed.total_blocks, untimed.total_blocks);
   EXPECT_EQ(timed.total_tasks_done, untimed.total_tasks_done);
 }
@@ -152,10 +160,10 @@ TEST(EngineTimed, WorksWithRealOuterStrategies) {
     options.phase2_fraction = 0.05;
     auto strategy = make_outer_strategy(name, OuterConfig{16}, 4, 9, options);
     Platform platform({10.0, 20.0, 40.0, 80.0});
-    TimedSimConfig config;
+    SimConfig config = timed_link();
     config.comm.bandwidth = 200.0;
     config.lookahead = 4;
-    const SimResult result = simulate_timed(*strategy, platform, config);
+    const SimResult result = simulate(*strategy, platform, config);
     EXPECT_EQ(result.total_tasks_done, 256u) << name;
     EXPECT_GT(result.total_blocks, 0u) << name;
   }
@@ -164,29 +172,29 @@ TEST(EngineTimed, WorksWithRealOuterStrategies) {
 TEST(EngineTimed, RejectsBadConfig) {
   UnitStrategy strategy(10, 1, 1);
   Platform platform({1.0});
-  TimedSimConfig config;
+  SimConfig config = timed_link();
   config.lookahead = 0;
-  EXPECT_THROW(simulate_timed(strategy, platform, config),
+  EXPECT_THROW(simulate(strategy, platform, config),
                std::invalid_argument);
   config.lookahead = 1;
   config.comm.bandwidth = 0.0;
-  EXPECT_THROW(simulate_timed(strategy, platform, config),
+  EXPECT_THROW(simulate(strategy, platform, config),
                std::invalid_argument);
   config.comm.bandwidth = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(simulate_timed(strategy, platform, config),
+  EXPECT_THROW(simulate(strategy, platform, config),
                std::invalid_argument);
   // `latency < 0` is false for NaN; such a run would land every
   // message at time NaN and report makespan 0.
   config.comm.bandwidth = 100.0;
   config.comm.latency = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(simulate_timed(strategy, platform, config),
+  EXPECT_THROW(simulate(strategy, platform, config),
                std::invalid_argument);
   config.comm.latency = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(simulate_timed(strategy, platform, config),
+  EXPECT_THROW(simulate(strategy, platform, config),
                std::invalid_argument);
   // An infinite bandwidth is the free link, and valid.
   config.comm = CommModel::free();
-  EXPECT_EQ(simulate_timed(strategy, platform, config).total_tasks_done, 10u);
+  EXPECT_EQ(simulate(strategy, platform, config).total_tasks_done, 10u);
 }
 
 TEST(EngineTimed, FreeLinkPrefetchesWithoutLinkTime) {
@@ -212,7 +220,8 @@ TEST(EngineTimed, FreeLinkPrefetchesWithoutLinkTime) {
 TEST(EngineTimed, MismatchedWorkerCountThrows) {
   UnitStrategy strategy(10, 2, 1);
   Platform platform({1.0});
-  EXPECT_THROW(simulate_timed(strategy, platform), std::invalid_argument);
+  EXPECT_THROW(simulate(strategy, platform, timed_link()),
+               std::invalid_argument);
 }
 
 TEST(EngineTimed, SharedLinkSlowsManyWorkers) {
@@ -221,10 +230,10 @@ TEST(EngineTimed, SharedLinkSlowsManyWorkers) {
   auto starvation = [&](std::uint32_t p) {
     UnitStrategy strategy(400, p, 2);
     Platform platform(std::vector<double>(p, 1.0));
-    TimedSimConfig config;
+    SimConfig config = timed_link();
     config.comm.bandwidth = 4.0;
     config.lookahead = 2;
-    return simulate_timed(strategy, platform, config).starvation_fraction();
+    return simulate(strategy, platform, config).starvation_fraction();
   };
   EXPECT_LT(starvation(1), starvation(16) + 1e-12);
 }

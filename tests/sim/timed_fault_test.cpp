@@ -15,14 +15,18 @@
 #include "outer/outer_factory.hpp"
 #include "platform/platform.hpp"
 #include "sim/engine.hpp"
-#include "sim/engine_timed.hpp"
 #include "sim/trace.hpp"
 
 namespace hetsched {
 namespace {
 
-TimedSimConfig with_faults(std::vector<WorkerFault> faults) {
-  TimedSimConfig config;
+// A 100-blocks-per-time-unit uplink (CommModel{}) with lookahead 4 and
+// engine seed 1, plus the fault script.
+SimConfig with_faults(std::vector<WorkerFault> faults) {
+  SimConfig config;
+  config.seed = 1;
+  config.comm = CommModel{};
+  config.lookahead = 4;
   config.faults = std::move(faults);
   return config;
 }
@@ -31,7 +35,7 @@ TEST(TimedFaultInjection, CrashedWorkerTasksAreRequeuedAndCompleted) {
   auto strategy = make_outer_strategy("RandomOuter", OuterConfig{30}, 3, 1);
   Platform platform({20.0, 30.0, 50.0});
   RecordingTrace trace;
-  const SimResult result = simulate_timed(
+  const SimResult result = simulate(
       *strategy, platform, with_faults({WorkerFault{0.5, 2, 0.0}}), &trace);
   EXPECT_EQ(result.total_tasks_done, 900u);
   EXPECT_EQ(result.crashed_workers, 1u);
@@ -58,7 +62,7 @@ TEST(TimedFaultInjection, CrashWorksForDataAwareStrategies) {
     options.phase2_fraction = 0.05;
     auto strategy = make_outer_strategy(name, OuterConfig{24}, 4, 2, options);
     Platform platform({10.0, 20.0, 40.0, 80.0});
-    const SimResult result = simulate_timed(
+    const SimResult result = simulate(
         *strategy, platform, with_faults({WorkerFault{0.2, 3, 0.0}}));
     EXPECT_EQ(result.total_tasks_done, 576u) << name;
     EXPECT_EQ(result.crashed_workers, 1u) << name;
@@ -70,9 +74,9 @@ TEST(TimedFaultInjection, InTransitWorkOfCrashedWorkerIsRecovered) {
   // the victim; all of them must come back through requeue.
   auto strategy = make_outer_strategy("RandomOuter", OuterConfig{20}, 2, 3);
   Platform platform({40.0, 40.0});
-  TimedSimConfig config = with_faults({WorkerFault{0.3, 1, 0.0}});
+  SimConfig config = with_faults({WorkerFault{0.3, 1, 0.0}});
   config.lookahead = 8;
-  const SimResult result = simulate_timed(*strategy, platform, config);
+  const SimResult result = simulate(*strategy, platform, config);
   EXPECT_EQ(result.total_tasks_done, 400u);
   EXPECT_EQ(result.crashed_workers, 1u);
   EXPECT_GE(result.requeued_tasks, 1u);
@@ -82,7 +86,7 @@ TEST(TimedFaultInjection, InTransitWorkOfCrashedWorkerIsRecovered) {
 TEST(TimedFaultInjection, MultipleCrashesSurvivedByLastWorker) {
   auto strategy = make_outer_strategy("RandomOuter", OuterConfig{16}, 3, 4);
   Platform platform({30.0, 30.0, 30.0});
-  const SimResult result = simulate_timed(
+  const SimResult result = simulate(
       *strategy, platform,
       with_faults({WorkerFault{0.1, 0, 0.0}, WorkerFault{0.2, 1, 0.0}}));
   EXPECT_EQ(result.total_tasks_done, 256u);
@@ -93,7 +97,7 @@ TEST(TimedFaultInjection, MultipleCrashesSurvivedByLastWorker) {
 TEST(TimedFaultInjection, LateCrashAfterRetirementIsHarmless) {
   auto strategy = make_outer_strategy("RandomOuter", OuterConfig{10}, 2, 5);
   Platform platform({50.0, 50.0});
-  const SimResult result = simulate_timed(
+  const SimResult result = simulate(
       *strategy, platform, with_faults({WorkerFault{100.0, 0, 0.0}}));
   EXPECT_EQ(result.total_tasks_done, 100u);
   EXPECT_EQ(result.requeued_tasks, 0u);
@@ -102,7 +106,7 @@ TEST(TimedFaultInjection, LateCrashAfterRetirementIsHarmless) {
 TEST(TimedFaultInjection, StragglerSlowsButCompletes) {
   auto strategy = make_outer_strategy("RandomOuter", OuterConfig{30}, 2, 7);
   Platform platform({50.0, 50.0});
-  const SimResult slowed = simulate_timed(
+  const SimResult slowed = simulate(
       *strategy, platform, with_faults({WorkerFault{0.1, 1, 0.1}}));
   EXPECT_EQ(slowed.total_tasks_done, 900u);
   // Demand-driven balancing shifts work to the healthy worker.
@@ -113,9 +117,9 @@ TEST(TimedFaultInjection, StragglerSlowsButCompletes) {
 TEST(TimedFaultInjection, PerturbationDriftsSpeeds) {
   auto strategy = make_outer_strategy("RandomOuter", OuterConfig{20}, 2, 8);
   Platform platform({40.0, 40.0});
-  TimedSimConfig config;
+  SimConfig config = with_faults({});
   config.perturbation = PerturbationModel(10.0);
-  const SimResult result = simulate_timed(*strategy, platform, config);
+  const SimResult result = simulate(*strategy, platform, config);
   EXPECT_EQ(result.total_tasks_done, 400u);
   // With +-10% per-task drift the final speeds have left the base value.
   EXPECT_NE(result.workers[0].final_speed, 40.0);
@@ -125,7 +129,7 @@ TEST(TimedFaultInjection, WorkStealingCannotRequeueAndSaysSo) {
   auto strategy =
       make_outer_strategy("WorkStealingOuter", OuterConfig{16}, 2, 8);
   Platform platform({30.0, 30.0});
-  EXPECT_THROW(simulate_timed(*strategy, platform,
+  EXPECT_THROW(simulate(*strategy, platform,
                               with_faults({WorkerFault{0.1, 0, 0.0}})),
                std::invalid_argument);
 }
@@ -134,13 +138,13 @@ TEST(TimedFaultInjection, RejectsMalformedFaultsViaSharedValidation) {
   // Same EventCore::validate_faults path as the flat engine.
   auto strategy = make_outer_strategy("RandomOuter", OuterConfig{8}, 2, 9);
   Platform platform({10.0, 10.0});
-  EXPECT_THROW(simulate_timed(*strategy, platform,
+  EXPECT_THROW(simulate(*strategy, platform,
                               with_faults({WorkerFault{0.1, 5, 0.0}})),
                std::invalid_argument);
-  EXPECT_THROW(simulate_timed(*strategy, platform,
+  EXPECT_THROW(simulate(*strategy, platform,
                               with_faults({WorkerFault{0.1, 0, 1.5}})),
                std::invalid_argument);
-  EXPECT_THROW(simulate_timed(*strategy, platform,
+  EXPECT_THROW(simulate(*strategy, platform,
                               with_faults({WorkerFault{-1.0, 0, 0.0}})),
                std::invalid_argument);
 }
@@ -209,7 +213,7 @@ TEST(TimedFaultInjection, FlatAndTimedAgreeOnFaultAccounting) {
 
   auto timed = make_outer_strategy("DynamicOuter", OuterConfig{20}, 3, 11);
   const SimResult b =
-      simulate_timed(*timed, platform, with_faults(faults));
+      simulate(*timed, platform, with_faults(faults));
   EXPECT_EQ(a.total_tasks_done, b.total_tasks_done);
   EXPECT_EQ(a.crashed_workers, b.crashed_workers);
   // (Makespans are close but not ordered: the comm timing reshuffles

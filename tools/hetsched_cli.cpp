@@ -93,6 +93,7 @@ int usage() {
       "             [--progress-interval=SEC] heartbeat throttle (default 1)\n"
       "  sweep      sweep worker counts for several strategies\n"
       "             --kernel=... [--p=10,50,100] [--strategies=a,b,c]\n"
+      "             [--beta=] [--timed ...] [--faults=...]\n"
       "             [--analysis] [--json] [--spec=FILE.hspec]\n"
       "  tune       print the analysis-optimal beta for (kernel, p, n)\n"
       "  partition  static 7/4 rectangle partition for explicit speeds\n"
@@ -145,21 +146,6 @@ std::uint32_t count_flag(const CliArgs& args, const std::string& key,
                                 std::to_string(value));
   }
   return static_cast<std::uint32_t>(value);
-}
-
-// The shared configuration pipeline of run/sweep/campaign/validate:
-// parse --spec=FILE if given, lay the flag overlay on top, resolve
-// against the command's defaults, and validate. Every error is a
-// SpecError naming the offending field (and, for file input, its
-// line/column).
-ScenarioSpec load_spec(const CliArgs& args, const SpecDefaults& defaults) {
-  ScenarioSpec spec;
-  const std::string path = args.get("spec", "");
-  if (!path.empty()) spec = parse_spec_file(path);
-  spec = resolve_spec(merge_specs(std::move(spec), spec_overlay_from_cli(args)),
-                      defaults);
-  validate_spec(spec);
-  return spec;
 }
 
 // Owns the optional live progress reporter plus its output file, built
@@ -230,7 +216,8 @@ int cmd_run(const CliArgs& args) {
                  "run's record (totals, worker stats, events, samples)\n";
     return 2;
   }
-  const ScenarioSpec spec = load_spec(args, run_spec_defaults());
+  const ScenarioSpec spec =
+      load_spec(args.get("spec", ""), args, run_spec_defaults());
   CompiledCampaign compiled = compile_spec(spec);
   if (compiled.entries.size() != 1) {
     throw SpecError("run: the spec expands to " +
@@ -282,27 +269,16 @@ int cmd_run(const CliArgs& args) {
 }
 
 int cmd_sweep(const CliArgs& args) {
-  const ScenarioSpec spec = load_spec(args, batch_spec_defaults());
-  // sweep_worker_count fixes one n and a flat engine; grids over n and
-  // the richer engine knobs belong to `campaign`.
+  const ScenarioSpec spec =
+      load_spec(args.get("spec", ""), args, batch_spec_defaults());
+  // One series per strategy over p: a second n would put two points of
+  // one strategy on the same x (grids over n belong to `campaign`).
   if (spec.ns.size() != 1) {
     throw SpecError("sweep: exactly one n (use `campaign` for n grids)");
   }
-  if (!spec.phase2s.empty()) {
-    throw SpecError("sweep: beta/phase2 is not supported (use `campaign`)");
-  }
-  if (*spec.timed) {
-    throw SpecError("sweep: the timed engine is not supported (use "
-                    "`campaign`)");
-  }
-  if (!spec.faults.empty()) {
-    throw SpecError("sweep: faults are not supported (use `campaign`)");
-  }
-
-  const auto points = sweep_worker_count(
-      *spec.kernel, spec.ns.front(), spec.ps, make_scenario(*spec.platform),
-      spec.strategies, args.get_bool("analysis", true), *spec.seed,
-      *spec.reps);
+  const auto points =
+      pivot_sweep(compile_campaign(spec).run(), SweepAxis::kWorkers,
+                  args.get_bool("analysis", true));
   if (args.get_bool("json", false)) {
     write_sweep_json(std::cout, "p", points);
   } else {
@@ -448,12 +424,8 @@ int cmd_dag(const CliArgs& args) {
 }
 
 int cmd_campaign(const CliArgs& args) {
-  const ScenarioSpec spec = load_spec(args, batch_spec_defaults());
-  CompiledCampaign compiled = compile_spec(spec);
-  Campaign campaign(compiled.name);
-  for (auto& entry : compiled.entries) {
-    campaign.add(std::move(entry.label), std::move(entry.config));
-  }
+  const Campaign campaign = compile_campaign(
+      load_spec(args.get("spec", ""), args, batch_spec_defaults()));
   ProgressSetup progress = make_progress(args);
   const auto outcomes = campaign.run(
       static_cast<unsigned>(args.get_int("jobs", 0)), progress.get());
@@ -472,7 +444,7 @@ int cmd_validate(const CliArgs& args) {
     std::cerr << "validate: --spec=FILE is required\n";
     return 2;
   }
-  const ScenarioSpec spec = load_spec(args, batch_spec_defaults());
+  const ScenarioSpec spec = load_spec(path, args, batch_spec_defaults());
   const CompiledCampaign compiled = compile_spec(spec);
   if (args.get_bool("canonical", false)) {
     std::cout << canonical_text(spec);
@@ -498,6 +470,16 @@ int cmd_analyze(const CliArgs& args) {
       args.get_double("alarm", options.ode_alarm_threshold);
   options.ode_support_min =
       args.get_double("support", options.ode_support_min);
+  // A NaN threshold compares false both ways and would print OK.
+  if (!std::isfinite(options.ode_alarm_threshold) ||
+      options.ode_alarm_threshold < 0.0) {
+    throw std::invalid_argument("--alarm: expected a finite number >= 0, got " +
+                                args.get("alarm", ""));
+  }
+  if (!(options.ode_support_min >= 0.0 && options.ode_support_min <= 1.0)) {
+    throw std::invalid_argument("--support: expected a number in [0, 1], got " +
+                                args.get("support", ""));
+  }
 
   // The analyzer profiles itself through the same site taxonomy as the
   // rep loop; --profile surfaces it on stderr.
