@@ -7,18 +7,16 @@
 
 #include "bench/bench_util.hpp"
 #include "common/csv.hpp"
-#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "platform/platform.hpp"
 #include "static_part/column_partition.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const hetsched::CliArgs& args) {
   using namespace hetsched;
-  const CliArgs args(argc, argv);
-  const auto n = static_cast<std::uint32_t>(args.get_int("n", 100));
-  const auto reps = static_cast<std::uint32_t>(args.get_int("reps", 10));
+  const auto n = args.get_count("n", 100);
+  const auto reps = args.get_count("reps", 10);
   const std::uint64_t seed = args.get_int("seed", 20140623);
-  const auto ps = bench::to_u32(args.get_int_list("p", {10, 20, 50, 100, 200}));
+  const auto ps = args.get_count_list("p", {10, 20, 50, 100, 200});
 
   bench::print_header(
       "Ablation", "static 7/4-approximation vs dynamic strategies",
@@ -29,19 +27,7 @@ int main(int argc, char** argv) {
                             "DynamicOuter.mean", "RandomOuter.mean"});
 
   for (const std::uint32_t p : ps) {
-    // Static ratio averaged over the same speed draws the experiments
-    // use (it is deterministic given the draw).
-    RunningStats static_ratio;
-    for (std::uint32_t r = 0; r < reps; ++r) {
-      const std::uint64_t rep_seed =
-          derive_stream(seed, "rep." + std::to_string(r));
-      Rng speed_rng(derive_stream(rep_seed, "experiment.speeds"));
-      const Platform platform =
-          make_platform(UniformIntervalSpeeds(10.0, 100.0), p, speed_rng);
-      static_ratio.push(static_outer_ratio(platform.relative_speeds()));
-    }
-
-    auto dynamic_mean = [&](const std::string& name) {
+    auto dynamic = [&](const std::string& name) {
       ExperimentConfig config;
       config.kernel = Kernel::kOuter;
       config.strategy = name;
@@ -49,13 +35,21 @@ int main(int argc, char** argv) {
       config.p = p;
       config.seed = seed;
       config.reps = reps;
-      return run_experiment(config).normalized.mean;
+      return run_experiment(config);
     };
+    const ExperimentResult two_phase = dynamic("DynamicOuter2Phases");
+    // Static ratio averaged over the same speed draws the experiments
+    // use (it is deterministic given the draw).
+    RunningStats static_ratio;
+    for (const RepOutcome& rep : two_phase.reps) {
+      static_ratio.push(
+          static_outer_ratio(Platform(rep.speeds).relative_speeds()));
+    }
 
     csv.row(std::vector<double>{
         static_cast<double>(p), static_ratio.mean(),
-        dynamic_mean("DynamicOuter2Phases"), dynamic_mean("DynamicOuter"),
-        dynamic_mean("RandomOuter")});
+        two_phase.normalized.mean, dynamic("DynamicOuter").normalized.mean,
+        dynamic("RandomOuter").normalized.mean});
   }
   std::cout << "# static needs exact speeds; dynamic strategies are "
                "speed-agnostic\n";

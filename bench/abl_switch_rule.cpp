@@ -17,13 +17,12 @@
 #include "platform/platform.hpp"
 #include "sim/engine.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const hetsched::CliArgs& args) {
   using namespace hetsched;
-  const CliArgs args(argc, argv);
-  const auto n = static_cast<std::uint32_t>(args.get_int("n", 100));
-  const auto reps = static_cast<std::uint32_t>(args.get_int("reps", 10));
+  const auto n = args.get_count("n", 100);
+  const auto reps = args.get_count("reps", 10);
   const std::uint64_t seed = args.get_int("seed", 20140623);
-  const auto ps = bench::to_u32(args.get_int_list("p", {10, 20, 50, 100, 200}));
+  const auto ps = args.get_count_list("p", {10, 20, 50, 100, 200});
 
   bench::print_header(
       "Ablation (switch rule)",

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <iostream>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,23 +24,6 @@ inline void print_header(const std::string& figure, const std::string& what,
                          const std::string& params) {
   std::cout << "# " << figure << ": " << what << "\n";
   std::cout << "# " << params << "\n";
-}
-
-/// Narrow-checked CLI conversion: negative or >= 2^32 values must fail
-/// loudly instead of wrapping into bogus p/n grids.
-inline std::vector<std::uint32_t> to_u32(const std::vector<std::int64_t>& v) {
-  std::vector<std::uint32_t> out;
-  out.reserve(v.size());
-  for (const auto x : v) {
-    if (x < 0 ||
-        x > static_cast<std::int64_t>(
-                std::numeric_limits<std::uint32_t>::max())) {
-      throw std::invalid_argument(
-          "bench::to_u32: value out of uint32 range: " + std::to_string(x));
-    }
-    out.push_back(static_cast<std::uint32_t>(x));
-  }
-  return out;
 }
 
 /// Loads bench/figures/<name>.hspec, the one description of a figure's
@@ -67,3 +49,9 @@ inline ScenarioSpec load_figure_spec(const std::string& name,
 }
 
 }  // namespace hetsched::bench
+
+/// A bench's body. bench/bench_main.cpp, linked into every bench, holds
+/// the one `main`: it parses the flags and runs the body the way
+/// hetsched_cli runs a command, so an error (a bad flag, a spec the
+/// compiler rejects) prints `error: <what>` and exits 1.
+int bench_main(const hetsched::CliArgs& args);

@@ -16,13 +16,12 @@
 #include "dag/dag_engine.hpp"
 #include "platform/platform.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const hetsched::CliArgs& args) {
   using namespace hetsched;
-  const CliArgs args(argc, argv);
-  const auto tiles = static_cast<std::uint32_t>(args.get_int("tiles", 24));
-  const auto reps = static_cast<std::uint32_t>(args.get_int("reps", 5));
+  const auto tiles = args.get_count("tiles", 24);
+  const auto reps = args.get_count("reps", 5);
   const std::uint64_t seed = args.get_int("seed", 20140623);
-  const auto ps = bench::to_u32(args.get_int_list("p", {4, 8, 16, 32}));
+  const auto ps = args.get_count_list("p", {4, 8, 16, 32});
 
   const CholeskyGraph ch = build_cholesky_graph(tiles);
   bench::print_header(

@@ -17,12 +17,11 @@
 #include "platform/platform.hpp"
 #include "sim/engine.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const hetsched::CliArgs& args) {
   using namespace hetsched;
-  const CliArgs args(argc, argv);
-  const auto n = static_cast<std::uint32_t>(args.get_int("n", 100));
-  const auto p = static_cast<std::uint32_t>(args.get_int("p", 20));
-  const auto reps = static_cast<std::uint32_t>(args.get_int("reps", 10));
+  const auto n = args.get_count("n", 100);
+  const auto p = args.get_count("p", 20);
+  const auto reps = args.get_count("reps", 10);
   const std::uint64_t seed = args.get_int("seed", 20140623);
   const bool timed = args.get_bool("timed", false);
 

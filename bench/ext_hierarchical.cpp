@@ -13,14 +13,12 @@
 #include "hier/hierarchical.hpp"
 #include "platform/lower_bound.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const hetsched::CliArgs& args) {
   using namespace hetsched;
-  const CliArgs args(argc, argv);
-  const auto n = static_cast<std::uint32_t>(args.get_int("n", 100));
-  const auto reps = static_cast<std::uint32_t>(args.get_int("reps", 5));
+  const auto n = args.get_count("n", 100);
+  const auto reps = args.get_count("reps", 5);
   const std::uint64_t seed = args.get_int("seed", 20140623);
-  const auto workers_per_rack =
-      static_cast<std::uint32_t>(args.get_int("workers-per-rack", 8));
+  const auto workers_per_rack = args.get_count("workers-per-rack", 8);
 
   bench::print_header(
       "Extension (hierarchical)",

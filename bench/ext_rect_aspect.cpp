@@ -15,11 +15,10 @@
 #include "rect/rect_strategies.hpp"
 #include "sim/engine.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const hetsched::CliArgs& args) {
   using namespace hetsched;
-  const CliArgs args(argc, argv);
-  const auto p = static_cast<std::uint32_t>(args.get_int("p", 20));
-  const auto reps = static_cast<std::uint32_t>(args.get_int("reps", 10));
+  const auto p = args.get_count("p", 20);
+  const auto reps = args.get_count("reps", 10);
   const std::uint64_t seed = args.get_int("seed", 20140623);
 
   bench::print_header(

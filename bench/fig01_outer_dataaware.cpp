@@ -4,9 +4,8 @@
 // bench/figures/fig01.hspec; --n, --p, --reps and --seed override it.
 #include "bench/bench_util.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const hetsched::CliArgs& args) {
   using namespace hetsched;
-  const CliArgs args(argc, argv);
   const ScenarioSpec spec = bench::load_figure_spec("fig01", args);
 
   bench::print_header(

@@ -7,9 +7,8 @@
 // and --p must stay 20.
 #include "bench/bench_util.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const hetsched::CliArgs& args) {
   using namespace hetsched;
-  const CliArgs args(argc, argv);
   const ScenarioSpec spec = bench::load_figure_spec("fig02", args);
 
   bench::print_header("Figure 2",

@@ -5,9 +5,8 @@
 // --seed override it.
 #include "bench/bench_util.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const hetsched::CliArgs& args) {
   using namespace hetsched;
-  const CliArgs args(argc, argv);
   const ScenarioSpec spec = bench::load_figure_spec("fig05", args);
 
   bench::print_header("Figure 5",

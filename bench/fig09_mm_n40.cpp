@@ -3,9 +3,8 @@
 // bench/figures/fig09.hspec; --n, --p, --reps and --seed override it.
 #include "bench/bench_util.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const hetsched::CliArgs& args) {
   using namespace hetsched;
-  const CliArgs args(argc, argv);
   const ScenarioSpec spec = bench::load_figure_spec("fig09", args);
   const std::uint64_t n = spec.ns.front();
 

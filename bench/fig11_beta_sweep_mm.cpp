@@ -10,9 +10,8 @@
 #include "analysis/matmul_analysis.hpp"
 #include "bench/bench_util.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const hetsched::CliArgs& args) {
   using namespace hetsched;
-  const CliArgs args(argc, argv);
   const ScenarioSpec spec = bench::load_figure_spec("fig11", args);
   const std::uint32_t n = spec.ns.front();
   const std::uint32_t p = spec.ps.front();

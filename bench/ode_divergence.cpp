@@ -12,7 +12,7 @@
 #include "obs/instrument.hpp"
 #include "obs/overlay.hpp"
 
-int main() {
+int bench_main(const hetsched::CliArgs&) {
   using namespace hetsched;
   constexpr std::uint32_t kReps = 3;
   ExperimentConfig config;

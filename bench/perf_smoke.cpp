@@ -273,8 +273,7 @@ ProfiledWorkload profiled_fig10_workload(std::uint32_t reps) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int bench_main(const CliArgs& args) {
   const std::string out_path = args.get("out", "BENCH_PERF.json");
 
   // Probe by probe, trial by trial: a slow stretch of the host lands in

@@ -10,17 +10,16 @@
 
 #include "analysis/homogeneous.hpp"
 #include "analysis/outer_analysis.hpp"
-#include "common/cli.hpp"
+#include "bench/bench_util.hpp"
 #include "common/csv.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "platform/platform.hpp"
 #include "platform/speed_model.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const hetsched::CliArgs& args) {
   using namespace hetsched;
-  const CliArgs args(argc, argv);
-  const int tries = static_cast<int>(args.get_int("tries", 50));
+  const auto tries = args.get_count("tries", 50);
   const std::uint64_t seed = args.get_int("seed", 20140623);
 
   std::cout << "# Section 3.6: runtime estimation of beta (outer product)\n";
@@ -39,7 +38,7 @@ int main(int argc, char** argv) {
       const double beta_hom = beta_homogeneous_outer(p, n);
       RunningStats het;
       RunningStats penalty;
-      for (int t = 0; t < tries; ++t) {
+      for (std::uint32_t t = 0; t < tries; ++t) {
         const Platform platform = make_platform(model, p, rng);
         OuterAnalysis analysis(platform.relative_speeds(), n);
         const auto opt = analysis.optimal_beta();

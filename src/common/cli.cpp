@@ -23,6 +23,17 @@ T parse_value(const std::string& key, const std::string& text,
   return value;
 }
 
+/// A size flag's value: rejected outside [1, 2^32) before anything is
+/// sized by it (a 0 made -nan rows, a negative one wrapped to ~2^32).
+std::uint32_t to_count(const std::string& key, std::int64_t value) {
+  if (value < 1 || value > std::int64_t{0xffffffff}) {
+    throw std::invalid_argument("--" + key + ": must be an integer in "
+                                "[1, 2^32), got " +
+                                std::to_string(value));
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
 }  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
@@ -78,6 +89,24 @@ std::vector<std::int64_t> CliArgs::get_int_list(
     if (!item.empty()) {
       out.push_back(parse_value<std::int64_t>(key, item, "an integer"));
     }
+  }
+  return out;
+}
+
+std::uint32_t CliArgs::get_count(const std::string& key,
+                                 std::uint32_t fallback) const {
+  return to_count(key, get_int(key, fallback));
+}
+
+std::vector<std::uint32_t> CliArgs::get_count_list(
+    const std::string& key, std::vector<std::uint32_t> fallback) const {
+  if (!has(key)) return fallback;
+  std::vector<std::uint32_t> out;
+  for (const std::int64_t value : get_int_list(key, {})) {
+    out.push_back(to_count(key, value));
+  }
+  if (out.empty()) {
+    throw std::invalid_argument("--" + key + ": expected at least one value");
   }
   return out;
 }

@@ -32,6 +32,13 @@ class CliArgs {
   std::vector<std::int64_t> get_int_list(const std::string& key,
                                          std::vector<std::int64_t> fallback) const;
 
+  /// A size flag (--n, --p, --reps, ...): an integer in [1, 2^32), or
+  /// std::invalid_argument naming the flag and the value.
+  std::uint32_t get_count(const std::string& key, std::uint32_t fallback) const;
+  /// The list form, e.g. --p=10,50,100: every item a size, at least one.
+  std::vector<std::uint32_t> get_count_list(
+      const std::string& key, std::vector<std::uint32_t> fallback) const;
+
   const std::string& program() const noexcept { return program_; }
 
  private:

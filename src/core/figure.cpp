@@ -12,14 +12,8 @@ namespace hetsched {
 
 namespace {
 
-double axis_value(const ExperimentConfig& config, SweepAxis axis) {
-  if (axis == SweepAxis::kWorkers) return config.p;
-  if (!config.phase2_fraction.has_value()) {
-    throw std::invalid_argument("pivot_sweep: entry " + config.strategy +
-                                " has no phase2 value for a beta or "
-                                "phase-1 axis");
-  }
-  const double phase2 = *config.phase2_fraction;
+// An entry's x on a beta or phase-1 axis, from its phase2 value.
+double phase2_x(double phase2, SweepAxis axis) {
   return axis == SweepAxis::kBeta ? -std::log(phase2) : 1.0 - phase2;
 }
 
@@ -28,11 +22,29 @@ double axis_value(const ExperimentConfig& config, SweepAxis axis) {
 std::vector<SweepPoint> pivot_sweep(
     const std::vector<CampaignOutcome>& outcomes, SweepAxis axis,
     bool analysis) {
+  // A beta or phase-1 axis takes its x values from the entries that
+  // carry phase2. An entry of a strategy that ignores phase2 has none:
+  // it is one experiment, placed at every such x.
+  std::vector<double> phase2_xs;
+  if (axis != SweepAxis::kWorkers) {
+    for (const CampaignOutcome& outcome : outcomes) {
+      if (!outcome.config.phase2_fraction.has_value()) continue;
+      const double x = phase2_x(*outcome.config.phase2_fraction, axis);
+      if (std::find(phase2_xs.begin(), phase2_xs.end(), x) ==
+          phase2_xs.end()) {
+        phase2_xs.push_back(x);
+      }
+    }
+    if (phase2_xs.empty()) {
+      throw std::invalid_argument("pivot_sweep: no entry has a phase2 value "
+                                  "for a beta or phase-1 axis");
+    }
+  }
+
   std::vector<SweepPoint> points;
   // Per point, the entry whose analysis prediction the point reports.
   std::vector<const CampaignOutcome*> analysis_from;
-  for (const CampaignOutcome& outcome : outcomes) {
-    const double x = axis_value(outcome.config, axis);
+  const auto place = [&](const CampaignOutcome& outcome, double x) {
     const auto it = std::find_if(points.begin(), points.end(),
                                  [x](const SweepPoint& p) { return p.x == x; });
     const auto i = static_cast<std::size_t>(it - points.begin());
@@ -49,6 +61,20 @@ std::vector<SweepPoint> pivot_sweep(
       throw std::invalid_argument("pivot_sweep: two entries of " +
                                   outcome.config.strategy + " at x = " +
                                   CsvWriter::format(x));
+    }
+  };
+  for (const CampaignOutcome& outcome : outcomes) {
+    const ExperimentConfig& config = outcome.config;
+    if (axis == SweepAxis::kWorkers) {
+      place(outcome, config.p);
+    } else if (config.phase2_fraction.has_value()) {
+      place(outcome, phase2_x(*config.phase2_fraction, axis));
+    } else if (is_two_phase(config.strategy)) {
+      throw std::invalid_argument("pivot_sweep: entry " + config.strategy +
+                                  " has no phase2 value for a beta or "
+                                  "phase-1 axis");
+    } else {
+      for (const double x : phase2_xs) place(outcome, x);
     }
   }
   if (analysis) {

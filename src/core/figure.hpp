@@ -29,9 +29,12 @@ enum class SweepAxis {
 /// first appearance) with one series per strategy. With `analysis`,
 /// each point also gets an "Analysis" series: the analysis prediction
 /// of its 2-phase entry, else of its first entry. The beta and phase-1
-/// axes need a phase2 value on every entry. Throws
-/// std::invalid_argument when two entries land on the same point and
-/// strategy (say, an n grid on a p axis).
+/// axes take their x values from the entries with a phase2 value; an
+/// entry without one (a strategy that ignores phase2) is placed at
+/// every such x. Throws std::invalid_argument when two entries land on
+/// the same point and strategy (say, an n grid on a p axis), when a
+/// 2-phase entry has no phase2 value on those axes, or when no entry
+/// has one.
 std::vector<SweepPoint> pivot_sweep(
     const std::vector<CampaignOutcome>& outcomes, SweepAxis axis,
     bool analysis);

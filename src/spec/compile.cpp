@@ -8,13 +8,12 @@ CompiledCampaign compile_spec(const ScenarioSpec& resolved) {
   validate_spec(resolved);
 
   // An empty phase2 axis = one point with the speed-agnostic default
-  // (resolve_beta derives the analysis optimum per config).
-  std::vector<std::optional<double>> phase2s;
-  if (resolved.phase2s.empty()) {
-    phase2s.push_back(std::nullopt);
-  } else {
-    for (double ph2 : resolved.phase2s) phase2s.emplace_back(ph2);
-  }
+  // (resolve_beta derives the analysis optimum per config). Only the
+  // 2-phase strategies read phase2: every other strategy is one point.
+  std::vector<std::optional<double>> phase2s(resolved.phase2s.begin(),
+                                             resolved.phase2s.end());
+  if (phase2s.empty()) phase2s.push_back(std::nullopt);
+  const std::vector<std::optional<double>> no_phase2{std::nullopt};
 
   CompiledCampaign out;
   out.name = *resolved.name;
@@ -23,7 +22,9 @@ CompiledCampaign compile_spec(const ScenarioSpec& resolved) {
   for (std::uint32_t n : resolved.ns) {
     for (std::uint32_t p : resolved.ps) {
       for (const std::string& strategy : resolved.strategies) {
-        for (const std::optional<double>& ph2 : phase2s) {
+        const auto& strategy_phase2s =
+            is_two_phase(strategy) ? phase2s : no_phase2;
+        for (const std::optional<double>& ph2 : strategy_phase2s) {
           ExperimentConfig config;
           config.kernel = *resolved.kernel;
           config.strategy = strategy;
@@ -49,7 +50,7 @@ CompiledCampaign compile_spec(const ScenarioSpec& resolved) {
 
           std::string label = strategy + ".p" + std::to_string(p);
           if (resolved.ns.size() > 1) label += ".n" + std::to_string(n);
-          if (resolved.phase2s.size() > 1) {
+          if (strategy_phase2s.size() > 1) {
             label += ".ph" + format_double(*ph2);
           }
           out.entries.push_back(CampaignEntry{std::move(label),

@@ -12,32 +12,6 @@
 namespace hetsched::bench {
 namespace {
 
-TEST(BenchToU32, ConvertsValidValues) {
-  const auto out = to_u32({0, 10, 4294967295ll});
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0], 0u);
-  EXPECT_EQ(out[1], 10u);
-  EXPECT_EQ(out[2], 4294967295u);
-}
-
-TEST(BenchToU32, ThrowsOnNegativeWithValueInMessage) {
-  try {
-    to_u32({10, -3});
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("-3"), std::string::npos);
-  }
-}
-
-TEST(BenchToU32, ThrowsBeyondUint32WithValueInMessage) {
-  try {
-    to_u32({std::int64_t{1} << 32});
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("4294967296"), std::string::npos);
-  }
-}
-
 CliArgs flags(std::vector<const char*> argv) {
   argv.insert(argv.begin(), "bench");
   return CliArgs(static_cast<int>(argv.size()), argv.data());

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace hetsched {
 namespace {
@@ -92,6 +93,48 @@ TEST(CliArgs, RejectsMalformedNumbers) {
   }
   EXPECT_EQ(parse({"prog", "--x=-7"}).get_int("x", 0), -7);
   EXPECT_DOUBLE_EQ(parse({"prog", "--x=1e-3"}).get_double("x", 0), 1e-3);
+}
+
+TEST(CliArgs, CountListParsesValidValues) {
+  const auto ps =
+      parse({"prog", "--p=1,10,4294967295"}).get_count_list("p", {7});
+  EXPECT_EQ(ps, (std::vector<std::uint32_t>{1, 10, 4294967295u}));
+  EXPECT_EQ(parse({"prog"}).get_count_list("p", {7}),
+            std::vector<std::uint32_t>{7});
+  EXPECT_EQ(parse({"prog", "--n=30"}).get_count("n", 100), 30u);
+  EXPECT_EQ(parse({"prog"}).get_count("n", 100), 100u);
+}
+
+// A size below 1 made -nan rows (--reps=0); a negative one wrapped to
+// about 2^32. The error names the flag and the value.
+TEST(CliArgs, CountRejectsNonPositiveWithValueInMessage) {
+  const auto message = [](const auto& get) {
+    try {
+      get();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message([] { parse({"prog", "--reps=0"}).get_count("reps", 1); }),
+            "--reps: must be an integer in [1, 2^32), got 0");
+  EXPECT_EQ(message([] {
+              parse({"prog", "--p=10,-3"}).get_count_list("p", {});
+            }),
+            "--p: must be an integer in [1, 2^32), got -3");
+  EXPECT_EQ(message([] { parse({"prog", "--p="}).get_count_list("p", {1}); }),
+            "--p: expected at least one value");
+}
+
+TEST(CliArgs, CountRejectsBeyondUint32WithValueInMessage) {
+  EXPECT_THROW(parse({"prog", "--n=4294967296"}).get_count("n", 1),
+               std::invalid_argument);
+  try {
+    parse({"prog", "--p=4,4294967296"}).get_count_list("p", {});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("4294967296"), std::string::npos);
+  }
 }
 
 TEST(CliArgs, RejectsPositionalArguments) {

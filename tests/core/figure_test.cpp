@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -131,6 +132,58 @@ TEST(PivotSweep, TwoEntriesOnOnePointThrow) {
   // A beta axis needs a phase2 value on every entry.
   EXPECT_THROW(pivot_sweep({outcome("DynamicOuter2Phases", 4, 2.0, 1.7)},
                            SweepAxis::kBeta, true),
+               std::invalid_argument);
+}
+
+CampaignOutcome phase2_outcome(const std::string& strategy, double phase2,
+                               double normalized, double analysis) {
+  CampaignOutcome out = outcome(strategy, 6, normalized, analysis);
+  out.config.phase2_fraction = phase2;
+  return out;
+}
+
+TEST(PivotSweep, EntryWithoutPhaseTwoIsPlacedAtEveryPhaseTwoX) {
+  // The reference strategy ignores phase2: one entry, listed first, is
+  // the same experiment at every beta the 2-phase entries define.
+  const auto points =
+      pivot_sweep({outcome("DynamicOuter", 6, 2.5, 1.1),
+                   phase2_outcome("DynamicOuter2Phases", 0.5, 2.0, 1.7),
+                   phase2_outcome("DynamicOuter2Phases", 0.25, 1.9, 1.6)},
+                  SweepAxis::kBeta, true);
+  ASSERT_EQ(points.size(), 2u);
+  EXPECT_EQ(points[0].x, -std::log(0.5));
+  EXPECT_EQ(points[1].x, -std::log(0.25));
+  for (const auto& point : points) {
+    EXPECT_EQ(point.normalized.at("DynamicOuter").mean, 2.5);
+  }
+  EXPECT_EQ(points[0].normalized.at("DynamicOuter2Phases").mean, 2.0);
+  // The analysis still comes from the 2-phase entry at each x.
+  EXPECT_EQ(points[0].normalized.at("Analysis").mean, 1.7);
+  EXPECT_EQ(points[1].normalized.at("Analysis").mean, 1.6);
+
+  const auto phase1 =
+      pivot_sweep({phase2_outcome("DynamicOuter2Phases", 1.0, 3.0, 1.5),
+                   phase2_outcome("DynamicOuter2Phases", 0.25, 2.0, 1.4),
+                   outcome("RandomOuter", 6, 3.1, 1.2)},
+                  SweepAxis::kPhase1Fraction, false);
+  ASSERT_EQ(phase1.size(), 2u);
+  EXPECT_EQ(phase1[0].x, 0.0);
+  EXPECT_EQ(phase1[1].x, 0.75);
+  EXPECT_EQ(phase1[0].normalized.at("RandomOuter").mean, 3.1);
+  EXPECT_EQ(phase1[1].normalized.at("RandomOuter").mean, 3.1);
+}
+
+TEST(PivotSweep, PhaseTwoAxisRejectsMissingValues) {
+  // A 2-phase entry without phase2 has no x on a beta axis.
+  EXPECT_THROW(
+      pivot_sweep({phase2_outcome("DynamicOuter2Phases", 0.5, 2.0, 1.7),
+                   outcome("DynamicMatrix2Phases", 6, 2.0, 1.7)},
+                  SweepAxis::kBeta, false),
+      std::invalid_argument);
+  // Nor does an axis on which no entry carries phase2 have any x.
+  EXPECT_THROW(pivot_sweep({outcome("DynamicOuter", 6, 2.5, 1.1),
+                            outcome("RandomOuter", 6, 3.1, 1.2)},
+                           SweepAxis::kPhase1Fraction, false),
                std::invalid_argument);
 }
 

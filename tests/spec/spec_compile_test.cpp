@@ -6,6 +6,8 @@
 #include <cmath>
 #include <initializer_list>
 #include <iterator>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -72,22 +74,79 @@ TEST(SpecCompile, WideGridExpansionOrderAndLabels) {
   spec.phase2s = {0.5, 0.25};
   const CompiledCampaign compiled =
       compile_spec(resolved(std::move(spec), batch_spec_defaults()));
-  // n (outer) -> p -> strategy -> phase2; multi-valued extra axes are
-  // tagged onto the label.
-  ASSERT_EQ(compiled.entries.size(), 16u);
-  EXPECT_EQ(compiled.entries[0].label, "RandomOuter.p4.n50.ph0.5");
-  EXPECT_EQ(compiled.entries[1].label, "RandomOuter.p4.n50.ph0.25");
-  EXPECT_EQ(compiled.entries[2].label, "DynamicOuter.p4.n50.ph0.5");
-  EXPECT_EQ(compiled.entries[15].label, "DynamicOuter.p8.n100.ph0.25");
+  // n (outer) -> p -> strategy; multi-valued extra axes are tagged onto
+  // the label. Neither strategy reads phase2, so that axis adds no
+  // entries and no `.ph` tag.
+  ASSERT_EQ(compiled.entries.size(), 8u);
+  EXPECT_EQ(compiled.entries[0].label, "RandomOuter.p4.n50");
+  EXPECT_EQ(compiled.entries[1].label, "DynamicOuter.p4.n50");
+  EXPECT_EQ(compiled.entries[2].label, "RandomOuter.p8.n50");
+  EXPECT_EQ(compiled.entries[7].label, "DynamicOuter.p8.n100");
   EXPECT_EQ(compiled.entries[0].config.n, 50u);
   EXPECT_EQ(compiled.entries[0].config.p, 4u);
-  EXPECT_EQ(compiled.entries[0].config.phase2_fraction, 0.5);
-  EXPECT_EQ(compiled.entries[15].config.n, 100u);
-  EXPECT_EQ(compiled.entries[15].config.p, 8u);
-  EXPECT_EQ(compiled.entries[15].config.phase2_fraction, 0.25);
+  EXPECT_FALSE(compiled.entries[0].config.phase2_fraction.has_value());
+  EXPECT_EQ(compiled.entries[7].config.n, 100u);
+  EXPECT_EQ(compiled.entries[7].config.p, 8u);
+  EXPECT_FALSE(compiled.entries[7].config.phase2_fraction.has_value());
   // Distinct grid points hash differently.
   EXPECT_NE(compiled.entries[0].config.config_hash,
-            compiled.entries[15].config.config_hash);
+            compiled.entries[7].config.config_hash);
+}
+
+// Figure 2's shape: the 2-phase strategy crossed with phase2 values
+// next to three references that ignore phase2.
+ScenarioSpec phase2_grid(std::vector<double> phase2s) {
+  ScenarioSpec spec;
+  spec.strategies = {"DynamicOuter2Phases", "RandomOuter", "SortedOuter",
+                     "DynamicOuter"};
+  spec.ns = {100};
+  spec.ps = {20};
+  spec.phase2s = std::move(phase2s);
+  return resolved(std::move(spec), batch_spec_defaults());
+}
+
+TEST(SpecCompile, PhaseTwoAxisExpandsOnlyTheTwoPhaseStrategies) {
+  // Figure 2's 15 fractions f in phase 1, as phase2 = 1 - f.
+  std::vector<double> phase2s;
+  for (const double f : {0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
+                         0.95, 0.97, 0.985, 0.995, 0.999}) {
+    phase2s.push_back(1.0 - f);
+  }
+  const CompiledCampaign compiled = compile_spec(phase2_grid(phase2s));
+  ASSERT_EQ(compiled.entries.size(), 15u + 3u);
+  for (std::size_t i = 0; i < 15; ++i) {
+    EXPECT_EQ(compiled.entries[i].config.strategy, "DynamicOuter2Phases");
+    EXPECT_EQ(compiled.entries[i].config.phase2_fraction, phase2s[i]);
+  }
+  EXPECT_EQ(compiled.entries[0].label, "DynamicOuter2Phases.p20.ph1");
+  EXPECT_EQ(compiled.entries[1].label, "DynamicOuter2Phases.p20.ph0.9");
+  const std::vector<std::string> references{"RandomOuter.p20",
+                                            "SortedOuter.p20",
+                                            "DynamicOuter.p20"};
+  for (std::size_t i = 0; i < references.size(); ++i) {
+    const CampaignEntry& entry = compiled.entries[15 + i];
+    EXPECT_EQ(entry.label, references[i]);
+    EXPECT_FALSE(entry.config.phase2_fraction.has_value());
+  }
+}
+
+TEST(SpecCompile, ReferenceEntryHashesAsItsPointWithoutPhaseTwo) {
+  // Each hash names one experiment: a reference strategy's entry is the
+  // same point whatever the phase2 axis holds, or without one.
+  const CompiledCampaign with_axis =
+      compile_spec(phase2_grid({1.0, 0.5, 0.25}));
+  const CompiledCampaign without_axis = compile_spec(phase2_grid({}));
+  ASSERT_EQ(with_axis.entries.size(), 6u);
+  ASSERT_EQ(without_axis.entries.size(), 4u);
+  for (std::size_t i = 1; i < 4; ++i) {
+    EXPECT_EQ(with_axis.entries[2 + i].label, without_axis.entries[i].label);
+    EXPECT_EQ(with_axis.entries[2 + i].config.config_hash,
+              without_axis.entries[i].config.config_hash)
+        << without_axis.entries[i].label;
+  }
+  // The 2-phase strategy's points still differ by phase2.
+  EXPECT_NE(with_axis.entries[0].config.config_hash,
+            without_axis.entries[0].config.config_hash);
 }
 
 TEST(SpecCompile, EntriesGetFreshScenarioInstances) {

@@ -135,19 +135,6 @@ std::vector<std::string> split_names(const std::string& csv) {
   return out;
 }
 
-// A size flag of the commands that bypass the spec layer (tune,
-// partition, dag): rejected below 1 before anything is sized by it.
-std::uint32_t count_flag(const CliArgs& args, const std::string& key,
-                         std::uint32_t fallback) {
-  const std::int64_t value = args.get_int(key, fallback);
-  if (value < 1 || value > std::int64_t{0xffffffff}) {
-    throw std::invalid_argument("--" + key + ": must be an integer in "
-                                "[1, 2^32), got " +
-                                std::to_string(value));
-  }
-  return static_cast<std::uint32_t>(value);
-}
-
 // Owns the optional live progress reporter plus its output file, built
 // from --progress / --progress-out / --progress-interval. The file (if
 // any) lives on the heap so the reporter's stream reference stays valid
@@ -289,9 +276,9 @@ int cmd_sweep(const CliArgs& args) {
 
 int cmd_tune(const CliArgs& args) {
   const Kernel kernel = kernel_from_string(args.get("kernel", "outer"));
-  const std::uint32_t p = count_flag(args, "p", 20);
+  const std::uint32_t p = args.get_count("p", 20);
   const std::uint32_t n =
-      count_flag(args, "n", kernel == Kernel::kOuter ? 100 : 40);
+      args.get_count("n", kernel == Kernel::kOuter ? 100 : 40);
   const std::vector<double> rs(p, 1.0 / static_cast<double>(p));
   const auto opt = kernel == Kernel::kOuter
                        ? OuterAnalysis(rs, n).optimal_beta()
@@ -310,7 +297,7 @@ int cmd_partition(const CliArgs& args) {
     std::cerr << "partition: --speeds=s1,s2,... is required\n";
     return 2;
   }
-  const std::uint32_t n = count_flag(args, "n", 100);
+  const std::uint32_t n = args.get_count("n", 100);
   std::vector<double> speeds;
   for (const auto& tok : split_names(speeds_csv)) {
     double speed = 0.0;
@@ -343,9 +330,9 @@ int cmd_partition(const CliArgs& args) {
 
 int cmd_dag(const CliArgs& args) {
   const std::string fact = args.get("factorization", "cholesky");
-  const std::uint32_t tiles = count_flag(args, "tiles", 16);
-  const std::uint32_t p = count_flag(args, "p", 8);
-  const std::uint32_t reps = count_flag(args, "reps", 3);
+  const std::uint32_t tiles = args.get_count("tiles", 16);
+  const std::uint32_t p = args.get_count("p", 8);
+  const std::uint32_t reps = args.get_count("reps", 3);
   const std::uint64_t seed = args.get_int("seed", 42);
 
   if (fact != "cholesky") {
