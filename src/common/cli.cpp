@@ -23,13 +23,16 @@ T parse_value(const std::string& key, const std::string& text,
   return value;
 }
 
-/// A size flag's value: rejected outside [1, 2^32) before anything is
-/// sized by it (a 0 made -nan rows, a negative one wrapped to ~2^32).
-std::uint32_t to_count(const std::string& key, std::int64_t value) {
-  if (value < 1 || value > std::int64_t{0xffffffff}) {
-    throw std::invalid_argument("--" + key + ": must be an integer in "
-                                "[1, 2^32), got " +
-                                std::to_string(value));
+/// A count flag's value: rejected outside [min, 2^32) before anything
+/// is sized by it (a 0 made -nan rows, a negative one wrapped to ~2^32).
+std::uint32_t to_count(const std::string& key, std::int64_t value,
+                       std::int64_t min = 1) {
+  if (value < min || value > std::int64_t{0xffffffff}) {
+    std::string message = "--" + key + ": must be an integer in [";
+    message += std::to_string(min);
+    message += ", 2^32), got ";
+    message += std::to_string(value);
+    throw std::invalid_argument(message);
   }
   return static_cast<std::uint32_t>(value);
 }
@@ -96,6 +99,11 @@ std::vector<std::int64_t> CliArgs::get_int_list(
 std::uint32_t CliArgs::get_count(const std::string& key,
                                  std::uint32_t fallback) const {
   return to_count(key, get_int(key, fallback));
+}
+
+std::uint32_t CliArgs::get_thread_count(const std::string& key,
+                                        std::uint32_t fallback) const {
+  return to_count(key, get_int(key, fallback), 0);
 }
 
 std::vector<std::uint32_t> CliArgs::get_count_list(

@@ -35,6 +35,9 @@ class CliArgs {
   /// A size flag (--n, --p, --reps, ...): an integer in [1, 2^32), or
   /// std::invalid_argument naming the flag and the value.
   std::uint32_t get_count(const std::string& key, std::uint32_t fallback) const;
+  /// A thread-count flag (--jobs): 0 (auto) or an integer in [1, 2^32).
+  std::uint32_t get_thread_count(const std::string& key,
+                                 std::uint32_t fallback) const;
   /// The list form, e.g. --p=10,50,100: every item a size, at least one.
   std::vector<std::uint32_t> get_count_list(
       const std::string& key, std::vector<std::uint32_t> fallback) const;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstddef>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/event_core.hpp"
@@ -18,147 +19,131 @@ namespace {
 /// has not retired it. How an accepted assignment reaches the worker
 /// depends on the link:
 ///
-/// - Free link: its tasks go straight to the runnable queue, with no
-///   event and no link time; zero-task assignments (all enabled tasks
-///   already processed) loop into the next request, as a real
+/// - Free link: its tasks join the worker's runnable work at once, with
+///   no event and no link time; zero-task assignments (all enabled
+///   tasks already processed) loop into the next request, as a real
 ///   demand-driven worker would.
 /// - Any other link: it becomes a message on the master's serial
-///   uplink, and its arrival event feeds the queue. One request per
-///   worker is outstanding at a time (a request/response protocol).
+///   uplink, and its arrival appends it to the runnable work. One
+///   request per worker is outstanding at a time (a request/response
+///   protocol).
 ///
-/// The free link with lookahead 1 has a batched mode, used when nobody
-/// observes single completions (no trace, no perturbation): a worker's
-/// whole runnable queue becomes one heap event at the batch end.
-/// Completion times and busy-time accumulation replay the identical
-/// sequential floating-point adds the per-task mode performs (t += d
-/// per task), so every reported number is bit-identical; faults split
-/// the batch at the same strict `finish < fault_time` boundary the
-/// per-task event order produces (a fault always won time ties via its
-/// smaller sequence number).
+/// A worker's runnable work (the in-flight task and every queued
+/// assignment) is one chain of back-to-back tasks: the first starts at
+/// `t` and lasts `head_d`, every later one lasts `d` = 1 / speed.
+/// Finish times come from the sequential `f += d` adds a task-by-task
+/// schedule performs, so every reported number is bit-identical however
+/// the completions are grouped into events. Two groupings exist:
+///
+/// - Batched (the default): one event per worker, at the first moment
+///   it must act. With no request outstanding that is the completion
+///   that drops its pending count below `lookahead` (the request
+///   trigger), or its last task once the strategy has retired it. With
+///   a message on the wire there is no completion event at all: the
+///   arrival (or a fault, if one comes first) credits the finished
+///   prefix, and the arrival the starvation gap after it.
+/// - Per-task, when something observes single completions (a trace
+///   publishes each, perturbation redraws the speed after each): one
+///   event per task, pushed when the task starts.
+///
+/// Faults split the chain at the strict `finish < fault_time` boundary
+/// (a fault wins time ties). A straggler leaves the in-flight task's
+/// finish time alone and slows the tasks after it; a crash requeues
+/// `[queued..., in transit..., in flight]`.
 class Engine final : public EventCoreClient {
  public:
-  Engine(Strategy& strategy, const SimConfig& config, bool batched)
+  Engine(Strategy& strategy, const SimConfig& config, bool per_task)
       : strategy_(strategy),
         comm_(config.comm),
         lookahead_(config.lookahead),
         free_link_(config.comm.is_free()),
-        batched_(batched) {}
+        per_task_(per_task) {}
 
   void bind(EventCore* core) {
     core_ = core;
-    const std::uint32_t p = core->num_workers();
-    uplinks_.resize(p);
-    batches_.resize(p);
-    // Reciprocal speed cache: a fresh 1.0 / speed division exactly
-    // like the per-task mode's, redone only when a fault rescales the
-    // speed, so batch durations stay bit-identical.
-    inv_speed_.resize(p);
-    for (std::uint32_t k = 0; k < p; ++k) {
-      inv_speed_[k] = 1.0 / core->worker(k).speed;
+    workers_.resize(core->num_workers());
+    for (std::uint32_t k = 0; k < core->num_workers(); ++k) {
+      workers_[k].d = 1.0 / core->worker(k).speed;
     }
   }
 
   // Gives worker k work at `now`, or lets it retire.
   void start(std::uint32_t k, double now) {
-    if (batched_) {
-      start_next_batched(k, now);
-    } else {
-      pump_requests(k, now);
-    }
+    pump(k, now);
+    plan(k);
   }
 
-  void on_task_done(std::uint32_t k, double now) override {
-    Uplink& x = uplinks_[k];
-    assert(x.pending_tasks > 0);
-    --x.pending_tasks;
-    if (core_->worker(k).queue.empty()) {
-      x.idle_since = now;  // potential starvation interval begins
+  void on_batch_done(std::uint32_t k, double now, std::uint32_t tag) override {
+    Chain& c = workers_[k];
+    if (!c.armed || tag != c.gen) return;  // superseded by a re-plan
+    c.armed = false;
+    if (per_task_) {
+      complete_head(k, now);
     } else {
-      start_next_task(k, now);
+      credit(k, c.due);
     }
-    pump_requests(k, now);
+    pump(k, now);
+    plan(k);
   }
 
   void on_message(std::uint32_t k, double now) override {
-    EventCore::Worker& w = core_->worker(k);
-    Uplink& x = uplinks_[k];
-    assert(x.request_outstanding);
-    x.request_outstanding = false;
-    ++core_->stats().workers[k].messages_received;
-    for (const TaskId t : x.in_transit) w.queue.push_back(t);
-    x.in_transit.clear();
-    if (!w.queue.empty() && !w.running) {
-      if (x.started) {
-        core_->stats().workers[k].starved_time += now - x.idle_since;
+    Chain& c = workers_[k];
+    assert(c.outstanding);
+    c.outstanding = false;
+    WorkerSimStats& stats = core_->stats().workers[k];
+    ++stats.messages_received;
+    if (!per_task_) settle(k, now, /*inclusive=*/true);
+    if (c.count == 0 && c.transit.count != 0) {
+      if (c.started) stats.starved_time += now - c.idle_since;
+      c.started = true;
+    }
+    Segment& seg = next_slot(c);
+    std::swap(seg, c.transit);
+    commit(k, seg, now);
+    pump(k, now);
+    plan(k);
+  }
+
+  // Straggler fault: the in-flight task keeps its finish time, the
+  // tasks after it run at the new speed.
+  void on_speed_change(std::uint32_t k, double now) override {
+    if (!per_task_) settle(k, now, /*inclusive=*/false);
+    workers_[k].d = 1.0 / core_->worker(k).speed;
+    plan(k);
+  }
+
+  // Crash: credits what finished before the fault and hands back the
+  // rest in a task-by-task schedule's `[queued..., in transit...,
+  // in flight]` order. The in-flight task replays that schedule's
+  // charge-at-start, refund-at-crash on busy time, so even its
+  // rounding is identical.
+  void collect_pending(std::uint32_t k, std::vector<TaskId>& out) override {
+    Chain& c = workers_[k];
+    if (!per_task_) settle(k, core_->now(), /*inclusive=*/false);
+    const auto append = [&out](TaskId t) { out.push_back(t); };
+    if (c.count != 0) {
+      // Rare fault path: index into the front assignment.
+      Assignment& front = c.ring[c.head].asg;
+      front.flatten();
+      const auto in_flight = front.tasks.begin() +
+                             static_cast<std::ptrdiff_t>(c.skip);
+      out.insert(out.end(), in_flight + 1, front.tasks.end());
+      for (std::size_t i = c.head + 1; i < c.tail; ++i) {
+        c.ring[i].asg.for_each_task(append);
       }
-      x.started = true;
-      start_next_task(k, now);
+      if (c.outstanding) c.transit.asg.for_each_task(append);
+      out.push_back(*in_flight);
+      WorkerSimStats& stats = core_->stats().workers[k];
+      stats.busy_time += c.head_d;
+      stats.busy_time -= c.head_d;
+    } else if (c.outstanding) {
+      c.transit.asg.for_each_task(append);
     }
-    pump_requests(k, now);
-  }
-
-  void on_batch_done(std::uint32_t worker, double now,
-                     std::uint32_t tag) override {
-    Batch& b = batches_[worker];
-    if (!b.active || tag != b.gen) return;  // superseded by a retime
-    // A fault split never leaves a partially-credited batch behind: a
-    // straggler rebuilds the batch (done = 0, fresh gen) and a crash
-    // deactivates it, so this event always credits the whole run.
-    assert(b.done == 0);
-    core_->credit_batch_run(worker, b.start, b.duration, b.asg.task_count());
-    b.active = false;
-    start_next_batched(worker, now);
-  }
-
-  // Straggler fault: the in-flight task keeps its pre-fault finish
-  // time, later batch members restart at the new speed — the same
-  // schedule the per-task mode produces, where only queued (not yet
-  // started) tasks see the slower speed.
-  void on_speed_change(std::uint32_t worker, double now) override {
-    if (!batched_) return;
-    EventCore::Worker& w = core_->worker(worker);
-    inv_speed_[worker] = 1.0 / w.speed;
-    Batch& b = batches_[worker];
-    if (!b.active) return;
-    // Rare fault path: materialize the run-encoded batch so the split
-    // below can index into it. Facade order == credited order.
-    b.asg.flatten();
-    double t = b.start;
-    std::size_t i = b.done;
-    std::vector<TaskId>& tasks = b.asg.tasks;
-    while (i < tasks.size()) {
-      const double finish = t + b.duration;
-      if (!(finish < now)) break;
-      core_->credit_batch_completion(worker, finish, b.duration);
-      t = finish;
-      ++i;
-    }
-    assert(i < tasks.size());
-    const TaskId straddler = tasks[i];
-    for (std::size_t j = i + 1; j < tasks.size(); ++j) {
-      w.queue.push_back(tasks[j]);
-    }
-    tasks.clear();
-    tasks.push_back(straddler);
-    b.done = 0;
-    b.start = t;
-    ++b.gen;  // the old batch-end event is now stale
-    core_->push_batch_event(worker, t + b.duration, b.gen);
-  }
-
-  // Crash support: the core drains the runnable queue and the in-flight
-  // task; this adds what only the client holds.
-  void collect_pending(std::uint32_t worker,
-                       std::vector<TaskId>& out) override {
-    if (batched_) {
-      split_batch_at_crash(worker, out);
-      return;
-    }
-    Uplink& x = uplinks_[worker];
-    out.insert(out.end(), x.in_transit.begin(), x.in_transit.end());
-    x.in_transit.clear();
-    x.pending_tasks = 0;
-    x.request_outstanding = false;
+    c.count = 0;
+    c.head = c.tail = 0;
+    c.skip = 0;
+    c.outstanding = false;
+    c.armed = false;
   }
 
   bool requeue(std::vector<TaskId>& tasks) override {
@@ -172,168 +157,206 @@ class Engine final : public EventCoreClient {
     // lookahead allows.
     for (std::uint32_t k = 0; k < core_->num_workers(); ++k) {
       EventCore::Worker& w = core_->worker(k);
-      if (w.failed || (batched_ && batches_[k].active)) continue;
+      if (w.failed) continue;
       w.retired = false;
-      start(k, now);
+      if (!per_task_) settle(k, now, /*inclusive=*/false);
+      pump(k, now);
+      plan(k);
     }
   }
 
  private:
+  /// One accepted assignment and its task count (0 = nothing to run).
+  struct Segment {
+    Assignment asg;
+    std::uint64_t count = 0;
+  };
+
+  /// A worker's runnable work and request state. `ring[head, tail)`
+  /// holds the queued assignments in arrival order; the first `skip`
+  /// tasks of `ring[head]` are already credited. Slots outside the
+  /// live range keep their capacity, so the steady state allocates
+  /// nothing and the strategy writes each answer straight into the
+  /// slot (free link) or the message buffer (timed link).
+  struct Chain {
+    std::uint64_t count = 0;  // uncredited runnable tasks
+    double t = 0.0;           // start of the first uncredited task
+    double head_d = 0.0;      // its duration
+    double d = 0.0;           // duration of each later task: 1 / speed
+    // The armed event: its time, the tasks it credits, and the tag
+    // that tells it from superseded ones.
+    double at = 0.0;
+    std::uint64_t due = 0;
+    std::uint32_t gen = 0;
+    bool armed = false;
+    bool outstanding = false;
+    bool started = false;     // has ever had work (gates starvation stats)
+    double idle_since = 0.0;  // start of the current starvation interval
+    std::vector<Segment> ring;
+    std::size_t head = 0;
+    std::size_t tail = 0;
+    std::uint64_t skip = 0;
+    Segment transit;  // the message on the wire
+  };
+
+  // A batch event carries its tag in the 24 high bits of its meta word.
+  static constexpr std::uint32_t kTagMask = 0xFFFFFFu;
+
   // Issues requests for worker k until its pending work reaches the
   // lookahead target, it has a request outstanding, or it retires.
-  void pump_requests(std::uint32_t k, double now) {
+  void pump(std::uint32_t k, double now) {
     EventCore::Worker& w = core_->worker(k);
     if (w.failed) return;
-    Uplink& x = uplinks_[k];
-    while (!w.retired && !x.request_outstanding &&
-           x.pending_tasks < lookahead_) {
-      if (!strategy_.on_request(k, scratch_)) {
+    Chain& c = workers_[k];
+    while (!w.retired && !c.outstanding && c.count < lookahead_) {
+      Segment& seg = free_link_ ? next_slot(c) : c.transit;
+      if (!strategy_.on_request(k, seg.asg)) {
         core_->retire_worker(k, now);
         return;
       }
       if (core_->trace() != nullptr) {
-        core_->trace()->on_assignment(k, now, scratch_);
+        core_->trace()->on_assignment(k, now, seg.asg);
       }
-      const std::uint64_t blocks = scratch_.block_count();
+      const std::uint64_t blocks = seg.asg.block_count();
       core_->stats().total_blocks += blocks;
       core_->stats().workers[k].blocks_received += blocks;
-      x.pending_tasks += scratch_.task_count();
+      seg.count = seg.asg.task_count();
       if (free_link_) {
-        scratch_.for_each_task([&](TaskId t) { w.queue.push_back(t); });
-        start_next_task(k, now);
+        commit(k, seg, now);
         continue;
       }
-      // The message holds its tasks until it lands; at most one is on
-      // the wire per worker, so one buffer per worker serves them all.
-      scratch_.for_each_task([&](TaskId t) { x.in_transit.push_back(t); });
       const double start = std::max(now, link_free_);
       const double duration = comm_.transfer_time(blocks);
       link_free_ = start + duration;
       core_->stats().link_busy_time += duration;
-      x.request_outstanding = true;
+      c.outstanding = true;
       core_->push_message(k, link_free_);
     }
   }
 
-  void start_next_task(std::uint32_t k, double now) {
-    EventCore::Worker& w = core_->worker(k);
-    if (w.running || w.queue.empty()) return;
-    const TaskId task = w.queue.front();
-    w.queue.pop_front();
-    core_->start_task(k, now, 1.0 / w.speed, task);
+  // The ring slot the next assignment lands in.
+  static Segment& next_slot(Chain& c) {
+    if (c.tail == c.ring.size()) make_slot(c);
+    return c.ring[c.tail];
   }
 
-  // Batched mode pulls assignments straight into the batch's own
-  // Assignment (the strategy's callee-clears contract makes it a valid
-  // scratch), so the common path copies nothing. w.queue only ever
-  // holds a straggler split's remainder.
-  void start_next_batched(std::uint32_t k, double now) {
-    EventCore::Worker& w = core_->worker(k);
-    if (w.failed) return;
-    Batch& b = batches_[k];
-    std::uint64_t count = 0;
-    if (!w.queue.empty()) {
-      // Rare path: a straggler split or post-crash restart left queued
-      // tasks; they run before anything newly requested.
-      b.asg.clear();
-      w.queue.drain_into(b.asg.tasks);
-      count = b.asg.tasks.size();
+  // Frees the slot past the live range: moves the live segments to the
+  // front, or grows the ring when they fill it.
+  [[gnu::noinline]] static void make_slot(Chain& c) {
+    if (c.head != 0) {
+      std::rotate(c.ring.begin(),
+                  c.ring.begin() + static_cast<std::ptrdiff_t>(c.head),
+                  c.ring.begin() + static_cast<std::ptrdiff_t>(c.tail));
+      c.tail -= c.head;
+      c.head = 0;
     } else {
-      WorkerSimStats& stats = core_->stats().workers[k];
-      for (;;) {
-        if (w.retired) return;
-        if (!strategy_.on_request(k, b.asg)) {
-          core_->retire_worker(k, now);
-          return;
-        }
-        const std::uint64_t blocks = b.asg.block_count();
-        stats.blocks_received += blocks;
-        core_->stats().total_blocks += blocks;
-        count = b.asg.task_count();
-        if (count != 0) break;
-        // Zero-task assignments loop straight into another request.
-      }
+      c.ring.emplace_back();
     }
-    b.done = 0;
-    b.start = now;
-    const double d = inv_speed_[k];
-    b.duration = d;
-    // The batch stays run-encoded: the end time needs only the count,
-    // accumulated with the identical per-task fp adds (end += d, count
-    // times) the per-task mode performs.
-    double end = now;
-    for (std::uint64_t i = 0; i < count; ++i) end += d;
-    b.active = true;
-    core_->push_batch_event(k, end, b.gen);
   }
 
-  // Crash in batched mode: credit the batch members that finished
-  // strictly before the fault, hand the rest back for requeueing —
-  // in-flight task last, matching the per-task mode's [queue...,
-  // current] order. The in-flight task replays that mode's
-  // charge-then-refund on busy time so the float state stays
-  // bit-identical.
-  void split_batch_at_crash(std::uint32_t worker, std::vector<TaskId>& out) {
-    Batch& b = batches_[worker];
-    if (!b.active) return;
-    // Rare fault path: materialize the run-encoded batch (see
-    // on_speed_change) before slicing it at the epoch boundary.
-    b.asg.flatten();
-    const double fault_time = core_->now();
-    double t = b.start;
-    std::size_t i = b.done;
-    const std::vector<TaskId>& tasks = b.asg.tasks;
-    while (i < tasks.size()) {
-      const double finish = t + b.duration;
-      if (!(finish < fault_time)) break;
-      core_->credit_batch_completion(worker, finish, b.duration);
-      t = finish;
-      ++i;
+  // Appends the filled slot `seg` (ring[tail]) to the chain; an idle
+  // worker starts its first task now.
+  void commit(std::uint32_t k, Segment& seg, double now) {
+    if (seg.count == 0) return;
+    Chain& c = workers_[k];
+    // A traced completion names its task, read by index.
+    if (per_task_ && core_->trace() != nullptr) seg.asg.flatten();
+    ++c.tail;
+    const bool idle = c.count == 0;
+    c.count += seg.count;
+    if (idle) {
+      c.t = now;
+      c.head_d = c.d;
+      if (per_task_) arm_head(k);
     }
-    assert(i < tasks.size());
-    WorkerSimStats& stats = core_->stats().workers[worker];
-    stats.busy_time += b.duration;
-    stats.busy_time -= b.duration;
-    for (std::size_t j = i + 1; j < tasks.size(); ++j) {
-      out.push_back(tasks[j]);
-    }
-    out.push_back(tasks[i]);
-    b.active = false;
   }
 
-  /// Per-worker request state of the per-task mode (the core holds the
-  /// runnable queue).
-  struct Uplink {
-    std::vector<TaskId> in_transit;  // the outstanding message's tasks
-    std::uint64_t pending_tasks = 0;  // runnable + in transit + in flight
-    bool request_outstanding = false;
-    double idle_since = 0.0;  // start of the current starvation interval
-    bool started = false;     // has ever had work (gates starvation stats)
-  };
+  // Credits the next n tasks of the chain in start order.
+  void credit(std::uint32_t k, std::uint64_t n) {
+    if (n == 0) return;
+    Chain& c = workers_[k];
+    assert(n <= c.count);
+    c.t = core_->credit_batch_run(k, c.t, c.head_d, c.d, n);
+    c.head_d = c.d;
+    c.count -= n;
+    if (c.count == 0) {
+      c.head = c.tail = 0;
+      c.skip = 0;
+      c.idle_since = c.t;
+      return;
+    }
+    c.skip += n;
+    while (c.skip >= c.ring[c.head].count) {
+      c.skip -= c.ring[c.head].count;
+      ++c.head;
+    }
+  }
 
-  /// An in-flight run of equal-duration tasks on one worker. `done`
-  /// marks the prefix already credited by a fault split; `gen` tags
-  /// the batch-end event so a retime can drop the superseded one.
-  struct Batch {
-    Assignment asg;  // the batch, possibly run-encoded; filled by on_request
-    std::size_t done = 0;
-    double start = 0.0;
-    double duration = 0.0;
-    std::uint32_t gen = 0;
-    bool active = false;
-  };
+  // Batched mode: credits the tasks finishing before `now` (or at it,
+  // when `inclusive`).
+  void settle(std::uint32_t k, double now, bool inclusive) {
+    const Chain& c = workers_[k];
+    std::uint64_t n = 0;
+    double finish = c.t + c.head_d;
+    while (n < c.count && (finish < now || (inclusive && finish == now))) {
+      ++n;
+      finish += c.d;
+    }
+    credit(k, n);
+  }
+
+  // Per-task mode: the head task completed at `now`.
+  void complete_head(std::uint32_t k, double now) {
+    Chain& c = workers_[k];
+    TraceSink* trace = core_->trace();
+    const TaskId task = trace != nullptr ? c.ring[c.head].asg.tasks[c.skip] : 0;
+    credit(k, 1);
+    if (trace != nullptr) trace->on_completion(k, now, task);
+    if (core_->perturbation_enabled()) {
+      core_->perturb_speed(k);
+      c.d = 1.0 / core_->worker(k).speed;
+      c.head_d = c.d;
+    }
+    if (c.count != 0) arm_head(k);
+  }
+
+  // Per-task mode: one event at the head task's finish.
+  void arm_head(std::uint32_t k) {
+    Chain& c = workers_[k];
+    c.armed = true;
+    c.gen = (c.gen + 1) & kTagMask;
+    core_->push_batch_event(k, c.t + c.head_d, c.gen);
+  }
+
+  // Batched mode: arms worker k's one event at the first moment it must
+  // act, or none while its message is on the wire or it has no work.
+  void plan(std::uint32_t k) {
+    if (per_task_) return;
+    Chain& c = workers_[k];
+    if (c.outstanding || c.count == 0) {
+      c.armed = false;
+      return;
+    }
+    const bool retired = core_->worker(k).retired;
+    assert(retired || c.count >= lookahead_);
+    c.due = retired ? c.count : c.count - lookahead_ + 1;
+    double at = c.t + c.head_d;
+    for (std::uint64_t i = 1; i < c.due; ++i) at += c.d;
+    if (c.armed && at == c.at) return;  // the armed event still stands
+    c.armed = true;
+    c.at = at;
+    c.gen = (c.gen + 1) & kTagMask;
+    core_->push_batch_event(k, at, c.gen);
+  }
 
   Strategy& strategy_;
   const CommModel comm_;
   const std::uint32_t lookahead_;
   const bool free_link_;
-  const bool batched_;
+  const bool per_task_;
   EventCore* core_ = nullptr;
-  std::vector<Uplink> uplinks_;
-  std::vector<Batch> batches_;
-  std::vector<double> inv_speed_;  // batched mode: 1.0 / worker speed
-  double link_free_ = 0.0;         // when the serial uplink next idles
-  Assignment scratch_;  // reused across requests; capacity retained
+  std::vector<Chain> workers_;
+  double link_free_ = 0.0;  // when the serial uplink next idles
 };
 
 }  // namespace
@@ -361,14 +384,13 @@ SimResult simulate(Strategy& strategy, const Platform& platform,
   options.faults = config.faults;
   options.trace = trace;
 
-  // Per-task events only where something needs them: a trace wants
-  // every completion, perturbation redraws speed after each, and a
-  // timed link or a deeper lookahead interleaves requests with
-  // completions. Otherwise one event per assignment batch
-  // (bit-identical results, far fewer heap operations).
-  const bool batched = free_link && config.lookahead == 1 &&
-                       trace == nullptr && !config.perturbation.enabled();
-  Engine engine(strategy, config, batched);
+  // Per-task events only where something observes single completions:
+  // a trace publishes each one and perturbation redraws the speed after
+  // each. Otherwise one event per worker action (bit-identical results,
+  // far fewer heap operations).
+  const bool per_task =
+      trace != nullptr || config.perturbation.enabled();
+  Engine engine(strategy, config, per_task);
   EventCore core(platform, options, engine);
   engine.bind(&core);
 

@@ -30,6 +30,11 @@ double SimResult::starvation_fraction() const {
   return active > 0.0 ? starved / active : 0.0;
 }
 
+void EventCoreClient::on_task_done(std::uint32_t worker, double now) {
+  (void)worker;
+  (void)now;
+}
+
 void EventCoreClient::on_message(std::uint32_t worker, double now) {
   (void)worker;
   (void)now;
@@ -116,7 +121,6 @@ void EventCore::start_task(std::uint32_t k, double now, double duration,
   w.current = task;
   w.running = true;
   w.current_duration = duration;
-  w.current_finish = now + duration;
   result_.workers[k].busy_time += duration;
   events_.push(Event{now + duration, seq_++, k, kTaskDone | (w.epoch << 8)});
 }
@@ -141,8 +145,7 @@ void EventCore::retire_worker(std::uint32_t k, double now) {
 void EventCore::crash_worker(std::uint32_t k, double now) {
   Worker& w = workers_[k];
   if (w.failed) return;
-  std::vector<TaskId> unfinished(w.queue.begin(), w.queue.end());
-  w.queue.clear();
+  std::vector<TaskId> unfinished;
   client_.collect_pending(k, unfinished);
   if (w.running) {
     unfinished.push_back(w.current);

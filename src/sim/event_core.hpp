@@ -24,9 +24,9 @@
 // in a hand-rolled 4-ary min-heap, fault events live in a pre-sorted
 // side list merged at pop time (their construction-time sequence
 // numbers are smaller than any engine event's, so a fault still wins
-// every time tie exactly as it did in the single-heap layout), and
-// worker run queues are vectors with a consumed-prefix head instead of
-// std::deque so the steady state allocates nothing.
+// every time tie exactly as it did in the single-heap layout), and a
+// client may stand one event for a whole run of completions
+// (push_batch_event / credit_batch_run).
 #pragma once
 
 #include <cassert>
@@ -89,61 +89,17 @@ struct SimResult {
   double starvation_fraction() const;
 };
 
-/// FIFO of runnable task ids: a contiguous vector with a consumed
-/// prefix instead of std::deque, so pushes in the simulation steady
-/// state reuse capacity instead of allocating deque chunks. The
-/// consumed prefix is reclaimed when the queue empties or when it
-/// outgrows the live suffix (amortized O(1) per pop).
-class TaskQueue {
- public:
-  bool empty() const noexcept { return head_ == buf_.size(); }
-  std::size_t size() const noexcept { return buf_.size() - head_; }
-  TaskId front() const {
-    assert(!empty());
-    return buf_[head_];
-  }
-  void push_back(TaskId t) { buf_.push_back(t); }
-  void pop_front() {
-    assert(!empty());
-    ++head_;
-    if (head_ == buf_.size()) {
-      buf_.clear();
-      head_ = 0;
-    } else if (head_ >= 64 && head_ * 2 >= buf_.size()) {
-      buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
-      head_ = 0;
-    }
-  }
-  void clear() noexcept {
-    buf_.clear();
-    head_ = 0;
-  }
-  /// Appends every queued id to `out` (front to back) and empties the
-  /// queue; capacity is retained on both sides.
-  void drain_into(std::vector<TaskId>& out) {
-    out.insert(out.end(), buf_.begin() + static_cast<std::ptrdiff_t>(head_),
-               buf_.end());
-    clear();
-  }
-  auto begin() const noexcept {
-    return buf_.begin() + static_cast<std::ptrdiff_t>(head_);
-  }
-  auto end() const noexcept { return buf_.end(); }
-
- private:
-  std::vector<TaskId> buf_;
-  std::size_t head_ = 0;
-};
-
 /// Engine-specific behaviour the core calls back into. Callbacks fire
 /// with the core clock already advanced to the event time.
 class EventCoreClient {
  public:
   virtual ~EventCoreClient() = default;
 
-  /// Worker `worker` completed its task (stats, trace, perturbation
-  /// already applied by the core); give it more work or let it idle.
-  virtual void on_task_done(std::uint32_t worker, double now) = 0;
+  /// Worker `worker` completed the task started by
+  /// EventCore::start_task (stats, trace, perturbation already applied
+  /// by the core); give it more work or let it idle. Only clients that
+  /// start tasks that way see this. Default: nothing to do.
+  virtual void on_task_done(std::uint32_t worker, double now);
 
   /// A message event (pushed via EventCore::push_message) arrived for
   /// `worker`. Stale deliveries (crash epoch advanced) are dropped by
@@ -158,14 +114,14 @@ class EventCoreClient {
                              std::uint32_t tag);
 
   /// A straggler fault just rescaled `worker`'s speed. A client that
-  /// schedules multi-task batch events must re-time the in-flight
-  /// batch; per-task clients need nothing (queued tasks pick up the
-  /// new speed when they start). Default: nothing to do.
+  /// schedules multi-task batch events must re-time its armed event;
+  /// clients of start_task need nothing (the next task picks up the
+  /// new speed when it starts). Default: nothing to do.
   virtual void on_speed_change(std::uint32_t worker, double now);
 
-  /// Crash support: append `worker`'s engine-side pending tasks (those
-  /// NOT in the core's runnable queue or in flight on the worker — the
-  /// core drains both itself) to `out` and forget them. Default: none.
+  /// Crash support: append `worker`'s client-side pending tasks (all
+  /// but the one started by start_task, which the core appends itself
+  /// after them) to `out` and forget them. Default: none.
   virtual void collect_pending(std::uint32_t worker,
                                std::vector<TaskId>& out);
 
@@ -194,15 +150,14 @@ struct EventCoreOptions {
 
 class EventCore {
  public:
-  /// Unified worker state. `queue` holds runnable tasks (the timed
-  /// engine's in-transit messages stay client-side); `epoch` advances
-  /// on crash and invalidates in-flight completion/message events.
+  /// Unified worker state. `current` is the task started by
+  /// start_task (clients that batch completions keep their runnable
+  /// work themselves); `epoch` advances on crash and invalidates
+  /// in-flight completion/message events.
   struct Worker {
-    TaskQueue queue;
     double speed = 0.0;
     double base_speed = 0.0;
     TaskId current = 0;
-    double current_finish = 0.0;
     double current_duration = 0.0;
     std::uint32_t epoch = 0;
     bool running = false;
@@ -240,39 +195,27 @@ class EventCore {
   /// busy time, and schedules the completion event.
   void start_task(std::uint32_t k, double now, double duration, TaskId task);
 
-  /// Schedules one event at `time` standing for a whole run of tasks
-  /// on worker `k`. The client owns the batch contents and credits the
-  /// individual completions via credit_batch_completion when the event
-  /// fires (on_batch_done) or a fault splits the batch. `tag` is
-  /// echoed back verbatim for staleness detection.
+  /// Schedules one event at `time` standing for one or more of worker
+  /// `k`'s completions. The client owns the tasks and credits them via
+  /// credit_batch_run when the event fires (on_batch_done) or a fault
+  /// splits the run. `tag` is echoed back verbatim for staleness
+  /// detection.
   void push_batch_event(std::uint32_t k, double time, std::uint32_t tag);
 
-  /// Batched-mode replacement for the per-event completion
-  /// bookkeeping: tasks-done counters, finish time, makespan. The
-  /// caller must credit a worker's completions in start order so the
-  /// busy-time float accumulation matches the per-event engine's.
-  void credit_batch_completion(std::uint32_t k, double finish,
-                               double duration) {
+  /// Credits `count` >= 1 back-to-back completions on worker `k`: the
+  /// first starts at `start` and lasts `first`, every later one lasts
+  /// `duration`. Finish times and busy time accumulate through the
+  /// same sequential adds (`t += d`, `busy += d`, in start order) a
+  /// task-by-task schedule performs; the counters, final finish time
+  /// and makespan are settled once after the loop (their per-task
+  /// intermediate values are never observable). Returns the last
+  /// finish time.
+  double credit_batch_run(std::uint32_t k, double start, double first,
+                          double duration, std::uint64_t count) {
     WorkerSimStats& stats = result_.workers[k];
-    stats.busy_time += duration;
-    ++stats.tasks_done;
-    ++result_.total_tasks_done;
-    stats.finish_time = finish;
-    if (finish > result_.makespan) result_.makespan = finish;
-  }
-
-  /// Bulk form of credit_batch_completion for an uninterrupted run of
-  /// `count` tasks starting at `start`: the float accumulation is the
-  /// identical sequential `+= duration` chain, but the counters, final
-  /// finish time and makespan are settled once after the loop (their
-  /// per-task intermediate values are never observable). Returns the
-  /// last finish time.
-  double credit_batch_run(std::uint32_t k, double start, double duration,
-                          std::uint64_t count) {
-    if (count == 0) return start;
-    WorkerSimStats& stats = result_.workers[k];
-    double t = start;
-    for (std::uint64_t i = 0; i < count; ++i) {
+    double t = start + first;
+    stats.busy_time += first;
+    for (std::uint64_t i = 1; i < count; ++i) {
       t += duration;
       stats.busy_time += duration;
     }
@@ -281,6 +224,13 @@ class EventCore {
     stats.finish_time = t;
     if (t > result_.makespan) result_.makespan = t;
     return t;
+  }
+
+  /// Redraws worker `k`'s speed from the perturbation model (call only
+  /// when perturbation_enabled()).
+  void perturb_speed(std::uint32_t k) {
+    Worker& w = workers_[k];
+    w.speed = perturbation_.perturb(w.speed, w.base_speed, perturb_rng_);
   }
 
   /// Schedules a message-arrival event for worker `k` at `time`
@@ -327,10 +277,7 @@ class EventCore {
           if (trace_ != nullptr) {
             trace_->on_completion(ev.worker, ev.time, w.current);
           }
-          if (perturbation_.enabled()) {
-            w.speed =
-                perturbation_.perturb(w.speed, w.base_speed, perturb_rng_);
-          }
+          if (perturbation_.enabled()) perturb_speed(ev.worker);
           client.on_task_done(ev.worker, ev.time);
           break;
         }

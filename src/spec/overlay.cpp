@@ -1,8 +1,10 @@
 #include "spec/overlay.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
+#include "core/experiment.hpp"
 #include "spec/parse.hpp"
 
 namespace hetsched {
@@ -116,6 +118,22 @@ ScenarioSpec load_spec(const std::string& path, const CliArgs& args,
   spec = resolve_spec(merge_specs(std::move(spec), spec_overlay_from_cli(args)),
                       defaults);
   validate_spec(spec);
+  // Only the 2-phase strategies read phase2, so a --beta/--phase2 flag
+  // over a grid without one would be dropped unread. A spec file's own
+  // phase2 axis stays accepted under a --strategy overlay: it describes
+  // the file's grid, of which the overlay runs one cell.
+  for (const char* key : {"beta", "phase2"}) {
+    if (args.has(key) &&
+        std::none_of(spec.strategies.begin(), spec.strategies.end(),
+                     is_two_phase)) {
+      std::string message = "--";
+      message += key;
+      message +=
+          ": no strategy of the grid reads it; only the two-phase "
+          "strategies (DynamicOuter2Phases, DynamicMatrix2Phases) do";
+      throw SpecError(message);
+    }
+  }
   return spec;
 }
 

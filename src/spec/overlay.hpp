@@ -22,9 +22,10 @@ ScenarioSpec spec_overlay_from_cli(const CliArgs& args);
 
 /// The shared configuration loader of the CLI and the figure benches:
 /// parses the .hspec file at `path` (none if empty), lays the flag
-/// overlay on top, resolves against `defaults` and validates. Every
-/// error is a SpecError naming the offending field (and, for file
-/// input, its line/column).
+/// overlay on top, resolves against `defaults` and validates; a
+/// --beta or --phase2 flag over a grid with no two-phase strategy is
+/// rejected rather than dropped. Every error is a SpecError naming the
+/// offending field (and, for file input, its line/column).
 ScenarioSpec load_spec(const std::string& path, const CliArgs& args,
                        const SpecDefaults& defaults);
 

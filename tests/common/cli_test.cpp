@@ -137,6 +137,21 @@ TEST(CliArgs, CountRejectsBeyondUint32WithValueInMessage) {
   }
 }
 
+TEST(CliArgs, ThreadCountAcceptsZeroAndRejectsNegative) {
+  EXPECT_EQ(parse({"prog", "--jobs=0"}).get_thread_count("jobs", 3), 0u);
+  EXPECT_EQ(parse({"prog", "--jobs=4"}).get_thread_count("jobs", 0), 4u);
+  EXPECT_EQ(parse({"prog"}).get_thread_count("jobs", 0), 0u);
+  try {
+    parse({"prog", "--jobs=-1"}).get_thread_count("jobs", 0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "--jobs: must be an integer in [0, 2^32), got -1");
+  }
+  EXPECT_THROW(parse({"prog", "--jobs=4294967296"}).get_thread_count("jobs", 0),
+               std::invalid_argument);
+}
+
 TEST(CliArgs, RejectsPositionalArguments) {
   EXPECT_THROW(parse({"prog", "positional"}), std::invalid_argument);
 }

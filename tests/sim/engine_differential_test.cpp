@@ -1,14 +1,14 @@
-// Differential checks on the engine's three ways of running one
-// schedule. With a free link and one task of lookahead every request is
-// served at the completion that triggered it, so
+// Differential checks on the engine's ways of running one schedule.
 //
-// - the serial-uplink message path with a near-free link (latency 0,
-//   bandwidth 1e18, lookahead 1),
-// - the per-task free path (a trace attached), and
-// - the batched free path (no trace, no perturbation)
-//
-// must all report the same run bit for bit — under crashes and
-// stragglers too, where the batched path splits its batches.
+// - On any link and lookahead, the per-task path (a trace attached:
+//   one event per completion) and the batched path (no trace, no
+//   perturbation: one event per worker action) must report the same
+//   run bit for bit, link statistics included — under crashes and
+//   stragglers too, where the batched path splits its runs.
+// - With a free link and one task of lookahead every request is served
+//   at the completion that triggered it, so the serial-uplink message
+//   path with a near-free link (latency 0, bandwidth 1e18, lookahead 1)
+//   must match the free link as well.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -57,7 +57,9 @@ Platform test_platform(std::uint32_t p) {
   return make_platform(UniformIntervalSpeeds(10.0, 100.0), p, speed_rng);
 }
 
-void expect_same_run(const SimResult& a, const SimResult& b) {
+// Everything but the link statistics, which a free and a near-free
+// link report differently.
+void expect_same_schedule(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.total_tasks_done, b.total_tasks_done);
   EXPECT_EQ(a.total_blocks, b.total_blocks);
   EXPECT_EQ(a.requeued_tasks, b.requeued_tasks);
@@ -71,6 +73,18 @@ void expect_same_run(const SimResult& a, const SimResult& b) {
     EXPECT_EQ(a.workers[k].busy_time, b.workers[k].busy_time);
     EXPECT_EQ(a.workers[k].finish_time, b.workers[k].finish_time);
     EXPECT_EQ(a.workers[k].final_speed, b.workers[k].final_speed);
+  }
+}
+
+// Every reported field, link statistics included.
+void expect_same_run(const SimResult& a, const SimResult& b) {
+  expect_same_schedule(a, b);
+  EXPECT_EQ(a.link_busy_time, b.link_busy_time);
+  ASSERT_EQ(a.workers.size(), b.workers.size());
+  for (std::size_t k = 0; k < a.workers.size(); ++k) {
+    SCOPED_TRACE(k);
+    EXPECT_EQ(a.workers[k].messages_received, b.workers[k].messages_received);
+    EXPECT_EQ(a.workers[k].starved_time, b.workers[k].starved_time);
   }
 }
 
@@ -103,7 +117,7 @@ TEST(EngineDifferential, FreeLinkTimedEngineMatchesFlatEngine) {
       timed.comm = CommModel{1e18, 0.0};
       const SimResult a = simulate(*flat_strategy, platform, flat);
       const SimResult b = simulate(*timed_strategy, platform, timed);
-      expect_same_run(a, b);
+      expect_same_schedule(a, b);
       expect_no_link_stats(a);
       // Every fault fires before the run ends, so the grid exercises it.
       EXPECT_EQ(a.crashed_workers, fc.crashes);
@@ -133,6 +147,44 @@ TEST(EngineDifferential, TracedPerTaskPathMatchesBatchedPath) {
       expect_no_link_stats(b);
       EXPECT_EQ(a.crashed_workers, fc.crashes);
       EXPECT_LT(1.0, a.makespan);
+    }
+  }
+}
+
+TEST(EngineDifferential, TracedPerTaskPathMatchesBatchedPathOnFiniteLinks) {
+  const std::uint32_t p = 10;
+  const Platform platform = test_platform(p);
+  // A link that mostly hides behind computation, and one whose latency
+  // exceeds every task time, so most completions fall while the
+  // worker's next request is on the wire.
+  const std::vector<CommModel> links = {CommModel{200.0, 0.001},
+                                        CommModel{2000.0, 0.05}};
+  for (const char* name :
+       {"DynamicOuter", "DynamicOuter2Phases", "RandomOuter", "SortedOuter",
+        "DynamicMatrix", "DynamicMatrix2Phases", "RandomMatrix"}) {
+    for (const CommModel& link : links) {
+      for (const std::uint32_t lookahead : {1u, 2u, 4u}) {
+        for (const FaultCase& fc : fault_cases()) {
+          SCOPED_TRACE(std::string(name) + " / latency " +
+                       std::to_string(link.latency) + " / lookahead " +
+                       std::to_string(lookahead) + " / " + fc.name);
+          auto batched_strategy = build(name, p);
+          auto traced_strategy = build(name, p);
+          SimConfig config;
+          config.seed = 5;
+          config.comm = link;
+          config.lookahead = lookahead;
+          config.faults = fc.faults;
+          RecordingTrace trace;
+          const SimResult a = simulate(*batched_strategy, platform, config);
+          const SimResult b =
+              simulate(*traced_strategy, platform, config, &trace);
+          expect_same_run(a, b);
+          EXPECT_EQ(a.crashed_workers, fc.crashes);
+          EXPECT_LT(1.0, a.makespan);
+          EXPECT_LT(0.0, a.link_busy_time);
+        }
+      }
     }
   }
 }

@@ -411,11 +411,11 @@ int cmd_dag(const CliArgs& args) {
 }
 
 int cmd_campaign(const CliArgs& args) {
+  const std::uint32_t jobs = args.get_thread_count("jobs", 0);
   const Campaign campaign = compile_campaign(
       load_spec(args.get("spec", ""), args, batch_spec_defaults()));
   ProgressSetup progress = make_progress(args);
-  const auto outcomes = campaign.run(
-      static_cast<unsigned>(args.get_int("jobs", 0)), progress.get());
+  const auto outcomes = campaign.run(jobs, progress.get());
   if (progress.get() != nullptr) progress.get()->finish();
   write_campaign_json(std::cout, campaign.name(), outcomes);
   return 0;
