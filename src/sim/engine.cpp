@@ -68,10 +68,7 @@ class Engine final : public EventCoreClient {
   }
 
   // Gives worker k work at `now`, or lets it retire.
-  void start(std::uint32_t k, double now) {
-    pump(k, now);
-    plan(k);
-  }
+  void start(std::uint32_t k, double now) { refill(k, now); }
 
   void on_batch_done(std::uint32_t k, double now, std::uint32_t tag) override {
     Chain& c = workers_[k];
@@ -82,8 +79,7 @@ class Engine final : public EventCoreClient {
     } else {
       credit(k, c.due);
     }
-    pump(k, now);
-    plan(k);
+    refill(k, now);
   }
 
   void on_message(std::uint32_t k, double now) override {
@@ -94,14 +90,13 @@ class Engine final : public EventCoreClient {
     ++stats.messages_received;
     if (!per_task_) settle(k, now, /*inclusive=*/true);
     if (c.count == 0 && c.transit.count != 0) {
-      if (c.started) stats.starved_time += now - c.idle_since;
+      if (c.started) stats.starved_time += now - c.t;  // t: last finish
       c.started = true;
     }
     Segment& seg = next_slot(c);
     std::swap(seg, c.transit);
     commit(k, seg, now);
-    pump(k, now);
-    plan(k);
+    refill(k, now);
   }
 
   // Straggler fault: the in-flight task keeps its finish time, the
@@ -109,7 +104,7 @@ class Engine final : public EventCoreClient {
   void on_speed_change(std::uint32_t k, double now) override {
     if (!per_task_) settle(k, now, /*inclusive=*/false);
     workers_[k].d = 1.0 / core_->worker(k).speed;
-    plan(k);
+    if (!per_task_) plan(k, core_->worker(k).retired);
   }
 
   // Crash: credits what finished before the fault and hands back the
@@ -160,8 +155,7 @@ class Engine final : public EventCoreClient {
       if (w.failed) continue;
       w.retired = false;
       if (!per_task_) settle(k, now, /*inclusive=*/false);
-      pump(k, now);
-      plan(k);
+      refill(k, now);
     }
   }
 
@@ -180,7 +174,9 @@ class Engine final : public EventCoreClient {
   /// slot (free link) or the message buffer (timed link).
   struct Chain {
     std::uint64_t count = 0;  // uncredited runnable tasks
-    double t = 0.0;           // start of the first uncredited task
+    // Start of the first uncredited task; with count == 0, the last
+    // finish (where a starvation interval begins).
+    double t = 0.0;
     double head_d = 0.0;      // its duration
     double d = 0.0;           // duration of each later task: 1 / speed
     // The armed event: its time, the tasks it credits, and the tag
@@ -190,8 +186,7 @@ class Engine final : public EventCoreClient {
     std::uint32_t gen = 0;
     bool armed = false;
     bool outstanding = false;
-    bool started = false;     // has ever had work (gates starvation stats)
-    double idle_since = 0.0;  // start of the current starvation interval
+    bool started = false;  // has ever had work (gates starvation stats)
     std::vector<Segment> ring;
     std::size_t head = 0;
     std::size_t tail = 0;
@@ -203,8 +198,9 @@ class Engine final : public EventCoreClient {
   static constexpr std::uint32_t kTagMask = 0xFFFFFFu;
 
   // Issues requests for worker k until its pending work reaches the
-  // lookahead target, it has a request outstanding, or it retires.
-  void pump(std::uint32_t k, double now) {
+  // lookahead target, it has a request outstanding, or it retires; then
+  // (batched mode) arms its next event.
+  void refill(std::uint32_t k, double now) {
     EventCore::Worker& w = core_->worker(k);
     if (w.failed) return;
     Chain& c = workers_[k];
@@ -212,9 +208,9 @@ class Engine final : public EventCoreClient {
       Segment& seg = free_link_ ? next_slot(c) : c.transit;
       if (!strategy_.on_request(k, seg.asg)) {
         core_->retire_worker(k, now);
-        return;
+        break;
       }
-      if (core_->trace() != nullptr) {
+      if (per_task_ && core_->trace() != nullptr) {
         core_->trace()->on_assignment(k, now, seg.asg);
       }
       const std::uint64_t blocks = seg.asg.block_count();
@@ -223,15 +219,21 @@ class Engine final : public EventCoreClient {
       seg.count = seg.asg.task_count();
       if (free_link_) {
         commit(k, seg, now);
-        continue;
+      } else {
+        send(k, blocks, now);
       }
-      const double start = std::max(now, link_free_);
-      const double duration = comm_.transfer_time(blocks);
-      link_free_ = start + duration;
-      core_->stats().link_busy_time += duration;
-      c.outstanding = true;
-      core_->push_message(k, link_free_);
     }
+    if (!per_task_) plan(k, w.retired);
+  }
+
+  // Puts worker k's answer, `blocks` blocks, on the serial uplink.
+  void send(std::uint32_t k, std::uint64_t blocks, double now) {
+    const double start = std::max(now, link_free_);
+    const double duration = comm_.transfer_time(blocks);
+    link_free_ = start + duration;
+    core_->stats().link_busy_time += duration;
+    workers_[k].outstanding = true;
+    core_->push_message(k, link_free_);
   }
 
   // The ring slot the next assignment lands in.
@@ -282,7 +284,6 @@ class Engine final : public EventCoreClient {
     if (c.count == 0) {
       c.head = c.tail = 0;
       c.skip = 0;
-      c.idle_since = c.t;
       return;
     }
     c.skip += n;
@@ -329,15 +330,15 @@ class Engine final : public EventCoreClient {
   }
 
   // Batched mode: arms worker k's one event at the first moment it must
-  // act, or none while its message is on the wire or it has no work.
-  void plan(std::uint32_t k) {
-    if (per_task_) return;
+  // act, or none while its message is on the wire or it has no work. A
+  // worker that may request acts at the completion that drops its
+  // pending count below the lookahead; a retired one at its last task.
+  void plan(std::uint32_t k, bool retired) {
     Chain& c = workers_[k];
     if (c.outstanding || c.count == 0) {
       c.armed = false;
       return;
     }
-    const bool retired = core_->worker(k).retired;
     assert(retired || c.count >= lookahead_);
     c.due = retired ? c.count : c.count - lookahead_ + 1;
     double at = c.t + c.head_d;

@@ -1,9 +1,11 @@
 // Discrete-event master-worker simulation engine.
 //
 // Reproduces the paper's experimental apparatus: demand-driven workers
-// request tasks from a master running a Strategy. Events are
-// individual task completions, which makes per-task speed perturbation
-// (the dyn.5 / dyn.20 scenarios) exact.
+// request tasks from a master running a Strategy. Every completion
+// time is computed exactly, task by task, which makes per-task speed
+// perturbation (the dyn.5 / dyn.20 scenarios) exact; the events that
+// deliver them are one per task when a trace or perturbation observes
+// single completions, else one per worker action.
 //
 // The link between master and workers is a CommModel. The default,
 // CommModel::free(), is the paper's standing assumption: communication
