@@ -118,13 +118,13 @@ class Engine final : public EventCoreClient {
     const auto append = [&out](TaskId t) { out.push_back(t); };
     if (c.count != 0) {
       // Rare fault path: index into the front assignment.
-      Assignment& front = c.ring[c.head].asg;
+      Assignment& front = c.front.asg;
       front.flatten();
       const auto in_flight = front.tasks.begin() +
                              static_cast<std::ptrdiff_t>(c.skip);
       out.insert(out.end(), in_flight + 1, front.tasks.end());
-      for (std::size_t i = c.head + 1; i < c.tail; ++i) {
-        c.ring[i].asg.for_each_task(append);
+      for (std::size_t i = c.head; i < c.tail; ++i) {
+        c.queue[i].asg.for_each_task(append);
       }
       if (c.outstanding) c.transit.asg.for_each_task(append);
       out.push_back(*in_flight);
@@ -136,7 +136,6 @@ class Engine final : public EventCoreClient {
     }
     c.count = 0;
     c.head = c.tail = 0;
-    c.skip = 0;
     c.outstanding = false;
     c.armed = false;
   }
@@ -166,12 +165,13 @@ class Engine final : public EventCoreClient {
     std::uint64_t count = 0;
   };
 
-  /// A worker's runnable work and request state. `ring[head, tail)`
-  /// holds the queued assignments in arrival order; the first `skip`
-  /// tasks of `ring[head]` are already credited. Slots outside the
-  /// live range keep their capacity, so the steady state allocates
-  /// nothing and the strategy writes each answer straight into the
-  /// slot (free link) or the message buffer (timed link).
+  /// A worker's runnable work and request state. `front` is the oldest
+  /// assignment with an uncredited task (its first `skip` tasks are
+  /// credited) and `queue[head, tail)` the younger ones, in arrival
+  /// order. Buffers outside the live range keep their capacity, so the
+  /// steady state allocates nothing, and the strategy writes each
+  /// answer straight into the buffer it runs from (free link) or the
+  /// message buffer (timed link).
   struct Chain {
     std::uint64_t count = 0;  // uncredited runnable tasks
     // Start of the first uncredited task; with count == 0, the last
@@ -187,10 +187,11 @@ class Engine final : public EventCoreClient {
     bool armed = false;
     bool outstanding = false;
     bool started = false;  // has ever had work (gates starvation stats)
-    std::vector<Segment> ring;
+    Segment front;
+    std::uint64_t skip = 0;
+    std::vector<Segment> queue;
     std::size_t head = 0;
     std::size_t tail = 0;
-    std::uint64_t skip = 0;
     Segment transit;  // the message on the wire
   };
 
@@ -236,41 +237,45 @@ class Engine final : public EventCoreClient {
     core_->push_message(k, link_free_);
   }
 
-  // The ring slot the next assignment lands in.
+  // The buffer the next assignment runs from: the front one when the
+  // worker has no work, else the queue slot past the live range.
   static Segment& next_slot(Chain& c) {
-    if (c.tail == c.ring.size()) make_slot(c);
-    return c.ring[c.tail];
+    if (c.count == 0) return c.front;
+    if (c.tail == c.queue.size()) make_slot(c);
+    return c.queue[c.tail];
   }
 
-  // Frees the slot past the live range: moves the live segments to the
-  // front, or grows the ring when they fill it.
+  // Frees the queue slot past the live range: moves the live segments
+  // to the start, or grows the queue when they fill it.
   [[gnu::noinline]] static void make_slot(Chain& c) {
     if (c.head != 0) {
-      std::rotate(c.ring.begin(),
-                  c.ring.begin() + static_cast<std::ptrdiff_t>(c.head),
-                  c.ring.begin() + static_cast<std::ptrdiff_t>(c.tail));
+      std::rotate(c.queue.begin(),
+                  c.queue.begin() + static_cast<std::ptrdiff_t>(c.head),
+                  c.queue.begin() + static_cast<std::ptrdiff_t>(c.tail));
       c.tail -= c.head;
       c.head = 0;
     } else {
-      c.ring.emplace_back();
+      c.queue.emplace_back();
     }
   }
 
-  // Appends the filled slot `seg` (ring[tail]) to the chain; an idle
-  // worker starts its first task now.
+  // Appends `seg`, filled in the buffer next_slot chose, to the chain;
+  // an idle worker starts its first task now.
   void commit(std::uint32_t k, Segment& seg, double now) {
     if (seg.count == 0) return;
     Chain& c = workers_[k];
     // A traced completion names its task, read by index.
     if (per_task_ && core_->trace() != nullptr) seg.asg.flatten();
-    ++c.tail;
-    const bool idle = c.count == 0;
-    c.count += seg.count;
-    if (idle) {
-      c.t = now;
-      c.head_d = c.d;
-      if (per_task_) arm_head(k);
+    if (c.count != 0) {
+      ++c.tail;
+      c.count += seg.count;
+      return;
     }
+    c.skip = 0;
+    c.count = seg.count;
+    c.t = now;
+    c.head_d = c.d;
+    if (per_task_) arm_head(k);
   }
 
   // Credits the next n tasks of the chain in start order.
@@ -283,13 +288,12 @@ class Engine final : public EventCoreClient {
     c.count -= n;
     if (c.count == 0) {
       c.head = c.tail = 0;
-      c.skip = 0;
       return;
     }
     c.skip += n;
-    while (c.skip >= c.ring[c.head].count) {
-      c.skip -= c.ring[c.head].count;
-      ++c.head;
+    while (c.skip >= c.front.count) {
+      c.skip -= c.front.count;
+      std::swap(c.front, c.queue[c.head++]);
     }
   }
 
@@ -310,7 +314,7 @@ class Engine final : public EventCoreClient {
   void complete_head(std::uint32_t k, double now) {
     Chain& c = workers_[k];
     TraceSink* trace = core_->trace();
-    const TaskId task = trace != nullptr ? c.ring[c.head].asg.tasks[c.skip] : 0;
+    const TaskId task = trace != nullptr ? c.front.asg.tasks[c.skip] : 0;
     credit(k, 1);
     if (trace != nullptr) trace->on_completion(k, now, task);
     if (core_->perturbation_enabled()) {
