@@ -123,7 +123,7 @@ class Engine final : public EventCoreClient {
       const auto in_flight = front.tasks.begin() +
                              static_cast<std::ptrdiff_t>(c.skip);
       out.insert(out.end(), in_flight + 1, front.tasks.end());
-      for (std::size_t i = c.head; i < c.tail; ++i) {
+      for (std::uint32_t i = c.head; i < c.tail; ++i) {
         c.queue[i].asg.for_each_task(append);
       }
       if (c.outstanding) c.transit.asg.for_each_task(append);
@@ -172,26 +172,27 @@ class Engine final : public EventCoreClient {
   /// steady state allocates nothing, and the strategy writes each
   /// answer straight into the buffer it runs from (free link) or the
   /// message buffer (timed link).
-  struct Chain {
+  struct alignas(64) Chain {
+    // Read or written on every event: one cache line.
     std::uint64_t count = 0;  // uncredited runnable tasks
     // Start of the first uncredited task; with count == 0, the last
     // finish (where a starvation interval begins).
     double t = 0.0;
-    double head_d = 0.0;      // its duration
-    double d = 0.0;           // duration of each later task: 1 / speed
+    double head_d = 0.0;  // its duration
+    double d = 0.0;       // duration of each later task: 1 / speed
     // The armed event: its time, the tasks it credits, and the tag
     // that tells it from superseded ones.
     double at = 0.0;
     std::uint64_t due = 0;
     std::uint32_t gen = 0;
+    std::uint32_t head = 0;  // queue[head, tail) holds the younger
+    std::uint32_t tail = 0;  // assignments
     bool armed = false;
     bool outstanding = false;
-    bool started = false;  // has ever had work (gates starvation stats)
     Segment front;
     std::uint64_t skip = 0;
+    bool started = false;  // has ever had work (gates starvation stats)
     std::vector<Segment> queue;
-    std::size_t head = 0;
-    std::size_t tail = 0;
     Segment transit;  // the message on the wire
   };
 
