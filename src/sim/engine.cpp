@@ -67,8 +67,34 @@ class Engine final : public EventCoreClient {
     }
   }
 
-  // Gives worker k work at `now`, or lets it retire.
-  void start(std::uint32_t k, double now) { refill(k, now); }
+  // Issues requests for worker k until its pending work reaches the
+  // lookahead target, it has a request outstanding, or it retires; then
+  // (batched mode) arms its next event.
+  void refill(std::uint32_t k, double now) {
+    EventCore::Worker& w = core_->worker(k);
+    if (w.failed) return;
+    Chain& c = workers_[k];
+    while (!w.retired && !c.outstanding && c.count < lookahead_) {
+      Segment& seg = free_link_ ? next_slot(c) : c.transit;
+      if (!strategy_.on_request(k, seg.asg)) {
+        core_->retire_worker(k, now);
+        break;
+      }
+      if (per_task_ && core_->trace() != nullptr) {
+        core_->trace()->on_assignment(k, now, seg.asg);
+      }
+      const std::uint64_t blocks = seg.asg.block_count();
+      core_->stats().total_blocks += blocks;
+      core_->stats().workers[k].blocks_received += blocks;
+      seg.count = seg.asg.task_count();
+      if (free_link_) {
+        commit(k, seg, now);
+      } else {
+        send(k, blocks, now);
+      }
+    }
+    if (!per_task_) plan(k, w.retired);
+  }
 
   void on_batch_done(std::uint32_t k, double now, std::uint32_t tag) override {
     Chain& c = workers_[k];
@@ -198,35 +224,6 @@ class Engine final : public EventCoreClient {
 
   // A batch event carries its tag in the 24 high bits of its meta word.
   static constexpr std::uint32_t kTagMask = 0xFFFFFFu;
-
-  // Issues requests for worker k until its pending work reaches the
-  // lookahead target, it has a request outstanding, or it retires; then
-  // (batched mode) arms its next event.
-  void refill(std::uint32_t k, double now) {
-    EventCore::Worker& w = core_->worker(k);
-    if (w.failed) return;
-    Chain& c = workers_[k];
-    while (!w.retired && !c.outstanding && c.count < lookahead_) {
-      Segment& seg = free_link_ ? next_slot(c) : c.transit;
-      if (!strategy_.on_request(k, seg.asg)) {
-        core_->retire_worker(k, now);
-        break;
-      }
-      if (per_task_ && core_->trace() != nullptr) {
-        core_->trace()->on_assignment(k, now, seg.asg);
-      }
-      const std::uint64_t blocks = seg.asg.block_count();
-      core_->stats().total_blocks += blocks;
-      core_->stats().workers[k].blocks_received += blocks;
-      seg.count = seg.asg.task_count();
-      if (free_link_) {
-        commit(k, seg, now);
-      } else {
-        send(k, blocks, now);
-      }
-    }
-    if (!per_task_) plan(k, w.retired);
-  }
 
   // Puts worker k's answer, `blocks` blocks, on the serial uplink.
   void send(std::uint32_t k, std::uint64_t blocks, double now) {
@@ -409,7 +406,7 @@ SimResult simulate(Strategy& strategy, const Platform& platform,
     ~DetachGuard() { s.attach_observer(nullptr, nullptr); }
   } detach_guard{strategy};
 
-  for (std::uint32_t k = 0; k < p; ++k) engine.start(k, 0.0);
+  for (std::uint32_t k = 0; k < p; ++k) engine.refill(k, 0.0);
   // The concrete-type loop: Engine is final, so the per-event
   // callbacks devirtualize and inline.
   core.run_loop(engine);
