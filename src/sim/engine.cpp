@@ -62,6 +62,7 @@ class Engine final : public EventCoreClient {
   void bind(EventCore* core) {
     core_ = core;
     workers_.resize(core->num_workers());
+    backlogs_.resize(core->num_workers());
     for (std::uint32_t k = 0; k < core->num_workers(); ++k) {
       workers_[k].d = 1.0 / core->worker(k).speed;
     }
@@ -75,7 +76,7 @@ class Engine final : public EventCoreClient {
     if (w.failed) return;
     Chain& c = workers_[k];
     while (!w.retired && !c.outstanding && c.count < lookahead_) {
-      Segment& seg = free_link_ ? next_slot(c) : c.transit;
+      Segment& seg = free_link_ ? next_slot(k) : backlogs_[k].transit;
       if (!strategy_.on_request(k, seg.asg)) {
         core_->retire_worker(k, now);
         break;
@@ -115,12 +116,13 @@ class Engine final : public EventCoreClient {
     WorkerSimStats& stats = core_->stats().workers[k];
     ++stats.messages_received;
     if (!per_task_) settle(k, now, /*inclusive=*/true);
-    if (c.count == 0 && c.transit.count != 0) {
-      if (c.started) stats.starved_time += now - c.t;  // t: last finish
-      c.started = true;
+    Backlog& b = backlogs_[k];
+    if (c.count == 0 && b.transit.count != 0) {
+      if (b.started) stats.starved_time += now - c.t;  // t: last finish
+      b.started = true;
     }
-    Segment& seg = next_slot(c);
-    std::swap(seg, c.transit);
+    Segment& seg = next_slot(k);
+    std::swap(seg, b.transit);
     commit(k, seg, now);
     refill(k, now);
   }
@@ -140,6 +142,7 @@ class Engine final : public EventCoreClient {
   // rounding is identical.
   void collect_pending(std::uint32_t k, std::vector<TaskId>& out) override {
     Chain& c = workers_[k];
+    Backlog& b = backlogs_[k];
     if (!per_task_) settle(k, core_->now(), /*inclusive=*/false);
     const auto append = [&out](TaskId t) { out.push_back(t); };
     if (c.count != 0) {
@@ -150,15 +153,15 @@ class Engine final : public EventCoreClient {
                              static_cast<std::ptrdiff_t>(c.skip);
       out.insert(out.end(), in_flight + 1, front.tasks.end());
       for (std::uint32_t i = c.head; i < c.tail; ++i) {
-        c.queue[i].asg.for_each_task(append);
+        b.queue[i].asg.for_each_task(append);
       }
-      if (c.outstanding) c.transit.asg.for_each_task(append);
+      if (c.outstanding) b.transit.asg.for_each_task(append);
       out.push_back(*in_flight);
       WorkerSimStats& stats = core_->stats().workers[k];
       stats.busy_time += c.head_d;
       stats.busy_time -= c.head_d;
     } else if (c.outstanding) {
-      c.transit.asg.for_each_task(append);
+      b.transit.asg.for_each_task(append);
     }
     c.count = 0;
     c.head = c.tail = 0;
@@ -217,9 +220,14 @@ class Engine final : public EventCoreClient {
     bool outstanding = false;
     Segment front;
     std::uint64_t skip = 0;
-    bool started = false;  // has ever had work (gates starvation stats)
+  };
+
+  /// The rest of a worker's state, touched only on a finite link or
+  /// with more than one assignment pending.
+  struct Backlog {
     std::vector<Segment> queue;
-    Segment transit;  // the message on the wire
+    Segment transit;       // the message on the wire
+    bool started = false;  // has ever had work (gates starvation stats)
   };
 
   // A batch event carries its tag in the 24 high bits of its meta word.
@@ -237,23 +245,25 @@ class Engine final : public EventCoreClient {
 
   // The buffer the next assignment runs from: the front one when the
   // worker has no work, else the queue slot past the live range.
-  static Segment& next_slot(Chain& c) {
+  Segment& next_slot(std::uint32_t k) {
+    Chain& c = workers_[k];
     if (c.count == 0) return c.front;
-    if (c.tail == c.queue.size()) make_slot(c);
-    return c.queue[c.tail];
+    Backlog& b = backlogs_[k];
+    if (c.tail == b.queue.size()) make_slot(c, b);
+    return b.queue[c.tail];
   }
 
   // Frees the queue slot past the live range: moves the live segments
   // to the start, or grows the queue when they fill it.
-  [[gnu::noinline]] static void make_slot(Chain& c) {
+  [[gnu::noinline]] static void make_slot(Chain& c, Backlog& b) {
     if (c.head != 0) {
-      std::rotate(c.queue.begin(),
-                  c.queue.begin() + static_cast<std::ptrdiff_t>(c.head),
-                  c.queue.begin() + static_cast<std::ptrdiff_t>(c.tail));
+      std::rotate(b.queue.begin(),
+                  b.queue.begin() + static_cast<std::ptrdiff_t>(c.head),
+                  b.queue.begin() + static_cast<std::ptrdiff_t>(c.tail));
       c.tail -= c.head;
       c.head = 0;
     } else {
-      c.queue.emplace_back();
+      b.queue.emplace_back();
     }
   }
 
@@ -291,7 +301,7 @@ class Engine final : public EventCoreClient {
     c.skip += n;
     while (c.skip >= c.front.count) {
       c.skip -= c.front.count;
-      std::swap(c.front, c.queue[c.head++]);
+      std::swap(c.front, backlogs_[k].queue[c.head++]);
     }
   }
 
@@ -359,6 +369,7 @@ class Engine final : public EventCoreClient {
   const bool per_task_;
   EventCore* core_ = nullptr;
   std::vector<Chain> workers_;
+  std::vector<Backlog> backlogs_;
   double link_free_ = 0.0;  // when the serial uplink next idles
 };
 
