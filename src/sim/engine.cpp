@@ -194,13 +194,13 @@ class Engine final : public EventCoreClient {
     std::uint64_t count = 0;
   };
 
-  /// A worker's runnable work and request state. `front` is the oldest
-  /// assignment with an uncredited task (its first `skip` tasks are
-  /// credited) and `queue[head, tail)` the younger ones, in arrival
-  /// order. Buffers outside the live range keep their capacity, so the
-  /// steady state allocates nothing, and the strategy writes each
-  /// answer straight into the buffer it runs from (free link) or the
-  /// message buffer (timed link).
+  /// The part of a worker's state every event touches. `front` is the
+  /// oldest assignment with an uncredited task (its first `skip` tasks
+  /// are credited) and the Backlog's `queue[head, tail)` the younger
+  /// ones, in arrival order. Buffers outside the live range keep their
+  /// capacity, so the steady state allocates nothing, and the strategy
+  /// writes each answer straight into the buffer it runs from (free
+  /// link) or the message buffer (timed link).
   struct alignas(64) Chain {
     // Read or written on every event: one cache line.
     std::uint64_t count = 0;  // uncredited runnable tasks
