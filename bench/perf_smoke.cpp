@@ -11,10 +11,10 @@
 //                 workloads
 //   large_pool  - peak RSS with a 10^9-id task pool resident
 //
-// The engine and request probes run in kTrials interleaved trials, each
-// of which re-samples the heap probe; every key is the median of its
-// trials, and every ratio the median of its per-trial ratios (IQRs
-// under ratios_vs_heap_iqr).
+// The engine, request and replication probes run in kTrials interleaved
+// trials, each of which re-samples the heap probe; every key is the
+// median of its trials, and every ratio the median of its per-trial
+// ratios (IQRs under ratios_vs_heap_iqr).
 //
 // Every ns metric is also reported as a ratio over the heap baseline so
 // CI can compare against bench/baselines/perf_smoke.json without being
@@ -62,7 +62,8 @@ double peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
 }
 
-/// Interleaved trials behind every engine and request_ns key.
+/// Interleaved trials behind every engine, request_ns and rep_cost key.
+/// Odd, so a median is one trial's sample and inverts exactly.
 constexpr int kTrials = 5;
 
 /// Median and interquartile range of a sample, quartiles by the
@@ -281,9 +282,9 @@ int bench_main(const CliArgs& args) {
   // one trial of every key instead of in all trials of one, and each
   // ratio divides by the heap probe of its own trial.
   struct Probe {
-    std::string name;       // top-level engine key, or request_ns key
+    std::string name;       // engine, request_ns or reps_per_sec key
     std::string ratio_key;  // ratios_vs_heap key
-    std::function<double()> measure;
+    std::function<double()> measure;  // ns per event, request or rep
   };
   std::vector<Probe> probes = {
       {"flat_engine_ns_per_event", "flat_engine_ns_per_event",
@@ -301,6 +302,33 @@ int bench_main(const CliArgs& args) {
     probes.push_back({name, std::string("request.") + name,
                       [outer, name] { return request_ns(outer, name); }});
   }
+  const std::size_t request_end = probes.size();
+  // fig05-sized (outer N/l = 1000) and fig10-sized (matmul N/l = 100)
+  // single-thread replication cost; their ratios are heap ops per rep.
+  const auto add_rep_probe = [&probes](const char* label, Kernel kernel,
+                                       const char* strategy, std::uint32_t n) {
+    const std::string name = std::string(label) + "." + strategy;
+    probes.push_back({name, "rep_cost." + name, [kernel, strategy, n] {
+                        return 1e9 / workload_reps_per_sec(kernel, strategy, n,
+                                                           100, 2);
+                      }});
+  };
+  add_rep_probe("fig05_outer_n1000", Kernel::kOuter, "RandomOuter", 1000);
+  add_rep_probe("fig05_outer_n1000", Kernel::kOuter, "DynamicOuter2Phases",
+                1000);
+  add_rep_probe("fig10_mm_n100", Kernel::kMatmul, "RandomMatrix", 100);
+  add_rep_probe("fig10_mm_n100", Kernel::kMatmul, "DynamicMatrix2Phases", 100);
+  // The same fig10 workload with the flight recorder attached; the JSON
+  // `profile` section keeps the last trial's per-site totals.
+  ProfileTotals profile;
+  probes.push_back({"fig10_mm_n100.DynamicMatrix2Phases (profiled)",
+                    "profile.rep_cost.fig10_mm_n100.DynamicMatrix2Phases",
+                    [&profile] {
+                      const ProfiledWorkload profiled =
+                          profiled_fig10_workload(2);
+                      profile = profiled.profile;
+                      return 1e9 / profiled.reps_per_sec;
+                    }});
   std::vector<double> heap_trials;
   std::vector<std::vector<double>> ns_trials(probes.size());
   std::vector<std::vector<double>> ratio_trials(probes.size());
@@ -326,24 +354,6 @@ int bench_main(const CliArgs& args) {
               << " ns (IQR " << ns[p].iqr << "), ratio " << ratio[p].median
               << " (IQR " << ratio[p].iqr << ")\n";
   }
-
-  // fig05-sized (outer N/l = 1000) and fig10-sized (matmul N/l = 100)
-  // single-thread replication throughput.
-  std::vector<std::pair<std::string, double>> reps;
-  const auto reps_of = [&](const char* label, Kernel kernel,
-                           const std::string& strategy, std::uint32_t n) {
-    const double r = workload_reps_per_sec(kernel, strategy, n, 100, 2);
-    reps.emplace_back(std::string(label) + "." + strategy, r);
-    std::cerr << "# reps/sec " << reps.back().first << ": " << r << "\n";
-  };
-  reps_of("fig05_outer_n1000", Kernel::kOuter, "RandomOuter", 1000);
-  reps_of("fig05_outer_n1000", Kernel::kOuter, "DynamicOuter2Phases", 1000);
-  reps_of("fig10_mm_n100", Kernel::kMatmul, "RandomMatrix", 100);
-  reps_of("fig10_mm_n100", Kernel::kMatmul, "DynamicMatrix2Phases", 100);
-
-  const ProfiledWorkload profiled = profiled_fig10_workload(2);
-  std::cerr << "# reps/sec fig10_mm_n100.DynamicMatrix2Phases (profiled): "
-            << profiled.reps_per_sec << "\n";
 
   const double pool_rss = large_pool_rss_delta_mb();
   std::cerr << "# large pool (10^9 ids) rss delta: " << pool_rss << " MB\n";
@@ -405,26 +415,24 @@ int bench_main(const CliArgs& args) {
     json.field(probes[p].name, ns[p].iqr);
   }
   json.end_object();
+  // The median of an odd number of per-trial ns per rep, inverted.
   json.key("reps_per_sec");
   json.begin_object();
-  for (const auto& [name, r] : reps) json.field(name, r);
+  for (std::size_t p = request_end; p + 1 < probes.size(); ++p) {
+    json.field(probes[p].name, 1e9 / ns[p].median);
+  }
   json.end_object();
   // Host-independent ratios for the CI gate: ns metrics over the heap
   // baseline (each the median of its per-trial ratios); throughput as
-  // heap-ops-per-rep (lower = faster).
+  // heap-ops-per-rep (lower = faster). The telemetry-on rep cost is
+  // gated like the plain fig10 one, so profiler + progress can never
+  // silently grow past the noise floor (the structural < 1% gate lives
+  // in tests/obs/profiler_test).
   json.key("ratios_vs_heap");
   json.begin_object();
   for (std::size_t p = 0; p < probes.size(); ++p) {
     json.field(probes[p].ratio_key, ratio[p].median);
   }
-  for (const auto& [name, r] : reps) {
-    json.field("rep_cost." + name, 1e9 / (r * heap));
-  }
-  // Telemetry-on rep cost: gated against the plain fig10 number above,
-  // so profiler + progress can never silently grow past the noise
-  // floor (the structural < 1% gate lives in tests/obs/profiler_test).
-  json.field("profile.rep_cost.fig10_mm_n100.DynamicMatrix2Phases",
-             1e9 / (profiled.reps_per_sec * heap));
   json.end_object();
   json.key("ratios_vs_heap_iqr");
   json.begin_object();
@@ -435,7 +443,7 @@ int bench_main(const CliArgs& args) {
   // Per-site wall totals of the profiled run, for eyeballing where a
   // telemetry regression landed (same site taxonomy as the CLI).
   json.key("profile");
-  write_profile_json(json, profiled.profile);
+  write_profile_json(json, profile);
   json.key("large_pool");
   json.begin_object();
   json.field("capacity_ids", static_cast<std::uint64_t>(1'000'000'000ull));

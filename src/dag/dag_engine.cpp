@@ -82,7 +82,8 @@ namespace {
 
 /// The DAG engine on top of EventCore: the ready set plus indegree
 /// counting replace the master strategy, and the write-invalidate tile
-/// caches replace the per-worker block sets.
+/// caches replace the per-worker block sets. A worker runs one task at
+/// a time, with one event at its finish.
 class DagEngine final : public EventCoreClient {
  public:
   DagEngine(const TaskGraph& graph, DagPolicy& policy,
@@ -103,6 +104,7 @@ class DagEngine final : public EventCoreClient {
   void bind(EventCore* core) {
     core_ = core;
     caches_.assign(core->num_workers(), DynamicBitset(graph_.num_tiles()));
+    running_.resize(core->num_workers());
   }
 
   bool has_ready() const noexcept { return !ready_.empty(); }
@@ -135,7 +137,8 @@ class DagEngine final : public EventCoreClient {
     }
     const double duration =
         graph_.task(chosen).work / core_->worker(k).speed;
-    core_->start_task(k, now, duration, chosen);
+    running_[k] = Running{chosen, now, duration, true};
+    core_->push_event(k, now + duration, 0);  // never superseded: no tag
   }
 
   // Serve earlier-idled workers first (crash victims are skipped and
@@ -149,8 +152,15 @@ class DagEngine final : public EventCoreClient {
     }
   }
 
-  void on_task_done(std::uint32_t k, double now) override {
-    const auto task = static_cast<DagTaskId>(core_->worker(k).current);
+  void on_event(std::uint32_t k, double now, std::uint32_t) override {
+    Running& r = running_[k];
+    r.active = false;
+    const DagTaskId task = r.task;
+    core_->credit_batch_run(k, r.start, r.duration, r.duration, 1);
+    if (core_->trace() != nullptr) {
+      core_->trace()->on_completion(k, now, task);
+    }
+    if (core_->perturbation_enabled()) core_->perturb_speed(k);
     result_.completion_order.push_back(task);
 
     // Write-invalidate: the writer keeps the only valid copy of the
@@ -172,11 +182,19 @@ class DagEngine final : public EventCoreClient {
     serve_idle(now);
   }
 
-  // Crash support: the in-flight task (drained by the core) is the only
-  // pending work a DAG worker holds; its tile cache is simply lost.
+  // Crash support: the running task is the only pending work a DAG
+  // worker holds, and its tile cache is simply lost. The task's busy
+  // time is charged and refunded, as a charge-at-start schedule does,
+  // so even its rounding matches one.
   void collect_pending(std::uint32_t k, std::vector<TaskId>& out) override {
-    (void)out;
     caches_[k].clear();
+    Running& r = running_[k];
+    if (!r.active) return;
+    r.active = false;
+    out.push_back(r.task);
+    double& busy = core_->stats().workers[k].busy_time;
+    busy += r.duration;
+    busy -= r.duration;
   }
 
   bool requeue(std::vector<TaskId>& tasks) override {
@@ -192,6 +210,14 @@ class DagEngine final : public EventCoreClient {
   void after_requeue(double now) override { serve_idle(now); }
 
  private:
+  /// The task a worker runs, if `active`, from `start` for `duration`.
+  struct Running {
+    DagTaskId task = 0;
+    double start = 0.0;
+    double duration = 0.0;
+    bool active = false;
+  };
+
   const TaskGraph& graph_;
   DagPolicy& policy_;
   DagSimResult& result_;
@@ -201,6 +227,7 @@ class DagEngine final : public EventCoreClient {
   std::vector<DagTaskId> ready_;
   std::vector<DynamicBitset> caches_;
   std::deque<std::uint32_t> idle_;
+  std::vector<Running> running_;
   EventCore* core_ = nullptr;
 };
 

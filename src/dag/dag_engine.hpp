@@ -7,12 +7,14 @@
 // costs one transfer; writing a tile invalidates every other copy.
 // Communication is a pure volume, overlapped as in the paper.
 //
-// Built on sim/event_core.hpp, so the DAG engine supports the same
-// experimental apparatus as simulate(): scripted WorkerFault
-// crashes (the victim's in-flight task returns to the ready set and its
-// tile cache is lost) and stragglers, per-task speed perturbation,
-// and TraceSink events (assignments carry the task plus one BlockRef
-// per tile actually transferred).
+// Built on sim/event_core.hpp: a worker runs one task at a time, and the
+// engine pushes one core event per task, at its finish. The core gives
+// it the same experimental apparatus as simulate(): scripted
+// WorkerFault crashes (the victim's running task returns to the ready
+// set and its tile cache is lost) and stragglers (the running task
+// keeps its finish time), per-task speed perturbation, and TraceSink
+// events (assignments carry the task plus one BlockRef per tile
+// actually transferred).
 //
 // Policies provided:
 //   RandomDagPolicy       - uniformly random ready task (the baseline)

@@ -97,7 +97,11 @@ class Engine final : public EventCoreClient {
     if (!per_task_) plan(k, w.retired);
   }
 
-  void on_batch_done(std::uint32_t k, double now, std::uint32_t tag) override {
+  void on_event(std::uint32_t k, double now, std::uint32_t tag) override {
+    if (tag == kArrival) {
+      arrive(k, now);
+      return;
+    }
     Chain& c = workers_[k];
     if (!c.armed || tag != c.gen) return;  // superseded by a re-plan
     c.armed = false;
@@ -109,7 +113,9 @@ class Engine final : public EventCoreClient {
     refill(k, now);
   }
 
-  void on_message(std::uint32_t k, double now) override {
+  // Worker k's answer arrived over the link. Kept out of on_event, so
+  // the completion path inlined into the event loop stays small.
+  [[gnu::noinline]] void arrive(std::uint32_t k, double now) {
     Chain& c = workers_[k];
     assert(c.outstanding);
     c.outstanding = false;
@@ -230,8 +236,10 @@ class Engine final : public EventCoreClient {
     bool started = false;  // has ever had work (gates starvation stats)
   };
 
-  // A batch event carries its tag in the 24 high bits of its meta word.
+  // Completion events carry the chain's generation, which wraps at 24
+  // bits; a message arrival carries kArrival, which no generation takes.
   static constexpr std::uint32_t kTagMask = 0xFFFFFFu;
+  static constexpr std::uint32_t kArrival = kTagMask + 1;
 
   // Puts worker k's answer, `blocks` blocks, on the serial uplink.
   void send(std::uint32_t k, std::uint64_t blocks, double now) {
@@ -240,7 +248,7 @@ class Engine final : public EventCoreClient {
     link_free_ = start + duration;
     core_->stats().link_busy_time += duration;
     workers_[k].outstanding = true;
-    core_->push_message(k, link_free_);
+    core_->push_event(k, link_free_, kArrival);
   }
 
   // The buffer the next assignment runs from: the front one when the
@@ -338,7 +346,7 @@ class Engine final : public EventCoreClient {
     Chain& c = workers_[k];
     c.armed = true;
     c.gen = (c.gen + 1) & kTagMask;
-    core_->push_batch_event(k, c.t + c.head_d, c.gen);
+    core_->push_event(k, c.t + c.head_d, c.gen);
   }
 
   // Batched mode: arms worker k's one event at the first moment it must
@@ -359,7 +367,7 @@ class Engine final : public EventCoreClient {
     c.armed = true;
     c.at = at;
     c.gen = (c.gen + 1) & kTagMask;
-    core_->push_batch_event(k, at, c.gen);
+    core_->push_event(k, at, c.gen);
   }
 
   Strategy& strategy_;

@@ -1,7 +1,6 @@
 #include "sim/event_core.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -30,37 +29,9 @@ double SimResult::starvation_fraction() const {
   return active > 0.0 ? starved / active : 0.0;
 }
 
-void EventCoreClient::on_task_done(std::uint32_t worker, double now) {
-  (void)worker;
-  (void)now;
-}
-
-void EventCoreClient::on_message(std::uint32_t worker, double now) {
-  (void)worker;
-  (void)now;
-}
-
-void EventCoreClient::on_batch_done(std::uint32_t worker, double now,
-                                    std::uint32_t tag) {
-  (void)worker;
-  (void)now;
-  (void)tag;
-}
-
 void EventCoreClient::on_speed_change(std::uint32_t worker, double now) {
   (void)worker;
   (void)now;
-}
-
-void EventCoreClient::collect_pending(std::uint32_t worker,
-                                      std::vector<TaskId>& out) {
-  (void)worker;
-  (void)out;
-}
-
-bool EventCoreClient::requeue(std::vector<TaskId>& tasks) {
-  (void)tasks;
-  return false;
 }
 
 void EventCore::validate_faults(const std::vector<WorkerFault>& faults,
@@ -108,30 +79,13 @@ EventCore::EventCore(const Platform& platform, const EventCoreOptions& options,
                      return a.time < b.time;
                    });
   seq_ = faults_.size();
-  // One in-flight completion (or batch) event per worker in the free
-  // link's steady state; a timed link's message events grow the vector
-  // once and it stays.
+  // About one pending event per worker in the steady state; a timed
+  // link's message events grow the vector once and it stays.
   events_.reserve(workers_.size() + 2);
 }
 
-void EventCore::start_task(std::uint32_t k, double now, double duration,
-                           TaskId task) {
-  Worker& w = workers_[k];
-  assert(!w.running && !w.failed);
-  w.current = task;
-  w.running = true;
-  w.current_duration = duration;
-  result_.workers[k].busy_time += duration;
-  events_.push(Event{now + duration, seq_++, k, kTaskDone | (w.epoch << 8)});
-}
-
-void EventCore::push_batch_event(std::uint32_t k, double time,
-                                 std::uint32_t tag) {
-  events_.push(Event{time, seq_++, k, kBatchDone | (tag << 8)});
-}
-
-void EventCore::push_message(std::uint32_t k, double time) {
-  events_.push(Event{time, seq_++, k, kMessage | (workers_[k].epoch << 8)});
+void EventCore::push_event(std::uint32_t k, double time, std::uint32_t tag) {
+  events_.push(Event{time, seq_++, k, tag});
 }
 
 void EventCore::retire_worker(std::uint32_t k, double now) {
@@ -147,14 +101,7 @@ void EventCore::crash_worker(std::uint32_t k, double now) {
   if (w.failed) return;
   std::vector<TaskId> unfinished;
   client_.collect_pending(k, unfinished);
-  if (w.running) {
-    unfinished.push_back(w.current);
-    // The aborted task's time was pre-charged at start; refund it.
-    result_.workers[k].busy_time -= w.current_duration;
-    w.running = false;
-  }
-  w.failed = true;
-  ++w.epoch;  // invalidates in-flight completion / message events
+  w.failed = true;  // drops the worker's pending events
   ++result_.crashed_workers;
   if (trace_ != nullptr) trace_->on_retire(k, now);
   if (unfinished.empty()) return;
@@ -175,9 +122,9 @@ void EventCore::apply_fault(const WorkerFault& fault) {
   }
   Worker& w = workers_[fault.worker];
   if (w.failed) return;
-  // Straggler: the current task keeps its old finish time (the
-  // slowdown applies from the next task on). Batch-scheduling clients
-  // re-time their in-flight batch in on_speed_change.
+  // Straggler: the running task keeps its finish time (the slowdown
+  // applies from the next task on); clients re-time whatever else they
+  // scheduled in on_speed_change.
   w.speed *= fault.factor;
   w.base_speed *= fault.factor;
   client_.on_speed_change(fault.worker, fault.time);

@@ -1,32 +1,25 @@
 // The one discrete-event core under every engine.
 //
-// Before this file existed the repo carried four independently written
-// event loops (flat sim, timed sim, DAG, plus ad-hoc drivers), and only
-// the flat one knew about fault injection, speed perturbation, metrics
-// gauges and trace sinks. EventCore owns the machinery those loops
-// share — the event queue with deterministic `(time, seq)`
-// tie-breaking, the unified per-worker state (speed, base speed,
-// in-flight task, crash epoch), scripted `WorkerFault` handling
-// (crash -> requeue through the client, straggler -> speed scaling),
-// `PerturbationModel` application after each completion, and optional
-// `TraceSink` publication — while the engines keep
-// only what genuinely differs: how a worker obtains its next task.
+// EventCore owns what the engines share: a heap of client events with
+// deterministic `(time, seq)` tie-breaking, each worker's speed and
+// retired/failed flags, scripted `WorkerFault` handling (crash ->
+// requeue through the client, straggler -> speed scaling), the
+// perturbation stream, the run's statistics and the optional
+// `TraceSink`. The engines keep what differs: what a worker runs, when
+// it acts, and how it obtains its next task.
 //
-// An engine is an `EventCoreClient`: the core drives the clock and
-// calls back into the client to refill workers after completions,
-// deliver non-compute events (message arrivals), and return a crash
-// victim's unfinished tasks to the master. The free-link engine's
-// observable behaviour (event order, RNG draw order, stats) is
-// bit-identical to the pre-EventCore implementation; a pinned-seed
-// golden test enforces that.
+// An engine is an `EventCoreClient`. It pushes one kind of event, `{time,
+// worker, tag}`, for each moment a worker must act (a task or a run of
+// tasks finishing, a message arriving); the core pops them in order,
+// drops those of crashed workers and hands the rest back through
+// `on_event` with the tag, which tells the client what the event
+// stands for. On a crash the client hands back the victim's unfinished
+// tasks and the core requeues them through it.
 //
 // Hot-path layout (see docs/performance.md): events are 24-byte PODs
-// in a hand-rolled 4-ary min-heap, fault events live in a pre-sorted
-// side list merged at pop time (their construction-time sequence
-// numbers are smaller than any engine event's, so a fault still wins
-// every time tie exactly as it did in the single-heap layout), and a
-// client may stand one event for a whole run of completions
-// (push_batch_event / credit_batch_run).
+// in a hand-rolled 4-ary min-heap, and faults live in a pre-sorted side
+// list merged at pop time (their sequence numbers are smaller than any
+// engine event's, so a fault wins every time tie).
 #pragma once
 
 #include <cassert>
@@ -95,39 +88,25 @@ class EventCoreClient {
  public:
   virtual ~EventCoreClient() = default;
 
-  /// Worker `worker` completed the task started by
-  /// EventCore::start_task (stats, trace, perturbation already applied
-  /// by the core); give it more work or let it idle. Only clients that
-  /// start tasks that way see this. Default: nothing to do.
-  virtual void on_task_done(std::uint32_t worker, double now);
+  /// An event pushed by EventCore::push_event fired for `worker`, which
+  /// has not crashed; `tag` echoes the value given at push time.
+  virtual void on_event(std::uint32_t worker, double now,
+                        std::uint32_t tag) = 0;
 
-  /// A message event (pushed via EventCore::push_message) arrived for
-  /// `worker`. Stale deliveries (crash epoch advanced) are dropped by
-  /// the core before this is called. Default: nothing to do.
-  virtual void on_message(std::uint32_t worker, double now);
-
-  /// A batch event (pushed via EventCore::push_batch_event) fired for
-  /// `worker`; `tag` echoes the value given at push time so the client
-  /// can drop events invalidated by a mid-batch retime. Only clients
-  /// that push batch events ever see this. Default: nothing to do.
-  virtual void on_batch_done(std::uint32_t worker, double now,
-                             std::uint32_t tag);
-
-  /// A straggler fault just rescaled `worker`'s speed. A client that
-  /// schedules multi-task batch events must re-time its armed event;
-  /// clients of start_task need nothing (the next task picks up the
-  /// new speed when it starts). Default: nothing to do.
+  /// A straggler fault just rescaled `worker`'s speed. A client whose
+  /// pending events assumed the old speed re-times them here; one whose
+  /// running task keeps its finish time needs nothing. Default: nothing
+  /// to do.
   virtual void on_speed_change(std::uint32_t worker, double now);
 
-  /// Crash support: append `worker`'s client-side pending tasks (all
-  /// but the one started by start_task, which the core appends itself
-  /// after them) to `out` and forget them. Default: none.
+  /// Crash support: append all of `worker`'s unfinished tasks to `out`,
+  /// in the order the master should get them back, and forget them.
   virtual void collect_pending(std::uint32_t worker,
-                               std::vector<TaskId>& out);
+                               std::vector<TaskId>& out) = 0;
 
   /// Returns a crash victim's unfinished tasks to the master. False =
   /// requeueing unsupported, which makes crash injection an error.
-  virtual bool requeue(std::vector<TaskId>& tasks);
+  virtual bool requeue(std::vector<TaskId>& tasks) = 0;
 
   /// Called after a successful crash requeue: the pool is non-empty
   /// again, so wake whatever workers the engine considers idle.
@@ -150,24 +129,17 @@ struct EventCoreOptions {
 
 class EventCore {
  public:
-  /// Unified worker state. `current` is the task started by
-  /// start_task (clients that batch completions keep their runnable
-  /// work themselves); `epoch` advances on crash and invalidates
-  /// in-flight completion/message events.
+  /// Per-worker state the core and every client share. A failed worker
+  /// stays failed: its pending events are dropped when they fire.
   struct Worker {
     double speed = 0.0;
     double base_speed = 0.0;
-    TaskId current = 0;
-    double current_duration = 0.0;
-    std::uint32_t epoch = 0;
-    bool running = false;
     bool retired = false;
     bool failed = false;
   };
 
-  /// Validates faults and stages their events; initial work must then
-  /// be primed by the engine (start_task / push_message) before
-  /// run_loop().
+  /// Validates faults and stages them; the engine then pushes its
+  /// initial events before run_loop().
   EventCore(const Platform& platform, const EventCoreOptions& options,
             EventCoreClient& client);
 
@@ -191,16 +163,9 @@ class EventCore {
     return perturbation_.enabled();
   }
 
-  /// Starts `task` on worker `k`: records it in-flight, pre-charges
-  /// busy time, and schedules the completion event.
-  void start_task(std::uint32_t k, double now, double duration, TaskId task);
-
-  /// Schedules one event at `time` standing for one or more of worker
-  /// `k`'s completions. The client owns the tasks and credits them via
-  /// credit_batch_run when the event fires (on_batch_done) or a fault
-  /// splits the run. `tag` is echoed back verbatim for staleness
-  /// detection.
-  void push_batch_event(std::uint32_t k, double time, std::uint32_t tag);
+  /// Schedules an event for worker `k` at `time`, delivered to
+  /// EventCoreClient::on_event with `tag` unless `k` crashes first.
+  void push_event(std::uint32_t k, double time, std::uint32_t tag);
 
   /// Credits `count` >= 1 back-to-back completions on worker `k`: the
   /// first starts at `start` and lasts `first`, every later one lasts
@@ -233,21 +198,16 @@ class EventCore {
     w.speed = perturbation_.perturb(w.speed, w.base_speed, perturb_rng_);
   }
 
-  /// Schedules a message-arrival event for worker `k` at `time`
-  /// (delivered to EventCoreClient::on_message; dropped if the worker
-  /// crashes before `time`).
-  void push_message(std::uint32_t k, double time);
-
   /// Marks worker `k` retired (the master has nothing for it) and
   /// emits the trace retirement event.
   void retire_worker(std::uint32_t k, double now);
 
   /// Drains the event heap (and the staged fault list) to completion.
   /// Templated on the concrete client type: every engine passes itself
-  /// (declared `final`), so its per-event callbacks are devirtualized
-  /// and inlined into the loop — worth ~10-20 ns/event on
-  /// batch-size-1 workloads. Faults still reach the client through
-  /// the EventCoreClient vtable (apply_fault is out of line).
+  /// (declared `final`), so its on_event is devirtualized and inlined
+  /// into the loop — worth ~10-20 ns/event on batch-size-1 workloads.
+  /// Faults still reach the client through the EventCoreClient vtable
+  /// (apply_fault is out of line).
   template <typename Client>
   void run_loop(Client& client) {
     while (!events_.empty() || next_fault_ < faults_.size()) {
@@ -260,38 +220,8 @@ class EventCore {
       const Event ev = events_.top();
       events_.pop();
       now_ = ev.time;
-      Worker& w = workers_[ev.worker];
-      const std::uint32_t kind = ev.meta & 0xFFu;
-      const std::uint32_t stamp = ev.meta >> 8;
-
-      switch (kind) {
-        case kTaskDone: {
-          if (w.failed || stamp != w.epoch) break;  // stale after crash
-          assert(w.running);
-          w.running = false;
-          WorkerSimStats& stats = result_.workers[ev.worker];
-          ++stats.tasks_done;
-          ++result_.total_tasks_done;
-          stats.finish_time = ev.time;
-          if (ev.time > result_.makespan) result_.makespan = ev.time;
-          if (trace_ != nullptr) {
-            trace_->on_completion(ev.worker, ev.time, w.current);
-          }
-          if (perturbation_.enabled()) perturb_speed(ev.worker);
-          client.on_task_done(ev.worker, ev.time);
-          break;
-        }
-        case kMessage: {
-          if (w.failed || stamp != w.epoch) break;  // stale after crash
-          client.on_message(ev.worker, ev.time);
-          break;
-        }
-        case kBatchDone: {
-          if (w.failed) break;  // stale after crash
-          client.on_batch_done(ev.worker, ev.time, stamp);
-          break;
-        }
-      }
+      if (workers_[ev.worker].failed) continue;  // stale after crash
+      client.on_event(ev.worker, ev.time, ev.tag);
     }
   }
 
@@ -299,17 +229,13 @@ class EventCore {
   SimResult finish();
 
  private:
-  enum : std::uint32_t { kTaskDone = 0, kMessage = 1, kBatchDone = 2 };
-
-  /// 24-byte POD event. `meta` packs the event kind (low 8 bits) with
-  /// the crash epoch — or, for batch events, the client's staleness
-  /// tag — in the high 24 bits. Faults are not events: they live in
-  /// `faults_`, pre-sorted, and are merged in at pop time.
+  /// 24-byte POD event. Faults are not events: they live in `faults_`,
+  /// pre-sorted, and are merged in at pop time.
   struct Event {
     double time;
     std::uint64_t seq;  // FIFO tie-break for identical times => determinism
     std::uint32_t worker;
-    std::uint32_t meta;
+    std::uint32_t tag;  // the client's, echoed to on_event
   };
 
   /// 4-ary min-heap ordered by (time, seq). Shallower than a binary

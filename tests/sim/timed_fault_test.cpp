@@ -46,8 +46,8 @@ TEST(TimedFaultInjection, CrashedWorkerTasksAreRequeuedAndCompleted) {
     EXPECT_TRUE(completed.insert(ev.task).second);
   }
   EXPECT_EQ(completed.size(), 900u);
-  // The dead worker does nothing after t = 0.5 (stale in-flight message
-  // and task-done events are dropped by the epoch check).
+  // The dead worker does nothing after t = 0.5 (its pending message
+  // and completion events are dropped, since it is marked failed).
   for (const auto& ev : trace.completions()) {
     if (ev.worker == 2) {
       EXPECT_LE(ev.time, 0.5 + 1e-9);

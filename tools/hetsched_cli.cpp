@@ -20,6 +20,7 @@
 // configs. Flag-only invocations compile to exactly the configs the
 // commands used to build by hand (pinned by
 // tests/spec/spec_cli_identity_test.cpp).
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -334,6 +335,13 @@ int cmd_dag(const CliArgs& args) {
   const std::uint32_t p = args.get_count("p", 8);
   const std::uint32_t reps = args.get_count("reps", 3);
   const std::uint64_t seed = args.get_int("seed", 42);
+  // The --events-out policy, checked before the table is printed.
+  const auto& names = dag_policy_names();
+  const std::string policy_name = args.get("policy", names.front());
+  if (std::find(names.begin(), names.end(), policy_name) == names.end()) {
+    throw std::invalid_argument("--policy: unknown DAG policy '" +
+                                policy_name + "'");
+  }
 
   if (fact != "cholesky") {
     std::cerr << "dag: unknown factorization " << fact << "\n";
@@ -369,8 +377,6 @@ int cmd_dag(const CliArgs& args) {
   // meta carries the graph bounds so the report can rate the schedule.
   const std::string events_path = args.get("events-out", "");
   if (!events_path.empty()) {
-    const std::string policy_name =
-        args.get("policy", dag_policy_names().front());
     const std::uint64_t rep_seed = derive_stream(seed, "rep.0");
     Rng speed_rng(derive_stream(rep_seed, "speeds"));
     const Platform platform =
