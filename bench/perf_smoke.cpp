@@ -318,6 +318,7 @@ int bench_main(const CliArgs& args) {
                 1000);
   add_rep_probe("fig10_mm_n100", Kernel::kMatmul, "RandomMatrix", 100);
   add_rep_probe("fig10_mm_n100", Kernel::kMatmul, "DynamicMatrix2Phases", 100);
+  const std::size_t rep_end = probes.size();
   // The same fig10 workload with the flight recorder attached; the JSON
   // `profile` section keeps the last trial's per-site totals.
   ProfileTotals profile;
@@ -405,20 +406,20 @@ int bench_main(const CliArgs& args) {
   }
   json.key("request_ns");
   json.begin_object();
-  for (std::size_t p = engine_count; p < probes.size(); ++p) {
+  for (std::size_t p = engine_count; p < request_end; ++p) {
     json.field(probes[p].name, ns[p].median);
   }
   json.end_object();
   json.key("request_ns_iqr");
   json.begin_object();
-  for (std::size_t p = engine_count; p < probes.size(); ++p) {
+  for (std::size_t p = engine_count; p < request_end; ++p) {
     json.field(probes[p].name, ns[p].iqr);
   }
   json.end_object();
   // The median of an odd number of per-trial ns per rep, inverted.
   json.key("reps_per_sec");
   json.begin_object();
-  for (std::size_t p = request_end; p + 1 < probes.size(); ++p) {
+  for (std::size_t p = request_end; p < rep_end; ++p) {
     json.field(probes[p].name, 1e9 / ns[p].median);
   }
   json.end_object();
@@ -440,7 +441,7 @@ int bench_main(const CliArgs& args) {
     json.field(probes[p].ratio_key, ratio[p].iqr);
   }
   json.end_object();
-  // Per-site wall totals of the profiled run, for eyeballing where a
+  // Per-site wall totals of the last profiled run, for eyeballing where a
   // telemetry regression landed (same site taxonomy as the CLI).
   json.key("profile");
   write_profile_json(json, profile);
