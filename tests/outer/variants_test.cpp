@@ -4,11 +4,14 @@
 #include <cmath>
 #include <set>
 
+#include "matmul/matmul_factory.hpp"
 #include "outer/adaptive_outer.hpp"
 #include "outer/bounded_lru.hpp"
 #include "outer/dynamic_outer.hpp"
+#include "outer/outer_factory.hpp"
 #include "outer/per_worker_switch.hpp"
 #include "platform/platform.hpp"
+#include "rect/rect_strategies.hpp"
 #include "sim/engine.hpp"
 #include "sim/trace.hpp"
 
@@ -31,10 +34,12 @@ struct Drain {
 };
 
 // Serves workers round-robin through the scratch request path until
-// every worker has retired.
-Drain drain_round_robin(Strategy& strategy) {
-  Drain d;
+// every worker has retired, mixing each answer into `d`. With
+// `requeue_after` > 0, the tasks of the first task-carrying answer from
+// that request on go back through requeue(), and its result is mixed.
+void drain_into(Strategy& strategy, Drain& d, std::uint64_t requeue_after) {
   Assignment out;
+  bool requeued = requeue_after == 0;
   bool progress = true;
   while (progress) {
     progress = false;
@@ -52,8 +57,31 @@ Drain drain_round_robin(Strategy& strategy) {
       });
       d.mix(out.task_count());
       out.for_each_task([&](TaskId t) { d.mix(t); });
+      if (!requeued && d.requests >= requeue_after && out.task_count() > 0) {
+        std::vector<TaskId> tasks;
+        out.for_each_task([&](TaskId t) { tasks.push_back(t); });
+        d.mix(strategy.requeue(tasks) ? 1 : 0);
+        requeued = true;
+      }
     }
   }
+}
+
+Drain drain_round_robin(Strategy& strategy) {
+  Drain d;
+  drain_into(strategy, d, 0);
+  return d;
+}
+
+// One drain with a requeue mid-way, then reset(seed) and, where the
+// strategy supports in-place reuse, a second plain drain. Both legs,
+// and whether requeue and reset are supported, mix into one Drain.
+Drain drain_requeue_reset(Strategy& strategy, std::uint64_t seed) {
+  Drain d;
+  drain_into(strategy, d, 7);
+  const bool reused = strategy.reset(seed);
+  d.mix(reused ? 1 : 0);
+  if (reused) drain_into(strategy, d, 0);
   return d;
 }
 
@@ -87,6 +115,76 @@ TEST(VariantSequence, BoundedLruIsPinned) {
   EXPECT_EQ(d.blocks, 1213u);
   EXPECT_EQ(d.hash, 5519747877031869880ull);
   EXPECT_EQ(strategy.refetches(), 617u);
+}
+
+// Every strategy the factories build, pinned through the factory so
+// the pins outlive any reshaping of the classes behind it. The sizes
+// give the two-phase strategies a phase 2 (a fifth of the tasks).
+struct FactoryGolden {
+  const char* name;
+  std::uint64_t requests;
+  std::uint64_t blocks;
+  std::uint64_t hash;
+};
+
+constexpr std::uint64_t kGoldenSeed = 13;
+constexpr std::uint32_t kGoldenWorkers = 5;
+constexpr double kGoldenPhase2 = 0.2;
+
+void expect_golden(Strategy& strategy, const FactoryGolden& g) {
+  const Drain d = drain_requeue_reset(strategy, kGoldenSeed + 1);
+  EXPECT_EQ(d.requests, g.requests) << g.name;
+  EXPECT_EQ(d.blocks, g.blocks) << g.name;
+  EXPECT_EQ(d.hash, g.hash) << g.name;
+}
+
+TEST(VariantSequence, OuterFactoryStrategiesArePinned) {
+  const FactoryGolden goldens[] = {
+      {"RandomOuter", 1153, 480, 1818990641076586483ull},
+      {"SortedOuter", 1153, 480, 9020716486803538279ull},
+      {"DynamicOuter2Phases", 339, 395, 14090744772361139532ull},
+      {"WorkStealingOuter", 576, 151, 11768395556201648925ull},
+  };
+  OuterStrategyOptions options;
+  options.phase2_fraction = kGoldenPhase2;
+  for (const FactoryGolden& g : goldens) {
+    const auto strategy = make_outer_strategy(g.name, OuterConfig{24},
+                                              kGoldenWorkers, kGoldenSeed,
+                                              options);
+    expect_golden(*strategy, g);
+  }
+}
+
+TEST(VariantSequence, MatmulFactoryStrategiesArePinned) {
+  const FactoryGolden goldens[] = {
+      {"RandomMatrix", 1459, 2116, 8941007458950669873ull},
+      {"SortedMatrix", 1459, 2430, 13397157201457975164ull},
+      {"DynamicMatrix2Phases", 316, 1468, 15041224413368087931ull},
+      {"AdaptiveMatmul", 42, 921, 1420397205794775392ull},
+      {"WorkStealingMatmul", 729, 621, 8685739628879674980ull},
+  };
+  MatmulStrategyOptions options;
+  options.phase2_fraction = kGoldenPhase2;
+  for (const FactoryGolden& g : goldens) {
+    const auto strategy = make_matmul_strategy(g.name, MatmulConfig{9},
+                                               kGoldenWorkers, kGoldenSeed,
+                                               options);
+    expect_golden(*strategy, g);
+  }
+}
+
+TEST(VariantSequence, RectFactoryStrategiesArePinned) {
+  const FactoryGolden goldens[] = {
+      {"RandomRect", 541, 238, 531819735635557077ull},
+      {"SortedRect", 541, 127, 2039398529998327552ull},
+      {"DynamicRect2Phases", 233, 192, 2207321149254816350ull},
+  };
+  for (const FactoryGolden& g : goldens) {
+    const auto strategy =
+        make_rect_strategy(g.name, RectConfig{18, 30}, kGoldenWorkers,
+                           kGoldenSeed, kGoldenPhase2);
+    expect_golden(*strategy, g);
+  }
 }
 
 // Counts completions per task id.
