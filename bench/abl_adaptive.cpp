@@ -15,6 +15,8 @@ int bench_main(const hetsched::CliArgs& args) {
   const auto reps = args.get_count("reps", 10);
   const std::uint64_t seed = args.get_int("seed", 20140623);
   const auto ps = args.get_count_list("p", {10, 20, 50, 100, 200});
+  const auto n_mm = args.get_count("n-mm", 40);
+  args.reject_unread();
 
   bench::print_header(
       "Ablation (adaptive)", "online efficiency-based switch vs model beta",
@@ -62,8 +64,7 @@ int bench_main(const hetsched::CliArgs& args) {
   }
   std::cout << "# adaptive needs no beta / model / speeds / problem size\n";
 
-  // Matmul counterpart (blocks-per-task threshold 2.5), n = 40.
-  const auto n_mm = args.get_count("n-mm", 40);
+  // Matmul counterpart (blocks-per-task threshold 2.5), n = --n-mm.
   std::cout << "\n# matmul: AdaptiveMatmul vs tuned DynamicMatrix2Phases, n="
             << n_mm << "\n";
   CsvWriter mm_csv(std::cout, {"p", "Adaptive.mean", "Tuned2Phases.mean",

@@ -20,6 +20,7 @@ int bench_main(const hetsched::CliArgs& args) {
   const auto p = args.get_count("p", 20);
   const auto reps = args.get_count("reps", 10);
   const std::uint64_t seed = args.get_int("seed", 20140623);
+  args.reject_unread();
 
   bench::print_header(
       "Ablation (memory)", "per-worker LRU cache capacity sweep",

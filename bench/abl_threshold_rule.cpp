@@ -15,6 +15,7 @@ int bench_main(const hetsched::CliArgs& args) {
   const auto reps = args.get_count("reps", 5);
   const std::uint64_t seed = args.get_int("seed", 20140623);
   const auto ps = args.get_count_list("p", {10, 20, 50, 100});
+  args.reject_unread();
 
   bench::print_header(
       "Ablation", "threshold placement sensitivity for DynamicOuter2Phases",

@@ -29,7 +29,8 @@ inline void print_header(const std::string& figure, const std::string& what,
 /// Loads bench/figures/<name>.hspec, the one description of a figure's
 /// points, with the CLI's flag overlay on top (--n, --p, --reps,
 /// --seed, ...). A `list` platform is one fixed draw: it must name one
-/// speed per worker, or the list would cycle.
+/// speed per worker, or the list would cycle. The spec benches read no
+/// other flag, so any flag the overlay did not read is rejected here.
 inline ScenarioSpec load_figure_spec(const std::string& name,
                                      const CliArgs& args) {
   ScenarioSpec spec =
@@ -45,6 +46,7 @@ inline ScenarioSpec load_figure_spec(const std::string& name,
       }
     }
   }
+  args.reject_unread();
   return spec;
 }
 

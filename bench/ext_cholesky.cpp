@@ -22,6 +22,7 @@ int bench_main(const hetsched::CliArgs& args) {
   const auto reps = args.get_count("reps", 5);
   const std::uint64_t seed = args.get_int("seed", 20140623);
   const auto ps = args.get_count_list("p", {4, 8, 16, 32});
+  args.reject_unread();
 
   const CholeskyGraph ch = build_cholesky_graph(tiles);
   bench::print_header(

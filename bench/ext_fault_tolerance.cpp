@@ -24,6 +24,7 @@ int bench_main(const hetsched::CliArgs& args) {
   const auto reps = args.get_count("reps", 10);
   const std::uint64_t seed = args.get_int("seed", 20140623);
   const bool timed = args.get_bool("timed", false);
+  args.reject_unread();
 
   bench::print_header(
       "Extension (faults)", "crashes and stragglers under demand-driven "

@@ -19,6 +19,7 @@ int bench_main(const hetsched::CliArgs& args) {
   const auto reps = args.get_count("reps", 5);
   const std::uint64_t seed = args.get_int("seed", 20140623);
   const auto workers_per_rack = args.get_count("workers-per-rack", 8);
+  args.reject_unread();
 
   bench::print_header(
       "Extension (hierarchical)",

@@ -16,6 +16,7 @@ int bench_main(const hetsched::CliArgs& args) {
   const auto reps = args.get_count("reps", 5);
   const std::uint64_t seed = args.get_int("seed", 20140623);
   const auto ps = args.get_count_list("p", {10, 20, 50, 100, 200});
+  args.reject_unread();
 
   bench::print_header("Extension (pure-dynamic model)",
                       "depletion-cutoff estimate vs simulated pure dynamic",

@@ -12,7 +12,8 @@
 #include "obs/instrument.hpp"
 #include "obs/overlay.hpp"
 
-int bench_main(const hetsched::CliArgs&) {
+int bench_main(const hetsched::CliArgs& args) {
+  args.reject_unread();
   using namespace hetsched;
   constexpr std::uint32_t kReps = 3;
   ExperimentConfig config;

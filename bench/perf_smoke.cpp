@@ -277,6 +277,8 @@ ProfiledWorkload profiled_fig10_workload(std::uint32_t reps) {
 
 int bench_main(const CliArgs& args) {
   const std::string out_path = args.get("out", "BENCH_PERF.json");
+  const bool large = args.get_bool("large", false);
+  args.reject_unread();
 
   // Probe by probe, trial by trial: a slow stretch of the host lands in
   // one trial of every key instead of in all trials of one, and each
@@ -364,7 +366,7 @@ int bench_main(const CliArgs& args) {
   // time; excluded from CI, results land in EXPERIMENTS.md.
   std::vector<std::pair<std::string, double>> large_norm;
   std::vector<std::pair<std::string, double>> large_wall;
-  if (args.get_bool("large", false)) {
+  if (large) {
     const auto run_large = [&](const char* name) {
       ExperimentConfig config;
       config.kernel = Kernel::kMatmul;

@@ -21,6 +21,7 @@ int bench_main(const hetsched::CliArgs& args) {
   using namespace hetsched;
   const auto tries = args.get_count("tries", 50);
   const std::uint64_t seed = args.get_int("seed", 20140623);
+  args.reject_unread();
 
   std::cout << "# Section 3.6: runtime estimation of beta (outer product)\n";
   std::cout << "# beta_hom vs per-draw optimal beta over " << tries

@@ -56,42 +56,53 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
   }
 }
 
-bool CliArgs::has(const std::string& key) const { return values_.count(key) > 0; }
+const std::string* CliArgs::find(const std::string& key) const {
+  read_.insert(key);
+  const auto it = values_.find(key);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+bool CliArgs::has(const std::string& key) const { return find(key) != nullptr; }
 
 std::string CliArgs::get(const std::string& key, const std::string& fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* value = find(key);
+  return value == nullptr ? fallback : *value;
 }
 
 std::int64_t CliArgs::get_int(const std::string& key, std::int64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return parse_value<std::int64_t>(key, it->second, "an integer");
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
+  return parse_value<std::int64_t>(key, *value, "an integer");
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return parse_value<double>(key, it->second, "a number");
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
+  return parse_value<double>(key, *value, "a number");
 }
 
 bool CliArgs::get_bool(const std::string& key, bool fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
+  return *value == "true" || *value == "1" || *value == "yes";
+}
+
+std::vector<std::string> CliArgs::get_list(const std::string& key) const {
+  std::vector<std::string> out;
+  std::stringstream ss(get(key, ""));
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    if (!item.empty()) out.push_back(item);
+  }
+  return out;
 }
 
 std::vector<std::int64_t> CliArgs::get_int_list(
     const std::string& key, std::vector<std::int64_t> fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
+  if (!has(key)) return fallback;
   std::vector<std::int64_t> out;
-  std::stringstream ss(it->second);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) {
-      out.push_back(parse_value<std::int64_t>(key, item, "an integer"));
-    }
+  for (const std::string& item : get_list(key)) {
+    out.push_back(parse_value<std::int64_t>(key, item, "an integer"));
   }
   return out;
 }
@@ -117,6 +128,22 @@ std::vector<std::uint32_t> CliArgs::get_count_list(
     throw std::invalid_argument("--" + key + ": expected at least one value");
   }
   return out;
+}
+
+void CliArgs::reject_unread() const {
+  std::string unread;
+  std::size_t count = 0;
+  for (const auto& entry : values_) {
+    if (read_.count(entry.first) != 0) continue;
+    unread += " --";
+    unread += entry.first;
+    ++count;
+  }
+  if (count != 0) {
+    std::string message = count == 1 ? "unrecognized flag" : "unrecognized flags";
+    message += unread;
+    throw std::invalid_argument(message);
+  }
 }
 
 }  // namespace hetsched

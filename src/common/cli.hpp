@@ -2,11 +2,14 @@
 //
 // All harness binaries run unattended with sensible defaults (the
 // paper's parameters); flags exist so a user can rescale an experiment
-// (e.g. --reps=3 --pmax=100 for a quick pass).
+// (e.g. --reps=3 --pmax=100 for a quick pass). Every getter records
+// the flag it asked about, so a command that has read its flags can
+// reject the rest (a misspelled --stratgy is an error, not ignored).
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -28,6 +31,10 @@ class CliArgs {
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 
+  /// The items of a comma-separated list, e.g. --strategies=a,b; empty
+  /// items are dropped, and an absent flag gives an empty list.
+  std::vector<std::string> get_list(const std::string& key) const;
+
   /// Parses a comma-separated list of integers, e.g. --p=10,50,100.
   std::vector<std::int64_t> get_int_list(const std::string& key,
                                          std::vector<std::int64_t> fallback) const;
@@ -44,9 +51,18 @@ class CliArgs {
 
   const std::string& program() const noexcept { return program_; }
 
+  /// Throws std::invalid_argument naming every given flag that no
+  /// getter above has asked about. A command calls it once its flags
+  /// are read and before any work starts.
+  void reject_unread() const;
+
  private:
+  /// The value of `key`, or nullptr when absent; records the key as read.
+  const std::string* find(const std::string& key) const;
+
   std::string program_;
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace hetsched

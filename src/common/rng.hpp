@@ -6,8 +6,10 @@
 // independent choices never share a stream.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 namespace hetsched {
 
@@ -71,6 +73,19 @@ class Rng {
       }
     }
     return static_cast<std::uint64_t>(m >> 64);
+  }
+
+  /// Removes and returns a uniform element of `v`: one next_below
+  /// draw, then swap-remove (the last element fills the hole), so the
+  /// draw sequence fixes both the value and the remaining order.
+  /// Requires a non-empty `v`. The data-aware strategies draw each
+  /// fresh index from a worker's unknown set this way.
+  std::uint32_t take_uniform(std::vector<std::uint32_t>& v) noexcept {
+    const auto pos = static_cast<std::size_t>(next_below(v.size()));
+    const std::uint32_t x = v[pos];
+    v[pos] = v.back();
+    v.pop_back();
+    return x;
   }
 
   /// Uniform double in [lo, hi).

@@ -77,16 +77,9 @@ bool AdaptiveMatmulStrategy::dynamic_request(std::uint32_t worker, Assignment& o
   if (w.unknown_i.empty() || w.unknown_j.empty() || w.unknown_k.empty()) {
     return random_request(worker, out);
   }
-  const auto pick = [this](std::vector<std::uint32_t>& unknown) {
-    const auto pos = static_cast<std::size_t>(rng_.next_below(unknown.size()));
-    const std::uint32_t v = unknown[pos];
-    unknown[pos] = unknown.back();
-    unknown.pop_back();
-    return v;
-  };
-  const std::uint32_t i = pick(w.unknown_i);
-  const std::uint32_t j = pick(w.unknown_j);
-  const std::uint32_t k = pick(w.unknown_k);
+  const std::uint32_t i = rng_.take_uniform(w.unknown_i);
+  const std::uint32_t j = rng_.take_uniform(w.unknown_j);
+  const std::uint32_t k = rng_.take_uniform(w.unknown_k);
   const std::uint32_t n = config_.n;
 
   auto ship = [&](Operand op, DynamicBitset& owned, std::uint32_t r,

@@ -18,7 +18,7 @@
 
 #include "common/rng.hpp"
 #include "common/swap_remove_pool.hpp"
-#include "matmul/pointwise_matmul.hpp"
+#include "matmul/matmul_problem.hpp"
 #include "sim/strategy.hpp"
 
 namespace hetsched {

@@ -99,9 +99,7 @@ bool DynamicMatrixStrategy::reset(std::uint64_t seed) {
     w.mask_i.clear();
     w.mask_j.clear();
     w.mask_k.clear();
-    w.blocks.owned_a.clear();
-    w.blocks.owned_b.clear();
-    w.blocks.owned_c.clear();
+    w.blocks.clear();
   }
   rng_ = Rng(derive_stream(seed, "matmul.dynamic"));
   phase2_served_ = 0;
@@ -136,16 +134,9 @@ bool DynamicMatrixStrategy::dynamic_request(std::uint32_t worker,
 
 template <std::size_t kMaskWords>
 inline bool DynamicMatrixStrategy::extend(WorkerState& w, Assignment& out) {
-  const auto pick = [this](std::vector<std::uint32_t>& unknown) {
-    const auto pos = static_cast<std::size_t>(rng_.next_below(unknown.size()));
-    const std::uint32_t v = unknown[pos];
-    unknown[pos] = unknown.back();
-    unknown.pop_back();
-    return v;
-  };
-  const std::uint32_t i = pick(w.unknown_i);
-  const std::uint32_t j = pick(w.unknown_j);
-  const std::uint32_t k = pick(w.unknown_k);
+  const std::uint32_t i = rng_.take_uniform(w.unknown_i);
+  const std::uint32_t j = rng_.take_uniform(w.unknown_j);
+  const std::uint32_t k = rng_.take_uniform(w.unknown_k);
   const std::uint32_t n = config_.n;
 
   // The knowledge masks are re-read once per scanned unit otherwise;

@@ -58,7 +58,7 @@
 #include "common/dynamic_bitset.hpp"
 #include "common/rng.hpp"
 #include "common/task_pool.hpp"
-#include "matmul/pointwise_matmul.hpp"
+#include "matmul/matmul_problem.hpp"
 #include "sim/strategy.hpp"
 
 namespace hetsched {

@@ -4,8 +4,7 @@
 
 #include "matmul/adaptive_matmul.hpp"
 #include "matmul/dynamic_matrix.hpp"
-#include "matmul/random_matrix.hpp"
-#include "matmul/sorted_matrix.hpp"
+#include "matmul/pointwise_matmul.hpp"
 #include "steal/work_stealing.hpp"
 
 namespace hetsched {
@@ -14,10 +13,12 @@ std::unique_ptr<Strategy> make_matmul_strategy(
     const std::string& name, MatmulConfig config, std::uint32_t workers,
     std::uint64_t seed, const MatmulStrategyOptions& options) {
   if (name == "RandomMatrix") {
-    return std::make_unique<RandomMatrixStrategy>(config, workers, seed);
+    return std::make_unique<PointwiseMatmulStrategy>(
+        config, workers, seed, PointwiseMatmulStrategy::Order::kRandom);
   }
   if (name == "SortedMatrix") {
-    return std::make_unique<SortedMatrixStrategy>(config, workers);
+    return std::make_unique<PointwiseMatmulStrategy>(
+        config, workers, seed, PointwiseMatmulStrategy::Order::kSorted);
   }
   if (name == "DynamicMatrix") {
     return std::make_unique<DynamicMatrixStrategy>(config, workers, seed);

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <tuple>
 
+#include "common/dynamic_bitset.hpp"
 #include "common/fast_div.hpp"
 #include "sim/strategy.hpp"
 
@@ -63,5 +64,43 @@ constexpr std::size_t block_index(std::uint32_t n, std::uint32_t r,
 
 /// Validates a MatmulConfig (n >= 1, n^3 fits in practical memory).
 void validate(const MatmulConfig& config);
+
+/// Per-worker block caches for matrix multiplication: which A, B blocks
+/// have been shipped in, and which C blocks the worker has already
+/// started contributing to (charged once, when shipped back).
+struct MatmulWorkerBlocks {
+  DynamicBitset owned_a;  // n*n bits over (i, k)
+  DynamicBitset owned_b;  // n*n bits over (k, j)
+  DynamicBitset owned_c;  // n*n bits over (i, j)
+
+  explicit MatmulWorkerBlocks(std::uint32_t n = 0)
+      : owned_a(static_cast<std::size_t>(n) * n),
+        owned_b(static_cast<std::size_t>(n) * n),
+        owned_c(static_cast<std::size_t>(n) * n) {}
+
+  void clear() noexcept {
+    owned_a.clear();
+    owned_b.clear();
+    owned_c.clear();
+  }
+};
+
+/// Appends the (up to three) block transfers task (i,j,k) requires for
+/// a worker with caches `blocks`, updating the caches: A_{i,k}, B_{k,j},
+/// then C_{i,j}. Every single-task serve charges here.
+inline void charge_matmul_task_blocks(std::uint32_t n, std::uint32_t i,
+                                      std::uint32_t j, std::uint32_t k,
+                                      MatmulWorkerBlocks& blocks,
+                                      Assignment& assignment) {
+  if (blocks.owned_a.set_if_clear(block_index(n, i, k))) {
+    assignment.blocks.push_back(BlockRef{Operand::kMatA, i, k});
+  }
+  if (blocks.owned_b.set_if_clear(block_index(n, k, j))) {
+    assignment.blocks.push_back(BlockRef{Operand::kMatB, k, j});
+  }
+  if (blocks.owned_c.set_if_clear(block_index(n, i, j))) {
+    assignment.blocks.push_back(BlockRef{Operand::kMatC, i, j});
+  }
+}
 
 }  // namespace hetsched

@@ -2,27 +2,15 @@
 
 namespace hetsched {
 
-void charge_matmul_task_blocks(std::uint32_t n, std::uint32_t i,
-                               std::uint32_t j, std::uint32_t k,
-                               MatmulWorkerBlocks& blocks,
-                               Assignment& assignment) {
-  if (blocks.owned_a.set_if_clear(block_index(n, i, k))) {
-    assignment.blocks.push_back(BlockRef{Operand::kMatA, i, k});
-  }
-  if (blocks.owned_b.set_if_clear(block_index(n, k, j))) {
-    assignment.blocks.push_back(BlockRef{Operand::kMatB, k, j});
-  }
-  if (blocks.owned_c.set_if_clear(block_index(n, i, j))) {
-    assignment.blocks.push_back(BlockRef{Operand::kMatC, i, j});
-  }
-}
-
 PointwiseMatmulStrategy::PointwiseMatmulStrategy(MatmulConfig config,
-                                                 std::uint32_t workers)
+                                                 std::uint32_t workers,
+                                                 std::uint64_t seed,
+                                                 Order order)
     : config_(config),
       n_div_(config.n),
-      n_workers_(workers),
-      pool_(config.total_tasks()) {
+      order_(order),
+      pool_(config.total_tasks()),
+      rng_(derive_stream(seed, "matmul.random")) {
   validate(config_);
   owned_.assign(workers, MatmulWorkerBlocks(config_.n));
 }
@@ -31,9 +19,9 @@ bool PointwiseMatmulStrategy::on_request(std::uint32_t worker,
                                          Assignment& out) {
   out.clear();
   if (pool_.empty()) return false;
-  const TaskId id = next_task();
+  const TaskId id = order_ == Order::kRandom ? pool_.pop_random_unindexed(rng_)
+                                             : pool_.pop_first();
   const auto [i, j, k] = matmul_task_coords(n_div_, id);
-
   charge_matmul_task_blocks(config_.n, i, j, k, owned_[worker], out);
   out.tasks.push_back(id);
   return true;

@@ -1,49 +1,41 @@
-// Shared machinery for the task-at-a-time matrix-multiply strategies
-// (RandomMatrix / SortedMatrix).
+// RandomMatrix and SortedMatrix (Section 4.1): the task-at-a-time
+// matrix-multiply strategies. They serve a uniformly random (Random) or
+// the lexicographically first (Sorted, (i, j, k) order) unprocessed
+// task T_{i,j,k} and ship whichever of A_{i,k}, B_{k,j}, C_{i,j} the
+// worker has not touched yet.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "common/dynamic_bitset.hpp"
+#include "common/fast_div.hpp"
+#include "common/rng.hpp"
 #include "common/task_pool.hpp"
 #include "matmul/matmul_problem.hpp"
 #include "sim/strategy.hpp"
 
 namespace hetsched {
 
-/// Per-worker block caches for matrix multiplication: which A, B blocks
-/// have been shipped in, and which C blocks the worker has already
-/// started contributing to (charged once, when shipped back).
-struct MatmulWorkerBlocks {
-  DynamicBitset owned_a;  // n*n bits over (i, k)
-  DynamicBitset owned_b;  // n*n bits over (k, j)
-  DynamicBitset owned_c;  // n*n bits over (i, j)
-
-  explicit MatmulWorkerBlocks(std::uint32_t n = 0)
-      : owned_a(static_cast<std::size_t>(n) * n),
-        owned_b(static_cast<std::size_t>(n) * n),
-        owned_c(static_cast<std::size_t>(n) * n) {}
-};
-
-/// Appends the (up to three) block transfers task (i,j,k) requires for
-/// a worker with caches `blocks`, updating the caches.
-void charge_matmul_task_blocks(std::uint32_t n, std::uint32_t i,
-                               std::uint32_t j, std::uint32_t k,
-                               MatmulWorkerBlocks& blocks,
-                               Assignment& assignment);
-
-/// Base for strategies that hand out one task per request.
-class PointwiseMatmulStrategy : public Strategy {
+/// Hands out exactly one task per request with its missing blocks.
+class PointwiseMatmulStrategy final : public Strategy {
  public:
-  PointwiseMatmulStrategy(MatmulConfig config, std::uint32_t workers);
+  enum class Order { kRandom, kSorted };
 
-  std::uint64_t total_tasks() const final { return config_.total_tasks(); }
-  std::uint64_t unassigned_tasks() const final { return pool_.size(); }
-  std::uint32_t workers() const final { return n_workers_; }
+  PointwiseMatmulStrategy(MatmulConfig config, std::uint32_t workers,
+                          std::uint64_t seed, Order order);
+
+  std::string name() const override {
+    return order_ == Order::kRandom ? "RandomMatrix" : "SortedMatrix";
+  }
+  std::uint64_t total_tasks() const override { return config_.total_tasks(); }
+  std::uint64_t unassigned_tasks() const override { return pool_.size(); }
+  std::uint32_t workers() const override {
+    return static_cast<std::uint32_t>(owned_.size());
+  }
 
   using Strategy::on_request;
-  bool on_request(std::uint32_t worker, Assignment& out) final;
+  bool on_request(std::uint32_t worker, Assignment& out) override;
 
   bool requeue(const std::vector<TaskId>& tasks) override {
     bool all_inserted = true;
@@ -51,33 +43,20 @@ class PointwiseMatmulStrategy : public Strategy {
     return all_inserted;
   }
 
-  bool reset(std::uint64_t seed) final {
+  bool reset(std::uint64_t seed) override {
     pool_.reset();
-    for (auto& w : owned_) {
-      w.owned_a.clear();
-      w.owned_b.clear();
-      w.owned_c.clear();
-    }
-    reseed(seed);
+    for (auto& w : owned_) w.clear();
+    rng_ = Rng(derive_stream(seed, "matmul.random"));
     return true;
   }
-
- protected:
-  virtual TaskId next_task() = 0;
-
-  /// Re-derives any RNG state for a new replication (reset() hook;
-  /// deterministic strategies have none).
-  virtual void reseed(std::uint64_t seed) { (void)seed; }
-
-  const MatmulConfig& config() const noexcept { return config_; }
-  TaskPool& pool() noexcept { return pool_; }
 
  private:
   MatmulConfig config_;
   FastDiv32 n_div_;  // id -> (i, j, k) without hardware divides
-  std::uint32_t n_workers_;
+  Order order_;
   TaskPool pool_;
   std::vector<MatmulWorkerBlocks> owned_;
+  Rng rng_;
 };
 
 }  // namespace hetsched

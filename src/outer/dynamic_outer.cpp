@@ -26,8 +26,7 @@ DynamicOuterStrategy::DynamicOuterStrategy(OuterConfig config,
   for (auto& w : state_) {
     w.mask_i = DynamicBitset(config_.n);
     w.mask_j = DynamicBitset(config_.n);
-    w.owned_a = DynamicBitset(config_.n);
-    w.owned_b = DynamicBitset(config_.n);
+    w.blocks = OuterWorkerBlocks(config_.n);
     w.unknown_i.resize(config_.n);
     w.unknown_j.resize(config_.n);
     for (std::uint32_t v = 0; v < config_.n; ++v) {
@@ -71,8 +70,7 @@ bool DynamicOuterStrategy::reset(std::uint64_t seed) {
     }
     w.mask_i.clear();
     w.mask_j.clear();
-    w.owned_a.clear();
-    w.owned_b.clear();
+    w.blocks.clear();
   }
   rng_ = Rng(derive_stream(seed, "outer.dynamic"));
   phase2_served_ = 0;
@@ -101,20 +99,13 @@ bool DynamicOuterStrategy::dynamic_request(std::uint32_t worker,
   }
 
   // Draw a fresh (i, j) pair uniformly from the unknown index sets.
-  const auto pick = [this](std::vector<std::uint32_t>& unknown) {
-    const auto pos = static_cast<std::size_t>(rng_.next_below(unknown.size()));
-    const std::uint32_t v = unknown[pos];
-    unknown[pos] = unknown.back();
-    unknown.pop_back();
-    return v;
-  };
-  const std::uint32_t i = pick(w.unknown_i);
-  const std::uint32_t j = pick(w.unknown_j);
+  const std::uint32_t i = rng_.take_uniform(w.unknown_i);
+  const std::uint32_t j = rng_.take_uniform(w.unknown_j);
 
   out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
   out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
-  w.owned_a.set(i);
-  w.owned_b.set(j);
+  w.blocks.owned_a.set(i);
+  w.blocks.owned_b.set(j);
 
   // Allocate every unprocessed task the new data enables: row i against
   // J + j, and column j against I. Row i's task ids are the contiguous
@@ -209,17 +200,10 @@ bool DynamicOuterStrategy::dynamic_request(std::uint32_t worker,
 bool DynamicOuterStrategy::random_request(std::uint32_t worker,
                                           Assignment& out) {
   if (pool_.empty()) return false;
-  WorkerState& w = state_[worker];
   const TaskId id = pool_.pop_random(rng_);
   const auto [i, j] = outer_task_coords(config_.n, id);
   removed_t_.set(static_cast<std::uint64_t>(j) * mir_stride_ + i);
-
-  if (w.owned_a.set_if_clear(i)) {
-    out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
-  }
-  if (w.owned_b.set_if_clear(j)) {
-    out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
-  }
+  charge_outer_task_blocks(i, j, state_[worker].blocks, out);
   out.tasks.push_back(id);
   return true;
 }

@@ -111,8 +111,7 @@ class DynamicOuterStrategy : public Strategy {
     std::vector<std::uint32_t> unknown_j;
     DynamicBitset mask_i;  // I as an n-bit mask (frontier scan order)
     DynamicBitset mask_j;  // J likewise
-    DynamicBitset owned_a;
-    DynamicBitset owned_b;
+    OuterWorkerBlocks blocks;
   };
 
   /// "Once fewer than phase2_tasks tasks remain": strict comparison.

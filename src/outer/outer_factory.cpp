@@ -4,8 +4,7 @@
 
 #include "outer/adaptive_outer.hpp"
 #include "outer/dynamic_outer.hpp"
-#include "outer/random_outer.hpp"
-#include "outer/sorted_outer.hpp"
+#include "outer/pointwise_outer.hpp"
 #include "steal/work_stealing.hpp"
 
 namespace hetsched {
@@ -14,10 +13,12 @@ std::unique_ptr<Strategy> make_outer_strategy(
     const std::string& name, OuterConfig config, std::uint32_t workers,
     std::uint64_t seed, const OuterStrategyOptions& options) {
   if (name == "RandomOuter") {
-    return std::make_unique<RandomOuterStrategy>(config, workers, seed);
+    return std::make_unique<PointwiseOuterStrategy>(
+        config, workers, seed, PointwiseOuterStrategy::Order::kRandom);
   }
   if (name == "SortedOuter") {
-    return std::make_unique<SortedOuterStrategy>(config, workers);
+    return std::make_unique<PointwiseOuterStrategy>(
+        config, workers, seed, PointwiseOuterStrategy::Order::kSorted);
   }
   if (name == "DynamicOuter") {
     return std::make_unique<DynamicOuterStrategy>(config, workers, seed);

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "common/dynamic_bitset.hpp"
 #include "common/fast_div.hpp"
 #include "sim/strategy.hpp"
 
@@ -46,5 +47,36 @@ inline std::pair<std::uint32_t, std::uint32_t> outer_task_coords(
 
 /// Validates an OuterConfig (n >= 1, n^2 fits comfortably).
 void validate(const OuterConfig& config);
+
+/// Per-worker block cache of the outer product: which a_i and b_j the
+/// worker has received. The rectangular kernel (src/rect) sizes the two
+/// sides apart.
+struct OuterWorkerBlocks {
+  DynamicBitset owned_a;
+  DynamicBitset owned_b;
+
+  explicit OuterWorkerBlocks(std::uint32_t n = 0) : OuterWorkerBlocks(n, n) {}
+  OuterWorkerBlocks(std::uint32_t rows, std::uint32_t cols)
+      : owned_a(rows), owned_b(cols) {}
+
+  void clear() noexcept {
+    owned_a.clear();
+    owned_b.clear();
+  }
+};
+
+/// Appends the (up to two) block transfers task (i, j) requires for a
+/// worker with caches `blocks`, updating the caches: a_i, then b_j,
+/// each on first receipt only. Every single-task serve charges here.
+inline void charge_outer_task_blocks(std::uint32_t i, std::uint32_t j,
+                                     OuterWorkerBlocks& blocks,
+                                     Assignment& out) {
+  if (blocks.owned_a.set_if_clear(i)) {
+    out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
+  }
+  if (blocks.owned_b.set_if_clear(j)) {
+    out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
+  }
+}
 
 }  // namespace hetsched

@@ -3,33 +3,26 @@
 namespace hetsched {
 
 PointwiseOuterStrategy::PointwiseOuterStrategy(OuterConfig config,
-                                               std::uint32_t workers)
+                                               std::uint32_t workers,
+                                               std::uint64_t seed,
+                                               Order order)
     : config_(config),
       n_div_(config.n),
-      n_workers_(workers),
-      pool_(config.total_tasks()) {
+      order_(order),
+      pool_(config.total_tasks()),
+      rng_(derive_stream(seed, "outer.random")) {
   validate(config_);
-  owned_.resize(workers);
-  for (auto& w : owned_) {
-    w.owned_a = DynamicBitset(config_.n);
-    w.owned_b = DynamicBitset(config_.n);
-  }
+  owned_.assign(workers, OuterWorkerBlocks(config_.n));
 }
 
 bool PointwiseOuterStrategy::on_request(std::uint32_t worker,
                                         Assignment& out) {
   out.clear();
   if (pool_.empty()) return false;
-  const TaskId id = next_task();
+  const TaskId id = order_ == Order::kRandom ? pool_.pop_random_unindexed(rng_)
+                                             : pool_.pop_first();
   const auto [i, j] = outer_task_coords(n_div_, id);
-
-  WorkerBlocks& blocks = owned_[worker];
-  if (blocks.owned_a.set_if_clear(i)) {
-    out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
-  }
-  if (blocks.owned_b.set_if_clear(j)) {
-    out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
-  }
+  charge_outer_task_blocks(i, j, owned_[worker], out);
   out.tasks.push_back(id);
   return true;
 }

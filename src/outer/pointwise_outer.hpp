@@ -1,12 +1,16 @@
-// Shared machinery for the task-at-a-time outer-product strategies
-// (RandomOuter and SortedOuter differ only in which unprocessed task
-// the master serves next).
+// RandomOuter and SortedOuter (Section 3.2): the task-at-a-time
+// outer-product strategies. They differ only in which unprocessed task
+// the master serves next: a uniformly random one (RandomOuter, the
+// data-oblivious baseline whose replication cost the data-aware
+// strategies are measured against) or the lexicographically first
+// (SortedOuter, slightly better input reuse along a row).
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "common/dynamic_bitset.hpp"
+#include "common/fast_div.hpp"
 #include "common/rng.hpp"
 #include "common/task_pool.hpp"
 #include "outer/outer_problem.hpp"
@@ -14,18 +18,26 @@
 
 namespace hetsched {
 
-/// Base for strategies that hand out exactly one task per request and
-/// ship whichever of a_i / b_j the worker does not hold yet.
-class PointwiseOuterStrategy : public Strategy {
+/// Hands out exactly one task per request and ships whichever of a_i /
+/// b_j the worker does not hold yet.
+class PointwiseOuterStrategy final : public Strategy {
  public:
-  PointwiseOuterStrategy(OuterConfig config, std::uint32_t workers);
+  enum class Order { kRandom, kSorted };
 
-  std::uint64_t total_tasks() const final { return config_.total_tasks(); }
-  std::uint64_t unassigned_tasks() const final { return pool_.size(); }
-  std::uint32_t workers() const final { return n_workers_; }
+  PointwiseOuterStrategy(OuterConfig config, std::uint32_t workers,
+                         std::uint64_t seed, Order order);
+
+  std::string name() const override {
+    return order_ == Order::kRandom ? "RandomOuter" : "SortedOuter";
+  }
+  std::uint64_t total_tasks() const override { return config_.total_tasks(); }
+  std::uint64_t unassigned_tasks() const override { return pool_.size(); }
+  std::uint32_t workers() const override {
+    return static_cast<std::uint32_t>(owned_.size());
+  }
 
   using Strategy::on_request;
-  bool on_request(std::uint32_t worker, Assignment& out) final;
+  bool on_request(std::uint32_t worker, Assignment& out) override;
 
   bool requeue(const std::vector<TaskId>& tasks) override {
     bool all_inserted = true;
@@ -33,38 +45,20 @@ class PointwiseOuterStrategy : public Strategy {
     return all_inserted;
   }
 
-  bool reset(std::uint64_t seed) final {
+  bool reset(std::uint64_t seed) override {
     pool_.reset();
-    for (auto& w : owned_) {
-      w.owned_a.clear();
-      w.owned_b.clear();
-    }
-    reseed(seed);
+    for (auto& w : owned_) w.clear();
+    rng_ = Rng(derive_stream(seed, "outer.random"));
     return true;
   }
 
- protected:
-  /// Picks the next task to serve; pool is guaranteed non-empty.
-  virtual TaskId next_task() = 0;
-
-  /// Re-derives any RNG state for a new replication (reset() hook;
-  /// deterministic strategies have none).
-  virtual void reseed(std::uint64_t seed) { (void)seed; }
-
-  const OuterConfig& config() const noexcept { return config_; }
-  TaskPool& pool() noexcept { return pool_; }
-
  private:
-  struct WorkerBlocks {
-    DynamicBitset owned_a;
-    DynamicBitset owned_b;
-  };
-
   OuterConfig config_;
   FastDiv32 n_div_;  // id -> (i, j) without a hardware divide
-  std::uint32_t n_workers_;
+  Order order_;
   TaskPool pool_;
-  std::vector<WorkerBlocks> owned_;
+  std::vector<OuterWorkerBlocks> owned_;
+  Rng rng_;
 };
 
 }  // namespace hetsched

@@ -41,14 +41,6 @@ void ReferenceOuterStrategy::ship(std::uint32_t worker, Operand op,
   if (owned.set_if_clear(index)) out.blocks.push_back(BlockRef{op, index, 0});
 }
 
-std::uint32_t ReferenceOuterStrategy::pick(std::vector<std::uint32_t>& unknown) {
-  const auto pos = static_cast<std::size_t>(rng_.next_below(unknown.size()));
-  const std::uint32_t v = unknown[pos];
-  unknown[pos] = unknown.back();
-  unknown.pop_back();
-  return v;
-}
-
 bool ReferenceOuterStrategy::on_request(std::uint32_t worker,
                                         Assignment& out) {
   out.clear();
@@ -65,8 +57,8 @@ bool ReferenceOuterStrategy::on_request(std::uint32_t worker,
   }
 
   // Acquisition order: i, then j; a_i, then b_j.
-  const std::uint32_t i = pick(w.unknown_i);
-  const std::uint32_t j = pick(w.unknown_j);
+  const std::uint32_t i = rng_.take_uniform(w.unknown_i);
+  const std::uint32_t j = rng_.take_uniform(w.unknown_j);
   ship(worker, Operand::kVecA, i, out);
   ship(worker, Operand::kVecB, j, out);
 

@@ -77,9 +77,6 @@ class ReferenceOuterStrategy : public Strategy {
     DynamicBitset owned_b;
   };
 
-  /// Draws and removes a uniformly random entry of `unknown`.
-  std::uint32_t pick(std::vector<std::uint32_t>& unknown);
-
   OuterConfig config_;
   SwapRemovePool pool_;
   std::vector<WorkerState> state_;

@@ -19,8 +19,7 @@ DynamicRectStrategy::DynamicRectStrategy(RectConfig config,
   }
   state_.resize(workers);
   for (auto& w : state_) {
-    w.owned_a = DynamicBitset(config_.rows);
-    w.owned_b = DynamicBitset(config_.cols);
+    w.blocks = OuterWorkerBlocks(config_.rows, config_.cols);
     w.unknown_i.resize(config_.rows);
     w.unknown_j.resize(config_.cols);
     for (std::uint32_t v = 0; v < config_.rows; ++v) w.unknown_i[v] = v;
@@ -56,29 +55,21 @@ bool DynamicRectStrategy::dynamic_request(std::uint32_t worker, Assignment& out)
   const bool take_row =
       !w.unknown_i.empty() && (rows_lag || w.unknown_j.empty());
 
-  const auto pick = [this](std::vector<std::uint32_t>& unknown) {
-    const auto pos = static_cast<std::size_t>(rng_.next_below(unknown.size()));
-    const std::uint32_t v = unknown[pos];
-    unknown[pos] = unknown.back();
-    unknown.pop_back();
-    return v;
-  };
-
   auto try_take = [&](std::uint32_t ti, std::uint32_t tj) {
     const TaskId id = rect_task_id(config_, ti, tj);
     if (pool_.remove(id)) out.tasks.push_back(id);
   };
 
   if (take_row) {
-    const std::uint32_t i = pick(w.unknown_i);
+    const std::uint32_t i = rng_.take_uniform(w.unknown_i);
     out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
-    w.owned_a.set(i);
+    w.blocks.owned_a.set(i);
     for (const std::uint32_t j2 : w.known_j) try_take(i, j2);
     w.known_i.push_back(i);
   } else {
-    const std::uint32_t j = pick(w.unknown_j);
+    const std::uint32_t j = rng_.take_uniform(w.unknown_j);
     out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
-    w.owned_b.set(j);
+    w.blocks.owned_b.set(j);
     for (const std::uint32_t i2 : w.known_i) try_take(i2, j);
     w.known_j.push_back(j);
   }
@@ -87,16 +78,9 @@ bool DynamicRectStrategy::dynamic_request(std::uint32_t worker, Assignment& out)
 
 bool DynamicRectStrategy::random_request(std::uint32_t worker, Assignment& out) {
   if (pool_.empty()) return false;
-  WorkerState& w = state_[worker];
   const TaskId id = pool_.pop_random(rng_);
   const auto [i, j] = rect_task_coords(config_, id);
-
-  if (w.owned_a.set_if_clear(i)) {
-    out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
-  }
-  if (w.owned_b.set_if_clear(j)) {
-    out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
-  }
+  charge_outer_task_blocks(i, j, state_[worker].blocks, out);
   out.tasks.push_back(id);
   return true;
 }
@@ -112,11 +96,7 @@ PointwiseRectStrategy::PointwiseRectStrategy(RectConfig config,
   if (workers == 0) {
     throw std::invalid_argument("PointwiseRectStrategy: need >= 1 worker");
   }
-  owned_.resize(workers);
-  for (auto& w : owned_) {
-    w.owned_a = DynamicBitset(config_.rows);
-    w.owned_b = DynamicBitset(config_.cols);
-  }
+  owned_.assign(workers, OuterWorkerBlocks(config_.rows, config_.cols));
 }
 
 bool PointwiseRectStrategy::on_request(std::uint32_t worker, Assignment& out) {
@@ -125,14 +105,7 @@ bool PointwiseRectStrategy::on_request(std::uint32_t worker, Assignment& out) {
   const TaskId id =
       order_ == Order::kRandom ? pool_.pop_random(rng_) : pool_.pop_first();
   const auto [i, j] = rect_task_coords(config_, id);
-
-  WorkerBlocks& blocks = owned_[worker];
-  if (blocks.owned_a.set_if_clear(i)) {
-    out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
-  }
-  if (blocks.owned_b.set_if_clear(j)) {
-    out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
-  }
+  charge_outer_task_blocks(i, j, owned_[worker], out);
   out.tasks.push_back(id);
   return true;
 }

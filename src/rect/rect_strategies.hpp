@@ -15,9 +15,9 @@
 #include <string>
 #include <vector>
 
-#include "common/dynamic_bitset.hpp"
 #include "common/rng.hpp"
 #include "common/swap_remove_pool.hpp"
+#include "outer/outer_problem.hpp"
 #include "rect/rect_problem.hpp"
 #include "sim/strategy.hpp"
 
@@ -57,8 +57,7 @@ class DynamicRectStrategy final : public Strategy {
     std::vector<std::uint32_t> known_j;
     std::vector<std::uint32_t> unknown_i;
     std::vector<std::uint32_t> unknown_j;
-    DynamicBitset owned_a;
-    DynamicBitset owned_b;
+    OuterWorkerBlocks blocks;
   };
 
   bool in_phase2() const noexcept { return pool_.size() <= phase2_tasks_; }
@@ -101,15 +100,10 @@ class PointwiseRectStrategy final : public Strategy {
   }
 
  private:
-  struct WorkerBlocks {
-    DynamicBitset owned_a;
-    DynamicBitset owned_b;
-  };
-
   RectConfig config_;
   Order order_;
   SwapRemovePool pool_;
-  std::vector<WorkerBlocks> owned_;
+  std::vector<OuterWorkerBlocks> owned_;
   Rng rng_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "core/experiment.hpp"
 #include "spec/parse.hpp"
@@ -11,20 +10,10 @@ namespace hetsched {
 
 namespace {
 
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 std::vector<std::uint32_t> parse_count_flag(const CliArgs& args,
                                             const std::string& key) {
   std::vector<std::uint32_t> out;
-  for (const std::string& item : split_csv(args.get(key, ""))) {
+  for (const std::string& item : args.get_list(key)) {
     std::uint32_t v = 0;
     if (!parse_u32_strict(item, v)) {
       throw SpecError("--" + key + ": expected a positive integer, got '" +
@@ -61,7 +50,7 @@ ScenarioSpec spec_overlay_from_cli(const CliArgs& args) {
   if (args.has("strategy")) {
     spec.strategies = {args.get("strategy", "")};
   } else if (args.has("strategies")) {
-    spec.strategies = split_csv(args.get("strategies", ""));
+    spec.strategies = args.get_list("strategies");
     if (spec.strategies.empty()) {
       throw SpecError("--strategies: expected a strategy-name list");
     }

@@ -10,11 +10,7 @@ WorkStealingOuterStrategy::WorkStealingOuterStrategy(OuterConfig config,
     : config_(config),
       core_(workers, Rng(derive_stream(seed, "steal.outer"))) {
   validate(config_);
-  blocks_.resize(workers);
-  for (auto& b : blocks_) {
-    b.owned_a = DynamicBitset(config_.n);
-    b.owned_b = DynamicBitset(config_.n);
-  }
+  blocks_.assign(workers, OuterWorkerBlocks(config_.n));
   // Speed-agnostic initial partition: contiguous row bands of (nearly)
   // equal size, each band's tasks in lexicographic order.
   const std::uint32_t n = config_.n;
@@ -32,14 +28,7 @@ bool WorkStealingOuterStrategy::on_request(std::uint32_t worker, Assignment& out
   const auto id = core_.next_task(worker);
   if (!id.has_value()) return false;
   const auto [i, j] = outer_task_coords(config_.n, *id);
-
-  WorkerBlocks& blocks = blocks_[worker];
-  if (blocks.owned_a.set_if_clear(i)) {
-    out.blocks.push_back(BlockRef{Operand::kVecA, i, 0});
-  }
-  if (blocks.owned_b.set_if_clear(j)) {
-    out.blocks.push_back(BlockRef{Operand::kVecB, j, 0});
-  }
+  charge_outer_task_blocks(i, j, blocks_[worker], out);
   out.tasks.push_back(*id);
   return true;
 }

@@ -18,9 +18,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/dynamic_bitset.hpp"
 #include "common/rng.hpp"
-#include "matmul/pointwise_matmul.hpp"
+#include "matmul/matmul_problem.hpp"
 #include "outer/outer_problem.hpp"
 #include "sim/strategy.hpp"
 #include "steal/steal_core.hpp"
@@ -49,14 +48,9 @@ class WorkStealingOuterStrategy final : public Strategy {
   }
 
  private:
-  struct WorkerBlocks {
-    DynamicBitset owned_a;
-    DynamicBitset owned_b;
-  };
-
   OuterConfig config_;
   StealDeques core_;
-  std::vector<WorkerBlocks> blocks_;
+  std::vector<OuterWorkerBlocks> blocks_;
 };
 
 /// Work stealing over the n^3 matrix-multiply tasks, banded by the

@@ -51,5 +51,15 @@ TEST(FigureSpecs, FixedDrawRejectsAnotherP) {
   }
 }
 
+TEST(FigureSpecs, UnreadFlagRejected) {
+  // A misspelled --reps used to run the spec's default reps.
+  try {
+    load_figure_spec("fig04", flags({"--rep=1"}));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unrecognized flag --rep");
+  }
+}
+
 }  // namespace
 }  // namespace hetsched::bench

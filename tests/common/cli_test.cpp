@@ -160,5 +160,32 @@ TEST(CliArgs, RecordsProgramName) {
   EXPECT_EQ(parse({"myprog"}).program(), "myprog");
 }
 
+TEST(CliArgs, ListDropsEmptyItems) {
+  const CliArgs args = parse({"prog", "--s=a,,b,", "--e="});
+  EXPECT_EQ(args.get_list("s"), (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(args.get_list("e").empty());
+  EXPECT_TRUE(args.get_list("absent").empty());
+}
+
+// Every getter, has() included, marks its flag read, whether or not
+// the flag was given; reject_unread names each given flag no getter
+// asked about.
+TEST(CliArgs, RejectUnreadNamesEveryUnreadFlag) {
+  const CliArgs args =
+      parse({"prog", "--n=4", "--stratgy=x", "--quiet", "--rep=1"});
+  EXPECT_EQ(args.get_count("n", 1), 4u);
+  EXPECT_FALSE(args.has("strategy"));
+  try {
+    args.reject_unread();
+    FAIL() << "unread flags accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unrecognized flags --quiet --rep --stratgy");
+  }
+  EXPECT_TRUE(args.get_bool("quiet", false));
+  EXPECT_EQ(args.get("rep", ""), "1");
+  EXPECT_TRUE(args.has("stratgy"));
+  EXPECT_NO_THROW(args.reject_unread());
+}
+
 }  // namespace
 }  // namespace hetsched

@@ -2,14 +2,15 @@
 
 #include <set>
 
-#include "matmul/random_matrix.hpp"
-#include "matmul/sorted_matrix.hpp"
+#include "matmul/pointwise_matmul.hpp"
 
 namespace hetsched {
 namespace {
 
+using Order = PointwiseMatmulStrategy::Order;
+
 TEST(SortedMatrix, ServesTasksInLexicographicOrder) {
-  SortedMatrixStrategy strategy(MatmulConfig{3}, 1);
+  PointwiseMatmulStrategy strategy(MatmulConfig{3}, 1, 0, Order::kSorted);
   for (TaskId expect = 0; expect < 27; ++expect) {
     const auto a = strategy.on_request(0);
     ASSERT_TRUE(a.has_value());
@@ -20,14 +21,14 @@ TEST(SortedMatrix, ServesTasksInLexicographicOrder) {
 }
 
 TEST(SortedMatrix, FirstTaskShipsThreeBlocks) {
-  SortedMatrixStrategy strategy(MatmulConfig{4}, 1);
+  PointwiseMatmulStrategy strategy(MatmulConfig{4}, 1, 0, Order::kSorted);
   const auto a = strategy.on_request(0);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->blocks.size(), 3u);
 }
 
 TEST(SortedMatrix, SecondTaskOfSameRowReusesAandC) {
-  SortedMatrixStrategy strategy(MatmulConfig{4}, 1);
+  PointwiseMatmulStrategy strategy(MatmulConfig{4}, 1, 0, Order::kSorted);
   strategy.on_request(0);  // (0,0,0): ships A00, B00, C00
   const auto a = strategy.on_request(0);  // (0,0,1): ships A01, B10 only
   ASSERT_TRUE(a.has_value());
@@ -38,7 +39,7 @@ TEST(SortedMatrix, SecondTaskOfSameRowReusesAandC) {
 }
 
 TEST(RandomMatrix, ServesEveryTaskExactlyOnce) {
-  RandomMatrixStrategy strategy(MatmulConfig{5}, 1, 17);
+  PointwiseMatmulStrategy strategy(MatmulConfig{5}, 1, 17, Order::kRandom);
   std::set<TaskId> seen;
   while (auto a = strategy.on_request(0)) {
     ASSERT_EQ(a->tasks.size(), 1u);
@@ -48,7 +49,7 @@ TEST(RandomMatrix, ServesEveryTaskExactlyOnce) {
 }
 
 TEST(RandomMatrix, NeverShipsSameBlockTwice) {
-  RandomMatrixStrategy strategy(MatmulConfig{6}, 1, 23);
+  PointwiseMatmulStrategy strategy(MatmulConfig{6}, 1, 23, Order::kRandom);
   std::set<std::tuple<int, std::uint32_t, std::uint32_t>> shipped;
   while (auto a = strategy.on_request(0)) {
     for (const auto& ref : a->blocks) {
@@ -63,7 +64,7 @@ TEST(RandomMatrix, NeverShipsSameBlockTwice) {
 }
 
 TEST(RandomMatrix, AtMostThreeBlocksPerTask) {
-  RandomMatrixStrategy strategy(MatmulConfig{6}, 2, 29);
+  PointwiseMatmulStrategy strategy(MatmulConfig{6}, 2, 29, Order::kRandom);
   for (int step = 0; step < 100; ++step) {
     const auto a = strategy.on_request(step % 2);
     if (!a.has_value()) break;
@@ -72,8 +73,8 @@ TEST(RandomMatrix, AtMostThreeBlocksPerTask) {
 }
 
 TEST(RandomMatrix, SameSeedSameSequence) {
-  RandomMatrixStrategy a(MatmulConfig{5}, 1, 5);
-  RandomMatrixStrategy b(MatmulConfig{5}, 1, 5);
+  PointwiseMatmulStrategy a(MatmulConfig{5}, 1, 5, Order::kRandom);
+  PointwiseMatmulStrategy b(MatmulConfig{5}, 1, 5, Order::kRandom);
   for (int step = 0; step < 50; ++step) {
     const auto ta = a.on_request(0);
     const auto tb = b.on_request(0);
@@ -83,7 +84,7 @@ TEST(RandomMatrix, SameSeedSameSequence) {
 }
 
 TEST(PointwiseMatmul, CountsAreConsistent) {
-  RandomMatrixStrategy strategy(MatmulConfig{4}, 3, 31);
+  PointwiseMatmulStrategy strategy(MatmulConfig{4}, 3, 31, Order::kRandom);
   EXPECT_EQ(strategy.total_tasks(), 64u);
   EXPECT_EQ(strategy.unassigned_tasks(), 64u);
   EXPECT_EQ(strategy.workers(), 3u);

@@ -2,14 +2,15 @@
 
 #include <set>
 
-#include "outer/random_outer.hpp"
-#include "outer/sorted_outer.hpp"
+#include "outer/pointwise_outer.hpp"
 
 namespace hetsched {
 namespace {
 
+using Order = PointwiseOuterStrategy::Order;
+
 TEST(SortedOuter, ServesTasksInLexicographicOrder) {
-  SortedOuterStrategy strategy(OuterConfig{4}, 1);
+  PointwiseOuterStrategy strategy(OuterConfig{4}, 1, 0, Order::kSorted);
   for (TaskId expect = 0; expect < 16; ++expect) {
     const auto a = strategy.on_request(0);
     ASSERT_TRUE(a.has_value());
@@ -23,7 +24,7 @@ TEST(SortedOuter, ChargesRowBlockOncePerRow) {
   // Lexicographic service by one worker: first task of each row ships
   // a_i; b_j ships only during the first row.
   const std::uint32_t n = 5;
-  SortedOuterStrategy strategy(OuterConfig{n}, 1);
+  PointwiseOuterStrategy strategy(OuterConfig{n}, 1, 0, Order::kSorted);
   std::uint64_t blocks = 0;
   while (auto a = strategy.on_request(0)) blocks += a->blocks.size();
   EXPECT_EQ(blocks, 2u * n);  // n a-blocks + n b-blocks total
@@ -31,7 +32,7 @@ TEST(SortedOuter, ChargesRowBlockOncePerRow) {
 
 TEST(SortedOuter, SeparateWorkersHaveSeparateCaches) {
   const std::uint32_t n = 3;
-  SortedOuterStrategy strategy(OuterConfig{n}, 2);
+  PointwiseOuterStrategy strategy(OuterConfig{n}, 2, 0, Order::kSorted);
   // Alternate requests: both workers replicate blocks independently.
   std::uint64_t blocks = 0;
   std::uint64_t tasks = 0;
@@ -50,7 +51,7 @@ TEST(SortedOuter, SeparateWorkersHaveSeparateCaches) {
 }
 
 TEST(RandomOuter, ServesEveryTaskExactlyOnce) {
-  RandomOuterStrategy strategy(OuterConfig{8}, 1, 99);
+  PointwiseOuterStrategy strategy(OuterConfig{8}, 1, 99, Order::kRandom);
   std::set<TaskId> seen;
   while (auto a = strategy.on_request(0)) {
     ASSERT_EQ(a->tasks.size(), 1u);
@@ -60,7 +61,7 @@ TEST(RandomOuter, ServesEveryTaskExactlyOnce) {
 }
 
 TEST(RandomOuter, NeverShipsABlockTwiceToTheSameWorker) {
-  RandomOuterStrategy strategy(OuterConfig{10}, 1, 7);
+  PointwiseOuterStrategy strategy(OuterConfig{10}, 1, 7, Order::kRandom);
   std::set<std::pair<int, std::uint32_t>> shipped;
   while (auto a = strategy.on_request(0)) {
     for (const auto& ref : a->blocks) {
@@ -73,15 +74,15 @@ TEST(RandomOuter, NeverShipsABlockTwiceToTheSameWorker) {
 }
 
 TEST(RandomOuter, FirstTaskShipsTwoBlocks) {
-  RandomOuterStrategy strategy(OuterConfig{10}, 1, 11);
+  PointwiseOuterStrategy strategy(OuterConfig{10}, 1, 11, Order::kRandom);
   const auto a = strategy.on_request(0);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->blocks.size(), 2u);
 }
 
 TEST(RandomOuter, SequenceDependsOnSeed) {
-  RandomOuterStrategy a(OuterConfig{16}, 1, 1);
-  RandomOuterStrategy b(OuterConfig{16}, 1, 2);
+  PointwiseOuterStrategy a(OuterConfig{16}, 1, 1, Order::kRandom);
+  PointwiseOuterStrategy b(OuterConfig{16}, 1, 2, Order::kRandom);
   int differing = 0;
   for (int step = 0; step < 32; ++step) {
     const auto ta = a.on_request(0);
@@ -93,8 +94,8 @@ TEST(RandomOuter, SequenceDependsOnSeed) {
 }
 
 TEST(RandomOuter, SameSeedSameSequence) {
-  RandomOuterStrategy a(OuterConfig{16}, 1, 5);
-  RandomOuterStrategy b(OuterConfig{16}, 1, 5);
+  PointwiseOuterStrategy a(OuterConfig{16}, 1, 5, Order::kRandom);
+  PointwiseOuterStrategy b(OuterConfig{16}, 1, 5, Order::kRandom);
   for (int step = 0; step < 64; ++step) {
     const auto ta = a.on_request(0);
     const auto tb = b.on_request(0);
@@ -104,7 +105,7 @@ TEST(RandomOuter, SameSeedSameSequence) {
 }
 
 TEST(PointwiseOuter, UnassignedCountDecreases) {
-  RandomOuterStrategy strategy(OuterConfig{4}, 1, 3);
+  PointwiseOuterStrategy strategy(OuterConfig{4}, 1, 3, Order::kRandom);
   EXPECT_EQ(strategy.unassigned_tasks(), 16u);
   strategy.on_request(0);
   EXPECT_EQ(strategy.unassigned_tasks(), 15u);
@@ -112,7 +113,7 @@ TEST(PointwiseOuter, UnassignedCountDecreases) {
 }
 
 TEST(PointwiseOuter, ReportsWorkerCount) {
-  RandomOuterStrategy strategy(OuterConfig{4}, 7, 3);
+  PointwiseOuterStrategy strategy(OuterConfig{4}, 7, 3, Order::kRandom);
   EXPECT_EQ(strategy.workers(), 7u);
 }
 

@@ -25,7 +25,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -126,20 +125,22 @@ int usage() {
   return 2;
 }
 
-std::vector<std::string> split_names(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
+// The --progress / --progress-out / --progress-interval flags, read
+// before any work starts.
+struct ProgressFlags {
+  bool on;
+  std::string path;
+  double interval;
 
-// Owns the optional live progress reporter plus its output file, built
-// from --progress / --progress-out / --progress-interval. The file (if
-// any) lives on the heap so the reporter's stream reference stays valid
-// wherever the setup struct ends up.
+  explicit ProgressFlags(const CliArgs& args)
+      : on(args.get_bool("progress", false)),
+        path(args.get("progress-out", "")),
+        interval(args.get_double("progress-interval", 1.0)) {}
+};
+
+// Owns the optional live progress reporter plus its output file. The
+// file (if any) lives on the heap so the reporter's stream reference
+// stays valid wherever the setup struct ends up.
 struct ProgressSetup {
   std::unique_ptr<std::ofstream> file;
   std::unique_ptr<ProgressReporter> reporter;
@@ -147,12 +148,12 @@ struct ProgressSetup {
   ProgressReporter* get() const noexcept { return reporter.get(); }
 };
 
-ProgressSetup make_progress(const CliArgs& args) {
+ProgressSetup make_progress(const ProgressFlags& flags) {
   ProgressSetup setup;
-  const std::string path = args.get("progress-out", "");
-  if (!args.get_bool("progress", false) && path.empty()) return setup;
+  const std::string& path = flags.path;
+  if (!flags.on && path.empty()) return setup;
   ProgressReporter::Options options;
-  options.min_interval_sec = args.get_double("progress-interval", 1.0);
+  options.min_interval_sec = flags.interval;
   if (!path.empty()) {
     setup.file = std::make_unique<std::ofstream>(path);
     if (!*setup.file) throw std::runtime_error("cannot open " + path);
@@ -168,13 +169,14 @@ ProgressSetup make_progress(const CliArgs& args) {
 // requested artifacts: a chrome-tracing / Perfetto JSON file
 // (--trace-out) and/or the self-describing hetsched-trace/1 event file
 // (--events-out), the run's one record, ready for `hetsched_cli analyze`.
-void dump_observability(const CliArgs& args, const ExperimentConfig& config) {
-  const std::string trace_path = args.get("trace-out", "");
-  const std::string events_path = args.get("events-out", "");
+void dump_observability(const ExperimentConfig& config,
+                        const std::string& trace_path,
+                        const std::string& events_path,
+                        double sample_interval) {
   if (trace_path.empty() && events_path.empty()) return;
 
   InstrumentOptions options;
-  options.sample_interval = args.get_double("sample-interval", 0.0);
+  options.sample_interval = sample_interval;
   InstrumentedRep rep;
   run_instrumented_rep(config, derive_stream(config.seed, "rep.0"), options,
                        rep);
@@ -206,6 +208,15 @@ int cmd_run(const CliArgs& args) {
   }
   const ScenarioSpec spec =
       load_spec(args.get("spec", ""), args, run_spec_defaults());
+  const bool profile = args.get_bool("profile", false);
+  const ProgressFlags progress_flags(args);
+  const std::string trace_path = args.get("trace-out", "");
+  const std::string events_path = args.get("events-out", "");
+  const double sample_interval = args.get_double("sample-interval", 0.0);
+  const bool json = args.get_bool("json", false);
+  const bool details = args.get_bool("details", false);
+  args.reject_unread();
+
   CompiledCampaign compiled = compile_spec(spec);
   if (compiled.entries.size() != 1) {
     throw SpecError("run: the spec expands to " +
@@ -215,18 +226,17 @@ int cmd_run(const CliArgs& args) {
   ExperimentConfig config = std::move(compiled.entries.front().config);
   // Telemetry is not configuration: it never enters the spec or the
   // config hash.
-  config.profile = args.get_bool("profile", false);
+  config.profile = profile;
 
-  ProgressSetup progress = make_progress(args);
+  ProgressSetup progress = make_progress(progress_flags);
   config.progress = progress.get();
   if (progress.get() != nullptr) progress.get()->expect_reps(config.reps);
   const ExperimentResult result = run_experiment(config);
   if (progress.get() != nullptr) progress.get()->finish();
   config.progress = nullptr;  // the instrumented re-run is not counted
-  dump_observability(args, config);
-  if (args.get_bool("json", false)) {
-    write_experiment_json(std::cout, config, result,
-                          args.get_bool("details", false));
+  dump_observability(config, trace_path, events_path, sample_interval);
+  if (json) {
+    write_experiment_json(std::cout, config, result, details);
     return 0;
   }
   std::cout << config.strategy << " on " << config.p << " workers, n="
@@ -264,10 +274,12 @@ int cmd_sweep(const CliArgs& args) {
   if (spec.ns.size() != 1) {
     throw SpecError("sweep: exactly one n (use `campaign` for n grids)");
   }
-  const auto points =
-      pivot_sweep(compile_campaign(spec).run(), SweepAxis::kWorkers,
-                  args.get_bool("analysis", true));
-  if (args.get_bool("json", false)) {
+  const bool analysis = args.get_bool("analysis", true);
+  const bool json = args.get_bool("json", false);
+  args.reject_unread();
+  const auto points = pivot_sweep(compile_campaign(spec).run(),
+                                  SweepAxis::kWorkers, analysis);
+  if (json) {
     write_sweep_json(std::cout, "p", points);
   } else {
     print_sweep_csv(points, "p", std::cout);
@@ -280,6 +292,7 @@ int cmd_tune(const CliArgs& args) {
   const std::uint32_t p = args.get_count("p", 20);
   const std::uint32_t n =
       args.get_count("n", kernel == Kernel::kOuter ? 100 : 40);
+  args.reject_unread();
   const std::vector<double> rs(p, 1.0 / static_cast<double>(p));
   const auto opt = kernel == Kernel::kOuter
                        ? OuterAnalysis(rs, n).optimal_beta()
@@ -293,14 +306,15 @@ int cmd_tune(const CliArgs& args) {
 }
 
 int cmd_partition(const CliArgs& args) {
-  const std::string speeds_csv = args.get("speeds", "");
-  if (speeds_csv.empty()) {
+  const std::vector<std::string> speed_items = args.get_list("speeds");
+  const std::uint32_t n = args.get_count("n", 100);
+  args.reject_unread();
+  if (speed_items.empty()) {
     std::cerr << "partition: --speeds=s1,s2,... is required\n";
     return 2;
   }
-  const std::uint32_t n = args.get_count("n", 100);
   std::vector<double> speeds;
-  for (const auto& tok : split_names(speeds_csv)) {
+  for (const auto& tok : speed_items) {
     double speed = 0.0;
     if (!parse_double_strict(tok, speed) || !std::isfinite(speed) ||
         speed <= 0.0) {
@@ -342,6 +356,8 @@ int cmd_dag(const CliArgs& args) {
     throw std::invalid_argument("--policy: unknown DAG policy '" +
                                 policy_name + "'");
   }
+  const std::string events_path = args.get("events-out", "");
+  args.reject_unread();
 
   if (fact != "cholesky") {
     std::cerr << "dag: unknown factorization " << fact << "\n";
@@ -375,7 +391,6 @@ int cmd_dag(const CliArgs& args) {
   // --events-out: record one extra rep of --policy (default: the first
   // registered policy) as a hetsched-trace/1 file for `analyze`. DAG
   // meta carries the graph bounds so the report can rate the schedule.
-  const std::string events_path = args.get("events-out", "");
   if (!events_path.empty()) {
     const std::uint64_t rep_seed = derive_stream(seed, "rep.0");
     Rng speed_rng(derive_stream(rep_seed, "speeds"));
@@ -418,9 +433,12 @@ int cmd_dag(const CliArgs& args) {
 
 int cmd_campaign(const CliArgs& args) {
   const std::uint32_t jobs = args.get_thread_count("jobs", 0);
-  const Campaign campaign = compile_campaign(
-      load_spec(args.get("spec", ""), args, batch_spec_defaults()));
-  ProgressSetup progress = make_progress(args);
+  const ScenarioSpec spec =
+      load_spec(args.get("spec", ""), args, batch_spec_defaults());
+  const ProgressFlags progress_flags(args);
+  args.reject_unread();
+  const Campaign campaign = compile_campaign(spec);
+  ProgressSetup progress = make_progress(progress_flags);
   const auto outcomes = campaign.run(jobs, progress.get());
   if (progress.get() != nullptr) progress.get()->finish();
   write_campaign_json(std::cout, campaign.name(), outcomes);
@@ -438,8 +456,10 @@ int cmd_validate(const CliArgs& args) {
     return 2;
   }
   const ScenarioSpec spec = load_spec(path, args, batch_spec_defaults());
+  const bool canonical = args.get_bool("canonical", false);
+  args.reject_unread();
   const CompiledCampaign compiled = compile_spec(spec);
-  if (args.get_bool("canonical", false)) {
+  if (canonical) {
     std::cout << canonical_text(spec);
     return 0;
   }
@@ -474,10 +494,16 @@ int cmd_analyze(const CliArgs& args) {
                                 args.get("support", ""));
   }
 
+  const bool profile = args.get_bool("profile", false);
+  const std::string json_path = args.get("json-out", "");
+  const std::string md_path = args.get("md-out", "");
+  const bool json = args.get_bool("json", false);
+  args.reject_unread();
+
   // The analyzer profiles itself through the same site taxonomy as the
   // rep loop; --profile surfaces it on stderr.
   ProfShard shard;
-  ProfShard* prof = args.get_bool("profile", false) ? &shard : nullptr;
+  ProfShard* prof = profile ? &shard : nullptr;
 
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open " + path);
@@ -488,21 +514,19 @@ int cmd_analyze(const CliArgs& args) {
   }
   {
     ProfScope scope(prof, ProfSite::kExport);
-    const std::string json_path = args.get("json-out", "");
     if (!json_path.empty()) {
       std::ofstream out(json_path);
       if (!out) throw std::runtime_error("cannot open " + json_path);
       write_analysis_json(out, analysis);
       std::cerr << "wrote analysis JSON to " << json_path << "\n";
     }
-    const std::string md_path = args.get("md-out", "");
     if (!md_path.empty()) {
       std::ofstream out(md_path);
       if (!out) throw std::runtime_error("cannot open " + md_path);
       write_analysis_markdown(out, analysis);
       std::cerr << "wrote analysis report to " << md_path << "\n";
     }
-    if (args.get_bool("json", false)) {
+    if (json) {
       write_analysis_json(std::cout, analysis);
     } else {
       write_analysis_markdown(std::cout, analysis);
